@@ -24,7 +24,6 @@ import numpy as np
 from .certificates import (
     CertificateY,
     CertSpectrum,
-    SpectralLine,
     closed_form_spectrum,
     objective_dense_trace,
     objective_povh_rendl,
@@ -53,26 +52,21 @@ def row_column_map(n: int) -> np.ndarray:
 def shifted_spectrum(coeffs) -> CertSpectrum:
     """Closed-form eigenvalues of Y - J/n^2 (unit scale, not the 2nY scale).
 
-    The shift removes exactly the all-ones eigendirection: the k = 0 line of
-    the first family drops from 1 to 0 and every other line just rescales by
-    1/2n.
+    The shift removes exactly the all-ones eigendirection: the k = 0 entry
+    of the coupled family drops from 1 to 0 and every other eigenvalue just
+    rescales by 1/2n.
     """
     base = closed_form_spectrum(coeffs)
     scale = 1.0 / (2.0 * base.n)
-    lines = []
-    for line in base.lines:
-        value = line.value * scale
-        if line.k == 0 and line.family == "coupled-zero":
-            value = 0.0
-        lines.append(
-            SpectralLine(
-                k=line.k,
-                family=line.family,
-                value=value,
-                multiplicity=line.multiplicity,
-            )
-        )
-    return CertSpectrum(n=base.n, g=base.g, lines=lines)
+    coupled = base.coupled * scale
+    coupled[0] = 0.0
+    return CertSpectrum(
+        n=base.n,
+        g=base.g,
+        coupled=coupled,
+        middle=base.middle * scale,
+        plain=base.plain * scale,
+    )
 
 
 @dataclass

@@ -45,7 +45,6 @@ __all__ = [
     "CertSpectrum",
     "CertificateY",
     "FeasibilityReport",
-    "SpectralLine",
     "assemble",
     "closed_form_spectrum",
     "coeffs_general",
@@ -218,34 +217,40 @@ def assemble(coeffs: CertCoeffs) -> CertificateY:
     return CertificateY(coeffs=coeffs)
 
 
-@dataclass(frozen=True)
-class SpectralLine:
-    k: int
-    family: str  # coupled-zero | middle | plain
-    value: float
-    multiplicity: int
-
-
 @dataclass
 class CertSpectrum:
-    """Closed-form eigenvalues of 2nY, one line per (frequency, family)."""
+    """Closed-form eigenvalues of 2nY: one array per family, indexed by k.
+
+    ``coupled[k]`` has multiplicity 1, ``middle[k]`` g-1 and ``plain[k]``
+    n-g, so the n^2 eigenvalues are held in 3n numbers.
+    """
 
     n: int
     g: int
-    lines: list[SpectralLine]
+    coupled: np.ndarray = field(repr=False)
+    middle: np.ndarray = field(repr=False)
+    plain: np.ndarray = field(repr=False)
+
+    def families(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """(values, multiplicity) per family: coupled-zero, middle, plain."""
+        return (
+            (self.coupled, 1),
+            (self.middle, self.g - 1),
+            (self.plain, self.n - self.g),
+        )
 
     def total_multiplicity(self) -> int:
-        return sum(line.multiplicity for line in self.lines)
+        return sum(len(values) * mult for values, mult in self.families())
 
     def multiset(self) -> np.ndarray:
         """All n^2 eigenvalues of 2nY expanded by multiplicity, sorted."""
         vals = np.concatenate(
-            [np.full(line.multiplicity, line.value) for line in self.lines]
+            [np.repeat(values, mult) for values, mult in self.families()]
         )
         return np.sort(vals)
 
     def min_value(self) -> float:
-        return min(line.value for line in self.lines)
+        return min(float(values.min()) for values, _ in self.families())
 
 
 def closed_form_spectrum(coeffs: CertCoeffs) -> CertSpectrum:
@@ -262,29 +267,14 @@ def closed_form_spectrum(coeffs: CertCoeffs) -> CertSpectrum:
     p = n // g
     ap = coeffs.a_profile()
     bp = coeffs.b_profile()
-    lines: list[SpectralLine] = []
-    for k in range(n):
-        plain = 2.0 - 2.0 * ap[k]
-        lines.append(
-            SpectralLine(
-                k=k,
-                family="coupled-zero",
-                value=float(2.0 * (g - 1) * p * bp[k] + 2.0 * p * ap[k] + plain),
-                multiplicity=1,
-            )
-        )
-        lines.append(
-            SpectralLine(
-                k=k,
-                family="middle",
-                value=float(-2.0 * p * bp[k] + 2.0 * p * ap[k] + plain),
-                multiplicity=g - 1,
-            )
-        )
-        lines.append(
-            SpectralLine(k=k, family="plain", value=float(plain), multiplicity=n - g)
-        )
-    return CertSpectrum(n=n, g=g, lines=lines)
+    plain = 2.0 - 2.0 * ap
+    return CertSpectrum(
+        n=n,
+        g=g,
+        coupled=2.0 * (g - 1) * p * bp + 2.0 * p * ap + plain,
+        middle=-2.0 * p * bp + 2.0 * p * ap + plain,
+        plain=plain,
+    )
 
 
 def lower_bound_akk(coeffs: CertCoeffs) -> float:

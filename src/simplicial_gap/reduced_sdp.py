@@ -12,6 +12,13 @@ canonical choice r = s = 1, D[beta] is exactly the equal-layout cost matrix,
 so the certificate Y built for n vertices plugs straight in: kron_term comes
 out as (n-1)/n of the unreduced objective and diag_term as (ones in cbar)/n.
 
+The structured route stores only the O(n) index arrays alpha and beta and
+counts the ones it needs from group labels, so together with the FFT-based
+spectrum a whole gap record costs O(n log n) time and O(n) memory.  The
+dense D[beta], C1[alpha] and cbar are built on demand and are read only by
+the oracle ``objective_reduced_dense``, the tiny numeric encodings and the
+tests.
+
 ``gap_table`` turns this into integrality-gap lower-bound records: the tour
 optimum is the group count g = 2z while the reduced relaxation's optimum is
 at most kron_term + diag_term, so their ratio bounds the gap from below and
@@ -59,23 +66,48 @@ class Reduction:
 
     r (vertex) and s (position) are 1-based labels following the convention
     that 1 is the canonical choice; alpha and beta are the complementary
-    0-based index arrays into the (n+1)-vertex arrays.
+    0-based index arrays into the (n+1)-vertex arrays.  Only these O(n)
+    arrays are stored: the dense d_beta, c1_alpha and cbar are built on
+    demand for the oracle and the tiny encodings.
     """
 
+    inst: SimplicialInstance
     r: int
     s: int
     alpha: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
-    d_beta: np.ndarray = field(repr=False)
-    c1_alpha: np.ndarray = field(repr=False)
-    cbar: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return len(self.alpha)
 
+    @property
+    def d_beta(self) -> np.ndarray:
+        """Cost matrix D[beta, beta] of the surviving positions (dense)."""
+        lbl = self.inst.group_labels()[self.beta]
+        return (lbl[:, None] != lbl[None, :]).astype(float)
+
+    @property
+    def c1_alpha(self) -> np.ndarray:
+        """Step-cost matrix C1[alpha, alpha] of the surviving vertices (dense)."""
+        return ring_adjacency(self.n + 1)[np.ix_(self.alpha, self.alpha)]
+
+    @property
+    def cbar(self) -> np.ndarray:
+        """vec(C1[alpha, {r}] . D[{s}, beta]), the fixing's linear costs (dense)."""
+        c1_col = ring_adjacency(self.n + 1)[self.alpha, self.r - 1]
+        lbl = self.inst.group_labels()
+        d_row = (lbl[self.s - 1] != lbl[self.beta]).astype(float)
+        return vec_stack(np.outer(c1_col, d_row))
+
     def ones_in_cbar(self) -> int:
-        return int(round(float(self.cbar.sum())))
+        """cbar.sum() in closed form, 2 (n+1 - |group of s|).
+
+        Vertex r keeps its two ring neighbours, and the dropped position s
+        costs 1 to every vertex outside its group.
+        """
+        group_of_s = self.inst.group_sizes[self.inst.group_labels()[self.s - 1]]
+        return 2 * (self.n + 1 - group_of_s)
 
 
 @dataclass
@@ -104,16 +136,9 @@ def build_reduction(inst: SimplicialInstance, r: int = 1, s: int = 1) -> Reducti
         raise ValueError(f"vertex label r must lie in 1..{n1}, got {r}")
     if not 1 <= s <= n1:
         raise ValueError(f"position label s must lie in 1..{n1}, got {s}")
-    d = inst.cost_matrix()
-    c1 = ring_adjacency(n1)
-    alpha = np.array([i for i in range(n1) if i != r - 1], dtype=int)
-    beta = np.array([i for i in range(n1) if i != s - 1], dtype=int)
-    d_beta = d[np.ix_(beta, beta)]
-    c1_alpha = c1[np.ix_(alpha, alpha)]
-    cbar = vec_stack(np.outer(c1[alpha, r - 1], d[s - 1, beta]))
-    return Reduction(
-        r=r, s=s, alpha=alpha, beta=beta, d_beta=d_beta, c1_alpha=c1_alpha, cbar=cbar
-    )
+    alpha = np.delete(np.arange(n1), r - 1)
+    beta = np.delete(np.arange(n1), s - 1)
+    return Reduction(inst=inst, r=r, s=s, alpha=alpha, beta=beta)
 
 
 def objective_reduced(y: CertificateY, red: Reduction) -> ReducedObjective:
@@ -123,21 +148,30 @@ def objective_reduced(y: CertificateY, red: Reduction) -> ReducedObjective:
     of the circulant blocks (there are 2(n-1) such entries), so the block
     inner products need only the leading coefficients a_1, b_1; and every
     diagonal entry of Y is 1/n, so diag_term is (ones in cbar)/n.
+
+    The ones of D[beta] within and across certificate groups are counted
+    from a table of how many positions carry each (certificate group,
+    instance group) pair, so nothing larger than O(n) is built.
     """
     n = y.n
-    if red.d_beta.shape != (n, n):
+    if red.n != n:
         raise ValueError(
-            f"reduction is for n = {red.d_beta.shape[0]}, certificate for n = {n}"
+            f"reduction is for n = {red.n}, certificate for n = {n}"
         )
-    lbl = np.repeat(np.arange(y.g), y.per_group)
-    same = lbl[:, None] == lbl[None, :]
-    off = ~np.eye(n, dtype=bool)
-    ones_within = float(red.d_beta[same & off].sum())
-    ones_across = float(red.d_beta[~same].sum())
+    g_inst = red.inst.g
+    cert_lbl = np.repeat(np.arange(y.g), y.per_group)
+    inst_lbl = red.inst.group_labels()[red.beta]
+    table = np.bincount(cert_lbl * g_inst + inst_lbl, minlength=y.g * g_inst)
+    table = table.reshape(y.g, g_inst)
+    # pairs (i, j) in the same certificate group minus those also sharing
+    # an instance group; i == j always shares both, so it drops out
+    ones_within = int((table.sum(axis=1) ** 2).sum() - (table**2).sum())
+    # pairs in different instance groups, minus those counted within
+    ones_across = n * n - int((table.sum(axis=0) ** 2).sum()) - ones_within
     a1 = float(y.coeffs.a[0])
     b1 = float(y.coeffs.b[0])
     kron_term = (n - 1.0) / (2.0 * n) * (a1 * ones_within + b1 * ones_across)
-    diag_term = float(red.cbar.sum()) / n
+    diag_term = red.ones_in_cbar() / n
     return ReducedObjective(kron_term=kron_term, diag_term=diag_term)
 
 

@@ -71,8 +71,7 @@ def test_shifted_spectrum_matches_dense(dense_cert):
     yd, _ = dense_cert(2, 8)
     spectrum = shifted_spectrum(coeffs_general(8, 2))
     assert spectrum.total_multiplicity() == 64
-    top = [ln for ln in spectrum.lines if ln.k == 0 and ln.family == "coupled-zero"]
-    assert top[0].value == 0.0
+    assert spectrum.coupled[0] == 0.0
     eigs = np.linalg.eigvalsh(yd - np.full((64, 64), 1.0 / 64))
     assert np.abs(spectrum.multiset() - eigs).max() < 1e-8
     assert spectrum.min_value() >= -1e-12

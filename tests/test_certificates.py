@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -192,15 +193,12 @@ def test_spectrum_multiset_matches_dense(g, n, dense_cert):
 def test_spectrum_bookkeeping():
     spectrum = closed_form_spectrum(coeffs_two_group(8))
     assert spectrum.total_multiplicity() == 64
-    top = [ln for ln in spectrum.lines if ln.k == 0 and ln.family == "coupled-zero"]
-    assert top[0].value == pytest.approx(16.0, abs=1e-12)
-    for ln in spectrum.lines:
-        if ln.family == "coupled-zero" and ln.k >= 1:
-            assert abs(ln.value) <= 1e-12
+    assert spectrum.coupled[0] == pytest.approx(16.0, abs=1e-12)
+    for value in spectrum.coupled[1:]:
+        assert abs(value) <= 1e-12
     assert spectrum.min_value() >= -1e-12
     # 2 - 2 * a-profile at k=1 for n=8: profile is 1/3, eigenvalue 4/3
-    plain = [ln.value for ln in spectrum.lines if ln.family == "plain" and ln.k == 1]
-    assert plain[0] == pytest.approx(4.0 / 3.0, abs=1e-14)
+    assert spectrum.plain[1] == pytest.approx(4.0 / 3.0, abs=1e-14)
 
 
 def test_lower_bound_akk_hits_floor_at_small_n():
@@ -226,3 +224,27 @@ def test_profile_identities_on_grid(g):
         res = profile_identity_residuals(coeffs_general(n, g))
         worst = max(abs(v) for v in res.values())
         assert worst <= 1e-9, (g, n, res)
+
+
+@pytest.mark.parametrize("n,g", [(2**20, 2), (1048572, 6)])
+def test_profile_checks_at_a_million(n, g):
+    # the FFT profile keeps the floor -g/(n-g) and every identity at the
+    # size where lower_bound_akk's margin is smallest
+    coeffs = coeffs_general(n, g)
+    assert lower_bound_akk(coeffs) >= -g / (n - g) - 1e-10
+    res = profile_identity_residuals(coeffs)
+    worst = max(abs(v) for v in res.values())
+    assert worst <= 1e-9, (g, n, res)
+
+
+def test_a_profile_against_50_digit_sum():
+    n = 2**16
+    coeffs = coeffs_general(n, 2)
+    prof = coeffs.a_profile()
+    with mpmath.workdps(50):
+        for k in (1, 2, n // 2):
+            exact = mpmath.fsum(
+                mpmath.mpf(float(a)) * mpmath.cospi(mpmath.mpf(2 * i * k) / n)
+                for i, a in enumerate(coeffs.a, start=1)
+            )
+            assert abs(float(exact) - prof[k]) <= 1e-14, k

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplicial_gap.circulant import (
     SymmetricCirculant,
@@ -52,6 +54,32 @@ def test_cosine_profile_reflection_is_exact():
     prof = cosine_profile(rng.normal(size=9), 18)
     for k in range(1, 18):
         assert prof[k] == prof[18 - k]
+
+
+def cosine_matrix_profile(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Reference: the explicit (n/2+1) x (n/2) cosine matrix, then mirrored."""
+    k = np.arange(n // 2 + 1)
+    i = np.arange(1, n // 2 + 1)
+    t = np.outer(k, i) % n
+    t = np.minimum(t, n - t)
+    half = np.cos(2.0 * np.pi * t / n) @ coeffs
+    folded = np.minimum(np.arange(n), n - np.arange(n))
+    return half[folded]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(min_value=1, max_value=256),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_cosine_profile_matches_cosine_matrix(half, seed, scale):
+    n = 2 * half
+    coeffs = scale * np.random.default_rng(seed).normal(size=half)
+    prof = cosine_profile(coeffs, n)
+    ref = cosine_matrix_profile(coeffs, n)
+    assert np.abs(prof - ref).max() <= 1e-12 * (1.0 + np.abs(coeffs).sum())
+    assert np.array_equal(prof[1:], prof[1:][::-1])
 
 
 def test_cosine_profile_zero_frequency_is_plain_sum():

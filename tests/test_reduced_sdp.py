@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplicial_gap.certificates import assemble, coeffs_general, objective_povh_rendl
-from simplicial_gap.instances import make_equal, make_one_extra
+from simplicial_gap.instances import SimplicialInstance, make_equal, make_one_extra
 from simplicial_gap.reduced_sdp import (
     CSV_HEADER,
     asymptote_value,
@@ -66,6 +68,33 @@ def test_structured_objective_matches_dense(r, s):
     assert fast.kron_term == pytest.approx(slow.kron_term, abs=1e-12)
     assert fast.diag_term == pytest.approx(slow.diag_term, abs=1e-12)
     assert fast.upper_bound == pytest.approx(slow.upper_bound, abs=1e-12)
+
+
+@st.composite
+def reduction_cases(draw):
+    """(instance, r, s, certificate g): a random layout of n+1 <= 21 vertices
+    and a certificate of any even group count that fits n."""
+    n = draw(st.sampled_from([4, 6, 8, 10, 12, 14, 16, 18, 20]))
+    cuts = draw(st.lists(st.integers(1, n), min_size=1, max_size=6, unique=True))
+    bounds = [0] + sorted(cuts) + [n + 1]
+    sizes = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    r = draw(st.integers(1, n + 1))
+    s = draw(st.integers(1, n + 1))
+    g = draw(st.sampled_from([g for g in range(2, n, 2) if n % g == 0 and n // g >= 2]))
+    return SimplicialInstance(sizes), r, s, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=reduction_cases())
+def test_structured_counts_match_dense_on_random_layouts(case):
+    inst, r, s, g = case
+    red = build_reduction(inst, r=r, s=s)
+    assert red.ones_in_cbar() == int(red.cbar.sum())
+    y = assemble(coeffs_general(red.n, g))
+    fast = objective_reduced(y, red)
+    slow = objective_reduced_dense(y, red)
+    assert fast.kron_term == pytest.approx(slow.kron_term, abs=1e-12)
+    assert fast.diag_term == pytest.approx(slow.diag_term, abs=1e-12)
 
 
 def test_objective_invariant_in_dropped_position():
