@@ -125,29 +125,45 @@ def is_metric(costs) -> bool:
 
 
 def held_karp_cycle(dist: np.ndarray) -> float:
-    """Exact minimum Hamiltonian cycle cost by subset DP, start fixed at vertex 0."""
+    """Exact minimum Hamiltonian cycle cost by subset DP, start fixed at vertex 0.
+
+    A state is a set of visited vertices (bit i of the mask stands for
+    vertex i + 1) and the vertex j + 1 the path from 0 ends at.  Masks are
+    taken one popcount layer at a time, and only two layers are kept: all
+    masks of a layer that end at j are filled in one array step from the
+    layer below.  Each entry is the minimum over the same sums a
+    mask-by-mask loop takes, so the value does not depend on the order.
+    """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
     if n > DP_MAX_VERTICES:
         raise ValueError(f"DP oracle capped at {DP_MAX_VERTICES} vertices, got {n}")
+    if n < 2:
+        raise ValueError(f"a cycle needs at least 2 vertices, got {n}")
     if n == 2:
         return float(2.0 * dist[0, 1])
     m = n - 1
-    size = 1 << m
-    dp = np.full((size, m), np.inf)
+    masks = np.arange(1 << m, dtype=np.int32)
+    popcount = np.zeros(1 << m, dtype=np.int8)
     for j in range(m):
-        dp[1 << j, j] = dist[0, j + 1]
-    for mask in range(3, size):
-        if mask & (mask - 1) == 0:
-            continue  # singleton rows are the seeds
-        row = dp[mask]
-        rem = mask
-        while rem:
-            bit = rem & -rem
-            rem ^= bit
-            j = bit.bit_length() - 1
-            row[j] = np.min(dp[mask ^ bit] + dist[1:, j + 1])
-    return float(np.min(dp[size - 1] + dist[1:, 0]))
+        popcount += (masks >> j) & 1
+    # row of each mask within its layer, masks in ascending order; layer 1
+    # holds mask 1 << j in row j
+    row_of = np.zeros(1 << m, dtype=np.int32)
+    row_of[1 << np.arange(m)] = np.arange(m)
+    below = np.full((m, m), np.inf)
+    below[np.arange(m), np.arange(m)] = dist[0, 1:]
+    for layer in range(2, m + 1):
+        members = masks[popcount == layer]
+        cost = np.full((members.size, m), np.inf)
+        for j in range(m):
+            rows = np.flatnonzero((members >> j) & 1)
+            paths = below[row_of[members[rows] ^ (1 << j)]]
+            paths += dist[1:, j + 1]
+            cost[rows, j] = paths.min(axis=1)
+        row_of[members] = np.arange(members.size)
+        below = cost
+    return float(np.min(below[0] + dist[1:, 0]))
 
 
 def tsp_optimum(inst: SimplicialInstance, method: str = "analytic") -> TspValue:

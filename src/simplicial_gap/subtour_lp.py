@@ -1,19 +1,31 @@
-"""Subtour elimination LP baseline via dense simplex and min-cut separation.
+"""Subtour elimination LP baseline: warm-started dense simplex and cut separation.
 
 The LP lives on the n(n-1)/2 edge variables of the complete graph: degree
 equalities sum each vertex's incident edges to 2, every proper vertex subset
 must be crossed with weight at least 2, and edges stay in [0, 1].  Subtour
-cuts and upper bounds are added lazily: solve, find a global minimum cut of
-the fractional support with Stoer-Wagner, add the violated cut, re-solve
-from scratch, until the minimum cut clears 2 within tolerance.
+cuts and upper bounds are added lazily.  Each round solves the current LP,
+adds an x_e <= 1 row for every edge above 1, and separates subtour cuts: one
+per connected component when the fractional support is disconnected,
+otherwise the global minimum cut from Stoer-Wagner.  It stops when the
+support is connected and its minimum cut clears 2 within tolerance.
 
 On simplicial instances this baseline attains the tour value g exactly,
 which is the contrast the relaxation certificates are measured against: the
 cheap polyhedral bound has gap 1 on the very family where the semidefinite
 bounds go bad.
 
-The simplex is a plain two-phase dense tableau with Bland's anti-cycling
-rule; no warm starts, no revised factorizations.  Fine at n <= 60.
+The simplex is a dense tableau with Dantzig pricing (most negative reduced
+cost, lowest index on ties), falling back to Bland's rule after a run of
+degenerate pivots.  Only the first round starts from an artificial basis.
+Every later round refactors the previous optimal basis, extended by the
+new rows' own slack or surplus columns: that basis is dual feasible and
+primal infeasible exactly on the new rows, so dual simplex pivots restore
+feasibility and a primal pass cleans up, as in the cut loops of Applegate,
+Bixby, Chvatal & Cook, *The Traveling Salesman Problem* (2006).  Pivots are
+chosen on a right-hand side perturbed by ~1e-7 so that degenerate vertices
+cannot stall the walk; x is read from the exact right-hand side carried
+through the same pivots, and any slightly negative exact entry is repaired
+by dual pivots at the end.  Fine at n <= 60.
 """
 
 from __future__ import annotations
@@ -38,7 +50,11 @@ MAX_LP_VERTICES = 60
 CUT_THRESHOLD = 2.0 - 1e-6
 MAX_PIVOTS = 10_000
 MAX_ROUNDS = 500
+DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes over
 _EPS = 1e-9
+_TIE = 1e-12
+_PERTURB = 1e-7
+_EXACT, _PERTURBED = -2, -1  # right-hand-side columns at the end of the tableau
 
 
 def edge_list(n: int) -> list[tuple[int, int]]:
@@ -46,49 +62,156 @@ def edge_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _pivot(tab: np.ndarray, obj: np.ndarray, basis: list[int], r: int, j: int) -> None:
-    tab[r] /= tab[r, j]
-    col = tab[:, j].copy()
-    col[r] = 0.0
-    tab -= np.outer(col, tab[r])
-    obj -= obj[j] * tab[r]
-    basis[r] = j
+def _weights(n: int, x: np.ndarray) -> np.ndarray:
+    """Symmetric n x n matrix with the edge values x (edge_list order) off the diagonal."""
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, 1)] = x
+    return w + w.T
 
 
-def _bland_entering(obj: np.ndarray, n_cols: int) -> int | None:
-    for j in range(n_cols):
-        if obj[j] < -_EPS:
-            return j
-    return None
+def _components(adj: np.ndarray) -> np.ndarray:
+    """Connected-component label of every vertex; vertex 0 is in component 0."""
+    n = adj.shape[0]
+    labels = np.full(n, -1)
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        reached = np.zeros(n, dtype=bool)
+        reached[start] = True
+        frontier = reached
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        labels[reached] = count
+        count += 1
+    return labels
 
 
-def _bland_leaving(tab: np.ndarray, basis: list[int], j: int) -> int | None:
-    col = tab[:, j]
-    rhs = tab[:, -1]
-    best_ratio = None
-    best_row = None
-    for i in range(tab.shape[0]):
-        if col[i] > _EPS:
-            ratio = rhs[i] / col[i]
-            if (
-                best_ratio is None
-                or ratio < best_ratio - 1e-12
-                or (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[best_row])
-            ):
-                best_ratio = ratio
-                best_row = i
-    return best_row
+def _perturbation(m: int) -> np.ndarray:
+    """Distinct deterministic shifts in [1e-7, 2e-7); row i's shift does not depend on m."""
+    return _PERTURB * (1.0 + (np.arange(m) * 0.6180339887498949) % 1.0)
+
+
+class _Tableau:
+    """Dense tableau [B^-1 A | B^-1 b | B^-1 b + delta] and its reduced-cost row.
+
+    ``basis[i]`` is the column basic in row i.  ``z`` holds the reduced
+    costs of every column followed by minus the objective at each
+    right-hand side.  Only the first ``n_enter`` columns may enter.
+    """
+
+    def __init__(self, tab: np.ndarray, basis: np.ndarray, budget: int):
+        self.tab = tab
+        self.basis = basis
+        self.budget = budget
+        self.pivots = 0
+        self.n_enter = 0
+        self.z = np.zeros(tab.shape[1])
+
+    def price(self, cost: np.ndarray) -> None:
+        """Reduced costs for ``cost``, whose columns become the ones allowed to enter."""
+        self.n_enter = len(cost)
+        self.z = np.concatenate([cost, [0.0, 0.0]]) - cost[self.basis] @ self.tab
+
+    def pivot(self, r: int, j: int) -> None:
+        tab = self.tab
+        tab[r] /= tab[r, j]
+        col = tab[:, j].copy()
+        col[r] = 0.0
+        rows = np.flatnonzero(col)
+        tab[rows] -= np.outer(col[rows], tab[r])
+        self.z -= self.z[j] * tab[r]
+        self.basis[r] = j
+
+    def primal(self, rc: int) -> bool:
+        """Primal pivots until no reduced cost is negative; False when out of pivots."""
+        degenerate = 0
+        while True:
+            z = self.z[: self.n_enter]
+            if degenerate < DEGENERATE_RUN:
+                j = int(np.argmin(z))
+                if z[j] >= -_EPS:
+                    return True
+            else:
+                eligible = np.flatnonzero(z < -_EPS)
+                if eligible.size == 0:
+                    return True
+                j = int(eligible[0])
+            if self.pivots >= self.budget:
+                return False
+            col = self.tab[:, j]
+            rows = np.flatnonzero(col > _EPS)
+            if rows.size == 0:
+                raise ArithmeticError("LP unbounded, construction is broken")
+            ratios = np.maximum(self.tab[rows, rc], 0.0) / col[rows]
+            step = ratios.min()
+            ties = rows[ratios <= step + _TIE]
+            if degenerate < DEGENERATE_RUN:
+                r = ties[np.argmax(col[ties])]
+            else:
+                r = ties[np.argmin(self.basis[ties])]
+            degenerate = degenerate + 1 if step <= _TIE else 0
+            self.pivot(int(r), j)
+            self.pivots += 1
+
+    def dual(self, rc: int) -> bool:
+        """Dual pivots until the rhs column is nonnegative; False when out of pivots."""
+        degenerate = 0
+        while True:
+            rhs = self.tab[:, rc]
+            if degenerate < DEGENERATE_RUN:
+                r = int(np.argmin(rhs))
+                if rhs[r] >= -_EPS:
+                    return True
+            else:
+                infeasible = np.flatnonzero(rhs < -_EPS)
+                if infeasible.size == 0:
+                    return True
+                r = int(infeasible[np.argmin(self.basis[infeasible])])
+            if self.pivots >= self.budget:
+                return False
+            row = self.tab[r, : self.n_enter]
+            cols = np.flatnonzero(row < -_EPS)
+            if cols.size == 0:
+                raise ArithmeticError("LP infeasible, construction is broken")
+            ratios = np.maximum(self.z[cols], 0.0) / -row[cols]
+            step = ratios.min()
+            ties = cols[ratios <= step + _TIE]
+            j = ties[0] if degenerate >= DEGENERATE_RUN else ties[np.argmin(row[ties])]
+            degenerate = degenerate + 1 if step <= _TIE else 0
+            self.pivot(r, int(j))
+            self.pivots += 1
+
+    def optimize(self) -> bool:
+        """Dual then primal pivots on the perturbed rhs, then again on the exact one."""
+        return all(self.dual(rc) and self.primal(rc) for rc in (_PERTURBED, _EXACT))
+
+    def point(self, k: int) -> np.ndarray:
+        x = np.zeros(k)
+        structural = self.basis < k
+        x[self.basis[structural]] = self.tab[structural, _EXACT]
+        return x
 
 
 def simplex_solve(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, max_pivots: int = MAX_PIVOTS
-) -> tuple[np.ndarray, float, str]:
-    """Two-phase primal simplex for min c.x s.t. a x = b, x >= 0, b >= 0.
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    max_pivots: int = MAX_PIVOTS,
+    basis=None,
+) -> tuple[np.ndarray, float, str, list[int] | None]:
+    """Dense simplex for min c.x s.t. a x = b, x >= 0, b >= 0.
 
-    Bland's rule (lowest eligible index in both steps) rules out cycling, so
-    the only non-optimal exit is the pivot budget.  Returns (x, objective,
-    status) where status is "optimal" or "iteration-limit"; an infeasible
-    system raises, as the callers only build feasible ones.
+    Without ``basis`` it runs two phases from an artificial basis.  With
+    ``basis`` (one column of ``a`` per row) it refactors that basis and
+    runs dual, then primal pivots from it; a basis that is dual feasible
+    and off only in some rows' signs needs no phase 1.  Returns (x,
+    objective, status, basis), status "optimal" or "iteration-limit" when
+    ``max_pivots`` ran out in either phase, and the final basis, or None
+    when it still holds artificial columns or the rows were redundant.  An
+    infeasible or unbounded system raises, as the callers only build
+    feasible, bounded ones.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -98,78 +221,54 @@ def simplex_solve(
         raise ValueError("inconsistent LP dimensions")
     if b.min() < 0:
         raise ValueError("rhs must be nonnegative")
+    rhs = np.column_stack([b, b + _perturbation(m)])
 
-    tab = np.zeros((m, k + m + 1))
-    tab[:, :k] = a
-    tab[:, k : k + m] = np.eye(m)
-    tab[:, -1] = b
-    basis = list(range(k, k + m))
-
-    # phase 1: drive out the artificial basis
-    obj = np.zeros(k + m + 1)
-    obj[k : k + m] = 1.0
-    for i in range(m):
-        obj -= tab[i]
-    pivots = 0
-    while pivots < max_pivots:
-        j = _bland_entering(obj, k + m)
-        if j is None:
-            break
-        r = _bland_leaving(tab, basis, j)
-        if r is None:
-            raise ArithmeticError("phase-1 LP unbounded, construction is broken")
-        _pivot(tab, obj, basis, r, j)
-        pivots += 1
-    if -obj[-1] > 1e-7:
-        raise ArithmeticError("LP infeasible, construction is broken")
-
-    # any artificial still basic sits at zero: pivot it out or drop the row
-    drop = []
-    for i in range(m):
-        if basis[i] >= k:
-            sub = np.abs(tab[i, :k])
+    if basis is not None:
+        basis = np.array(basis, dtype=int)
+        if basis.shape != (m,):
+            raise ValueError(f"need one basic column per row, got {basis.shape}")
+        # refactor by Gauss-Jordan pivots, each on the largest entry among
+        # the rows no earlier basic column took
+        t = _Tableau(np.hstack([a, rhs]), np.full(m, -1), max_pivots)
+        for j in basis:
+            col = np.where(t.basis < 0, np.abs(t.tab[:, j]), 0.0)
+            r = int(col.argmax())
+            if col[r] <= _EPS:
+                raise ValueError("warm-start basis is singular")
+            t.pivot(r, j)
+    else:
+        # phase 1: drive out the artificial basis
+        t = _Tableau(np.hstack([a, np.eye(m), rhs]), np.arange(k, k + m), max_pivots)
+        t.price(np.r_[np.zeros(k), np.ones(m)])
+        if not t.optimize():
+            x = t.point(k)
+            return x, float(c @ x), "iteration-limit", None
+        if -t.z[_EXACT] > 1e-7:
+            raise ArithmeticError("LP infeasible, construction is broken")
+        # any artificial still basic sits at zero: pivot it out or drop the row
+        keep = np.ones(m, dtype=bool)
+        for i in np.flatnonzero(t.basis >= k):
+            sub = np.abs(t.tab[i, :k])
             j = int(sub.argmax())
             if sub[j] > _EPS:
-                _pivot(tab, obj, basis, i, j)
-                pivots += 1
+                t.pivot(i, j)
             else:
-                drop.append(i)
-    if drop:
-        keep = [i for i in range(m) if i not in drop]
-        tab = tab[keep]
-        basis = [basis[i] for i in keep]
+                keep[i] = False
+        t.tab = np.delete(t.tab[keep], np.s_[k : k + m], axis=1)
+        t.basis = t.basis[keep]
 
-    # phase 2 on the true costs, artificial columns barred from entering
-    obj = np.zeros(k + m + 1)
-    obj[:k] = c
-    for i, v in enumerate(basis):
-        obj -= obj[v] * tab[i]
-    status = "optimal"
-    while True:
-        j = _bland_entering(obj, k)
-        if j is None:
-            break
-        if pivots >= max_pivots:
-            status = "iteration-limit"
-            break
-        r = _bland_leaving(tab, basis, j)
-        if r is None:
-            raise ArithmeticError("LP unbounded, construction is broken")
-        _pivot(tab, obj, basis, r, j)
-        pivots += 1
-
-    x = np.zeros(k)
-    for i, v in enumerate(basis):
-        if v < k:
-            x[v] = tab[i, -1]
-    return x, float(c @ x), status
+    t.price(c)
+    status = "optimal" if t.optimize() else "iteration-limit"
+    x = t.point(k)
+    final = t.basis.tolist() if len(t.basis) == m else None
+    return x, float(c @ x), status, final
 
 
 def min_cut(weights: np.ndarray) -> tuple[float, frozenset[int]]:
     """Global minimum cut of a weighted graph by Stoer-Wagner contraction.
 
     Exact for symmetric nonnegative weights.  A disconnected support returns
-    the zero cut that separates one connected component from the rest.
+    the zero cut that separates vertex 0's connected component from the rest.
     """
     w = np.asarray(weights, dtype=float)
     n = w.shape[0]
@@ -182,45 +281,35 @@ def min_cut(weights: np.ndarray) -> tuple[float, frozenset[int]]:
     w = np.maximum(w, 0.0)
     np.fill_diagonal(w, 0.0)
 
-    # quick connectivity probe so the documented zero-cut contract is exact
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(w[u] > 0)[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    if not seen.all():
-        return 0.0, frozenset(int(i) for i in np.nonzero(seen)[0])
+    labels = _components(w > 0)
+    if labels.max() > 0:
+        return 0.0, frozenset(np.flatnonzero(labels == 0).tolist())
 
-    active = list(range(n))
-    groups = {i: {i} for i in range(n)}
+    # supernodes stay in ascending order of their smallest-kept label, so the
+    # first maximum of the keys is the lowest label among ties
+    groups = [[i] for i in range(n)]
     wm = w.copy()
     best_val = np.inf
     best_set: frozenset[int] = frozenset()
-    while len(active) > 1:
-        # maximum adjacency order starting from the first active supernode
-        order = [active[0]]
-        rest = active[1:]
-        key = {v: wm[active[0], v] for v in rest}
-        while rest:
-            nxt = max(rest, key=lambda v: (key[v], -v))
-            order.append(nxt)
-            rest.remove(nxt)
-            for v in rest:
-                key[v] += wm[nxt, v]
-        s, t = order[-2], order[-1]
-        cut_of_phase = float(key[t])
+    while len(groups) > 1:
+        # maximum adjacency order starting from the first supernode
+        key = wm[0].copy()
+        key[0] = -np.inf
+        s = t = 0
+        for _ in range(len(groups) - 1):
+            s, t = t, int(key.argmax())
+            cut_of_phase = float(key[t])
+            key += wm[t]
+            key[t] = -np.inf
         if cut_of_phase < best_val:
             best_val = cut_of_phase
             best_set = frozenset(groups[t])
         wm[s] += wm[t]
         wm[:, s] += wm[:, t]
         wm[s, s] = 0.0
-        groups[s] |= groups.pop(t)
-        active.remove(t)
+        wm = np.delete(np.delete(wm, t, axis=0), t, axis=1)
+        groups[s].extend(groups[t])
+        del groups[t]
     return best_val, best_set
 
 
@@ -235,17 +324,10 @@ class LpEdgeSolution:
     status: str
 
     def degree_residuals(self) -> np.ndarray:
-        deg = np.zeros(self.n)
-        for e, (u, v) in enumerate(edge_list(self.n)):
-            deg[u] += self.x[e]
-            deg[v] += self.x[e]
-        return np.abs(deg - 2.0)
+        return np.abs(self.weight_matrix().sum(axis=1) - 2.0)
 
     def weight_matrix(self) -> np.ndarray:
-        w = np.zeros((self.n, self.n))
-        for e, (u, v) in enumerate(edge_list(self.n)):
-            w[u, v] = w[v, u] = self.x[e]
-        return w
+        return _weights(self.n, self.x)
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,80 +342,90 @@ class LpEdgeSolution:
         }
 
 
+def _violated_cuts(n: int, x: np.ndarray) -> list[frozenset[int]]:
+    """Subtour cuts the point x violates, each as the side without vertex 0.
+
+    A disconnected support yields one cut per component (one in all when
+    there are two, as both sides name the same cut); a connected one yields
+    the Stoer-Wagner minimum cut if it falls short of 2.
+    """
+    w = _weights(n, np.maximum(x, 0.0))
+    labels = _components(w > 0)
+    everyone = frozenset(range(n))
+    if labels.max() > 0:
+        sides = [frozenset(np.flatnonzero(labels == c).tolist()) for c in range(labels.max() + 1)]
+        sides[0] = everyone - sides[0]
+        return list(dict.fromkeys(sides))
+    cut_val, cut_set = min_cut(w)
+    if cut_val >= CUT_THRESHOLD:
+        return []
+    if not 1 <= len(cut_set) <= n - 1:
+        raise ArithmeticError("separator returned a trivial cut")
+    return [everyone - cut_set if 0 in cut_set else cut_set]
+
+
 def solve_subtour(inst: SimplicialInstance) -> LpEdgeSolution:
     """Optimize the subtour LP by lazy separation, n_total <= 60.
 
-    Each round solves the current LP from scratch, first restores any
-    violated x_e <= 1 bound, then asks Stoer-Wagner for the lightest cut of
-    the fractional support and adds it if it falls short of 2.  Stops when
-    the minimum cut clears the threshold, or flags iteration-limit when a
-    solve runs out of pivots or the rounds run out.
+    Each round re-solves from the last optimal basis, extended by one basic
+    slack or surplus column per new row, then adds an x_e <= 1 row for every
+    edge above 1 and a cut row for every violated subtour cut found.  Stops
+    when no row is added, or flags iteration-limit when a solve runs out of
+    pivots or the rounds run out.
     """
     n = inst.n_total
     if n > MAX_LP_VERTICES:
         raise ValueError(f"LP baseline capped at {MAX_LP_VERTICES} vertices, got {n}")
     if n < 3:
         raise ValueError(f"subtour LP needs at least 3 vertices, got {n}")
-    edges = edge_list(n)
-    n_edges = len(edges)
-    dist = inst.cost_matrix()
-    edge_cost = np.array([dist[u, v] for u, v in edges])
+    eu, ev = np.triu_indices(n, 1)
+    n_edges = eu.size
+    edge_cost = inst.cost_matrix()[eu, ev]
 
-    incidence = np.zeros((n, n_edges))
-    for e, (u, v) in enumerate(edges):
-        incidence[u, e] = 1.0
-        incidence[v, e] = 1.0
-
-    cuts: list[frozenset[int]] = []
-    bounded: list[int] = []
+    # rows: degree equalities, then added rows in order; each added row has
+    # its own column after the edges (surplus -1 for a cut, slack +1 for a bound)
+    a = np.zeros((n, n_edges))
+    a[eu, np.arange(n_edges)] = 1.0
+    a[ev, np.arange(n_edges)] = 1.0
+    b = np.full(n, 2.0)
+    cost = edge_cost.copy()
+    basis = None
+    cuts: set[frozenset[int]] = set()
+    bounded = np.zeros(n_edges, dtype=bool)
     x = np.zeros(n_edges)
-    status = "iteration-limit"
     for _ in range(MAX_ROUNDS):
-        n_rows = n + len(cuts) + len(bounded)
-        n_cols = n_edges + len(cuts) + len(bounded)
-        a = np.zeros((n_rows, n_cols))
-        b = np.zeros(n_rows)
-        a[:n, :n_edges] = incidence
-        b[:n] = 2.0
-        for i, cut in enumerate(cuts):
-            row = n + i
-            for e, (u, v) in enumerate(edges):
-                if (u in cut) != (v in cut):
-                    a[row, e] = 1.0
-            a[row, n_edges + i] = -1.0  # surplus
-            b[row] = 2.0
-        for i, e in enumerate(bounded):
-            row = n + len(cuts) + i
-            a[row, e] = 1.0
-            a[row, n_edges + len(cuts) + i] = 1.0  # slack
-            b[row] = 1.0
-        cost = np.zeros(n_cols)
-        cost[:n_edges] = edge_cost
-
-        sol, _, lp_status = simplex_solve(a, b, cost)
+        sol, _, status, basis = simplex_solve(a, b, cost, basis=basis)
         x = sol[:n_edges]
-        if lp_status != "optimal":
-            status = "iteration-limit"
+        if status != "optimal":
             break
 
-        over = [e for e in range(n_edges) if x[e] > 1.0 + 1e-9 and e not in bounded]
-        if over:
-            bounded.extend(over)
-            continue
+        over = np.flatnonzero((x > 1.0 + 1e-9) & ~bounded)
+        bounded[over] = True
+        new_cuts = _violated_cuts(n, x)
+        if cuts.intersection(new_cuts):
+            raise ArithmeticError("separator repeated a cut, LP is stuck")
+        cuts.update(new_cuts)
+        if not over.size and not new_cuts:
+            break
 
-        w = np.zeros((n, n))
-        for e, (u, v) in enumerate(edges):
-            w[u, v] = w[v, u] = max(x[e], 0.0)
-        cut_val, cut_set = min_cut(w)
-        if cut_val < CUT_THRESHOLD:
-            if not 1 <= len(cut_set) <= n - 1:
-                raise ArithmeticError("separator returned a trivial cut")
-            if cut_set in cuts:
-                raise ArithmeticError("separator repeated a cut, LP is stuck")
-            cuts.append(cut_set)
-            continue
-        status = "optimal"
-        break
+        added = len(over) + len(new_cuts)
+        inside = np.zeros((len(new_cuts), n), dtype=bool)
+        for i, cut in enumerate(new_cuts):
+            inside[i, list(cut)] = True
+        m, k = a.shape
+        grown = np.zeros((m + added, k + added))
+        grown[:m, :k] = a
+        grown[m + np.arange(len(over)), over] = 1.0
+        grown[m + len(over) :, :n_edges] = inside[:, eu] != inside[:, ev]
+        grown[m + np.arange(added), k + np.arange(added)] = np.r_[
+            np.ones(len(over)), -np.ones(len(new_cuts))
+        ]
+        a = grown
+        b = np.r_[b, np.ones(len(over)), np.full(len(new_cuts), 2.0)]
+        cost = np.r_[cost, np.zeros(added)]
+        basis = basis + list(range(k, k + added))
+    else:
+        status = "iteration-limit"
 
     return LpEdgeSolution(
         n=n,

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplicial_gap.instances import (
     DP_MAX_VERTICES,
@@ -22,6 +24,39 @@ def brute_force_cycle(dist):
         cost = sum(dist[tour[i], tour[(i + 1) % n]] for i in range(n))
         best = min(best, cost)
     return best
+
+
+def held_karp_mask_loop(dist):
+    """Reference: the subset DP one mask and one end vertex at a time."""
+    dist = np.asarray(dist, dtype=float)
+    n = dist.shape[0]
+    if n == 2:
+        return float(2.0 * dist[0, 1])
+    m = n - 1
+    size = 1 << m
+    dp = np.full((size, m), np.inf)
+    for j in range(m):
+        dp[1 << j, j] = dist[0, j + 1]
+    for mask in range(3, size):
+        if mask & (mask - 1) == 0:
+            continue  # singleton rows are the seeds
+        row = dp[mask]
+        rem = mask
+        while rem:
+            bit = rem & -rem
+            rem ^= bit
+            j = bit.bit_length() - 1
+            row[j] = np.min(dp[mask ^ bit] + dist[1:, j + 1])
+    return float(np.min(dp[size - 1] + dist[1:, 0]))
+
+
+def _partitions(total, max_part):
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, max_part), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part, *rest)
 
 
 def test_make_equal_matches_kron_pattern():
@@ -96,6 +131,30 @@ def test_held_karp_against_brute_force():
     pts = rng.normal(size=(7, 2))
     d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
     assert held_karp_cycle(d) == pytest.approx(brute_force_cycle(d), abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.sampled_from([None, 1, 3]),
+)
+def test_held_karp_equals_mask_loop_on_random_matrices(n, seed, levels):
+    rng = np.random.default_rng(seed)
+    d = rng.random((n, n)) if levels is None else rng.integers(0, levels + 1, (n, n)) / 7.0
+    d = d + d.T
+    np.fill_diagonal(d, 0.0)
+    assert held_karp_cycle(d) == held_karp_mask_loop(d)
+
+
+def test_held_karp_equals_mask_loop_on_simplicial_layouts():
+    checked = 0
+    for n_total in range(2, 13):
+        for sizes in _partitions(n_total, n_total - 1):
+            d = SimplicialInstance(sizes).cost_matrix()
+            assert held_karp_cycle(d) == held_karp_mask_loop(d), sizes
+            checked += 1
+    assert checked == 259
 
 
 def test_dp_cap():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simplicial_gap import subtour_lp
 from simplicial_gap.instances import SimplicialInstance, make_equal, make_one_extra, tsp_optimum
 from simplicial_gap.subtour_lp import (
     edge_list,
@@ -19,7 +22,7 @@ def test_simplex_small_lp():
     a = np.array([[1.0, 1.0]])
     b = np.array([1.0])
     c = np.array([-1.0, 0.0])
-    x, obj, status = simplex_solve(a, b, c)
+    x, obj, status, _ = simplex_solve(a, b, c)
     assert status == "optimal"
     assert obj == pytest.approx(-1.0, abs=1e-12)
     assert np.allclose(x, [1.0, 0.0], atol=1e-12)
@@ -30,7 +33,7 @@ def test_simplex_two_constraints():
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
     b = np.array([2.0, 1.0])
     c = np.array([0.0, 0.0, 1.0])
-    x, obj, status = simplex_solve(a, b, c)
+    x, obj, status, _ = simplex_solve(a, b, c)
     assert status == "optimal"
     assert obj == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(a @ x, b, atol=1e-12)
@@ -43,6 +46,63 @@ def test_simplex_rejects_bad_systems():
         simplex_solve(np.array([[1.0, -1.0]]), np.array([0.0]), np.array([-1.0, 0.0]))
     with pytest.raises(ValueError):
         simplex_solve(np.array([[1.0]]), np.array([-1.0]), np.array([1.0]))
+
+
+def test_simplex_budget_exhaustion_is_iteration_limit():
+    # feasible, but phase 1 needs two pivots to clear both artificials
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    c = np.array([1.0, 1.0, 1.0])
+    _, _, status, basis = simplex_solve(a, b, c, max_pivots=1)
+    assert status == "iteration-limit"
+    assert basis is None
+    _, obj, status, _ = simplex_solve(a, b, c)
+    assert status == "optimal"
+    assert obj == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simplex_warm_start_after_a_cut():
+    # degree LP of two triangles: both sit at x = 1, cost 0, support disconnected
+    inst = make_equal(2, 3)
+    n = inst.n_total
+    edges = edge_list(n)
+    a = np.zeros((n, len(edges)))
+    for e, (u, v) in enumerate(edges):
+        a[u, e] = a[v, e] = 1.0
+    cost = np.array([inst.cost(u, v) for u, v in edges])
+    b = np.full(n, 2.0)
+    x, obj, status, basis = simplex_solve(a, b, cost)
+    assert status == "optimal" and obj == pytest.approx(0.0, abs=1e-12)
+    # the same LP from its own optimal basis stays put
+    x_again, _, status, basis_again = simplex_solve(a, b, cost, basis=basis)
+    assert status == "optimal"
+    assert np.allclose(x_again, x, atol=1e-12)
+    assert sorted(basis_again) == sorted(basis)
+    # add the violated cut around the first triangle with its surplus column basic
+    crossing = np.array([float((u < 3) != (v < 3)) for u, v in edges])
+    assert crossing @ x < 2.0
+    a2 = np.zeros((n + 1, len(edges) + 1))
+    a2[:n, : len(edges)] = a
+    a2[n, : len(edges)] = crossing
+    a2[n, -1] = -1.0
+    b2 = np.r_[b, 2.0]
+    c2 = np.r_[cost, 0.0]
+    warm_x, warm_obj, status, _ = simplex_solve(a2, b2, c2, basis=basis + [len(edges)])
+    assert status == "optimal"
+    assert warm_obj == pytest.approx(simplex_solve(a2, b2, c2)[1], abs=1e-9)
+    assert warm_obj == pytest.approx(2.0, abs=1e-9)
+    assert np.abs(a2 @ warm_x - b2).max() <= 1e-9
+    assert warm_x.min() >= -1e-9
+
+
+def test_simplex_rejects_bad_warm_bases():
+    a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    c = np.array([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        simplex_solve(a, b, c, basis=[0, 0])
+    with pytest.raises(ValueError):
+        simplex_solve(a, b, c, basis=[0])
 
 
 def test_min_cut_bridge():
@@ -68,6 +128,41 @@ def test_min_cut_disconnected():
     value, side = min_cut(w)
     assert value == 0.0
     assert side == frozenset({0, 1})
+
+
+@st.composite
+def connected_weights(draw):
+    """Symmetric nonnegative weights on n <= 12 vertices, connected through a
+    random spanning tree, with some zero and some tied entries."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([None, 2, 4]))
+    w = rng.random((n, n)) if levels is None else rng.integers(0, levels, (n, n)) / levels
+    w = np.triu(w * (rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 1.0]))), 1)
+    order = rng.permutation(n)
+    for i in range(1, n):
+        u, v = sorted((order[i], order[rng.integers(i)]))
+        w[u, v] += 0.5 + rng.random()
+    return w + w.T
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=connected_weights())
+def test_min_cut_matches_networkx_stoer_wagner(w):
+    nx = pytest.importorskip("networkx")
+    n = w.shape[0]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_weighted_edges_from(
+        (u, v, w[u, v]) for u in range(n) for v in range(u + 1, n) if w[u, v] > 0
+    )
+    want, _ = nx.stoer_wagner(graph)
+    value, side = min_cut(w)
+    assert abs(value - want) <= 1e-9
+    inside = np.zeros(n, dtype=bool)
+    inside[list(side)] = True
+    assert 1 <= inside.sum() <= n - 1
+    assert abs(w[inside][:, ~inside].sum() - value) <= 1e-9
 
 
 def test_min_cut_validation():
@@ -115,6 +210,66 @@ def test_odd_group_counts_work():
         sol = solve_subtour(inst)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(float(g), abs=1e-6)
+
+
+# every equal layout g x p with g, p >= 2 and g * p <= 60 (142 layouts); the
+# tagged ones failed under the cold-started Bland simplex this replaced
+EQUAL_LAYOUTS = [(g, p) for p in range(2, 31) for g in range(2, 31) if g * p <= 60]
+_FORMERLY = {
+    (10, 6): "-formerly-ArithmeticError",
+    (15, 4): "-formerly-ArithmeticError",
+    (30, 2): "-formerly-iteration-limit-at-28",
+}
+
+
+@pytest.mark.parametrize(
+    "g,p",
+    EQUAL_LAYOUTS,
+    ids=[f"{g}x{p}{_FORMERLY.get((g, p), '')}" for g, p in EQUAL_LAYOUTS],
+)
+def test_every_equal_layout_reaches_tour_value(g, p):
+    sol = solve_subtour(SimplicialInstance((p,) * g))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(float(g), abs=1e-6)
+    assert sol.x.min() >= -1e-9
+    assert sol.x.max() <= 1.0 + 1e-9
+    value, _ = min_cut(sol.weight_matrix())
+    assert value >= 2.0 - 1e-6
+
+
+@pytest.mark.parametrize("g,p", [(3, 3), (4, 2), (2, 5), (6, 3)])
+def test_bland_rule_alone_also_solves(monkeypatch, g, p):
+    # a zero-length degenerate run hands every pivot choice to Bland's rule
+    monkeypatch.setattr(subtour_lp, "DEGENERATE_RUN", 0)
+    sol = solve_subtour(SimplicialInstance((p,) * g))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(float(g), abs=1e-6)
+
+
+def test_subtour_passes_iteration_limit_through(monkeypatch):
+    real = subtour_lp.simplex_solve
+
+    def one_pivot(a, b, c, max_pivots=None, basis=None):
+        return real(a, b, c, max_pivots=1, basis=basis)
+
+    monkeypatch.setattr(subtour_lp, "simplex_solve", one_pivot)
+    sol = solve_subtour(make_equal(2, 3))
+    assert sol.status == "iteration-limit"
+
+
+def test_disconnected_support_gets_one_cut_per_component(monkeypatch):
+    # the degree LP of three groups of 3 is three disjoint triangles at cost 0
+    real = subtour_lp.simplex_solve
+    rows = []
+
+    def recording(a, b, c, max_pivots=subtour_lp.MAX_PIVOTS, basis=None):
+        rows.append(a.shape[0])
+        return real(a, b, c, max_pivots=max_pivots, basis=basis)
+
+    monkeypatch.setattr(subtour_lp, "simplex_solve", recording)
+    sol = solve_subtour(SimplicialInstance((3, 3, 3)))
+    assert sol.status == "optimal"
+    assert rows[:2] == [9, 12]
 
 
 def test_lp_lower_bounds_exact_optimum():
