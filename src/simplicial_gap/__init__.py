@@ -20,6 +20,7 @@ from .certificates import (
     closed_form_spectrum,
     coeffs_general,
     coeffs_two_group,
+    dense_view,
     lower_bound_akk,
     objective_dense_trace,
     objective_povh_rendl,
@@ -85,6 +86,7 @@ __all__ = [
     "coeffs_two_group",
     "cosine_profile",
     "dense_cap",
+    "dense_view",
     "encode_reduced",
     "gap_records_to_csv",
     "gap_table",

@@ -8,11 +8,20 @@ that F^T F = J (x) I + I (x) J.  Positive semidefiniteness is demanded of
 the shifted matrix Y - J/n^2 rather than of Y itself.
 
 The certificates satisfy all of this exactly: their diagonal blocks are
-I/n, their off-diagonal blocks are circulants with zero diagonal (hence
-traceless), and the all-ones vector is the eigenvector that the shift
-annihilates, so the shifted spectrum is the certificate spectrum with the
-top eigenvalue replaced by 0.  Both relaxations share the same objective
-matrix, so the bound value carries over unchanged.
+I/n and their off-diagonal blocks circulants with zero diagonal (hence
+traceless).  Both relaxations share the same objective matrix, so the bound
+value carries over unchanged.
+
+The shifted spectrum needs no factorization of its own.  Every block of a
+certificate (I/n, A/2n, B/2n) has a constant row sum, so the all-ones
+vector is an eigenvector: Y 1 = c 1 with c = 1^T Y 1 / n^2, for any
+coefficients, feasible or not.  J/n^2 = e e^T with the unit vector
+e = 1/n, so Y - J/n^2 keeps Y's eigenvectors and its spectrum is Y's with
+one copy of c replaced by c - 1; every other eigenvalue stays.  The closed
+form (``shifted_spectrum``) drops the coupled k = 0 value from 1 to 0;
+the dense oracle (``dense_shifted_spectrum``) swaps the eigenvalue nearest
+c in the one spectrum that ``certificates.dense_view`` computed, after
+measuring the row-sum spread max|Y 1 - c| that the swap rests on.
 """
 
 from __future__ import annotations
@@ -24,16 +33,18 @@ import numpy as np
 from .certificates import (
     CertificateY,
     CertSpectrum,
+    DenseView,
     closed_form_spectrum,
     objective_dense_trace,
     objective_povh_rendl,
 )
 from .instances import SimplicialInstance
-from .matrix_core import dense_cap, kron, sym_eigs, trace_inner
-from .serialize import fmt_float
+from .matrix_core import kron, trace_inner
+from .serialize import record_json
 
 __all__ = [
     "AnstreicherReport",
+    "dense_shifted_spectrum",
     "row_column_map",
     "shifted_spectrum",
     "verify_anstreicher",
@@ -69,6 +80,21 @@ def shifted_spectrum(coeffs) -> CertSpectrum:
     )
 
 
+def dense_shifted_spectrum(view: DenseView) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of Y - J/n^2 from Y's, and the row-sum spread.
+
+    With c the mean row sum of Y, one copy of c (the eigenvalue nearest it)
+    becomes c - 1.  That swap is the exact shifted spectrum when Y 1 = c 1;
+    the returned spread max|Y 1 - c| says how far that premise is off.
+    """
+    rows = view.matrix.sum(axis=1)
+    c = float(rows.sum()) / rows.size
+    spread = float(np.abs(rows - c).max())
+    values = view.eigenvalues.copy()
+    values[np.argmin(np.abs(values - c))] = c - 1.0
+    return np.sort(values), spread
+
+
 @dataclass
 class AnstreicherReport:
     """Outcome of the trace-pattern relaxation's checks on a certificate."""
@@ -88,27 +114,7 @@ class AnstreicherReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "g": self.g,
-            "residual_block_sum": fmt_float(self.residual_block_sum),
-            "residual_trace_pattern": fmt_float(self.residual_trace_pattern),
-            "residual_f": fmt_float(self.residual_f),
-            "min_shifted_eigenvalue": fmt_float(self.min_shifted_eigenvalue),
-            "min_shifted_numeric": (
-                None
-                if self.min_shifted_numeric is None
-                else fmt_float(self.min_shifted_numeric)
-            ),
-            "objective_closed_form": fmt_float(self.objective_closed_form),
-            "objective_dense": (
-                None if self.objective_dense is None else fmt_float(self.objective_dense)
-            ),
-            "eq_tol": fmt_float(self.eq_tol),
-            "psd_tol": fmt_float(self.psd_tol),
-            "dense_checked": self.dense_checked,
-            "passed": self.passed,
-        }
+        return record_json(self)
 
 
 def _structured_residuals(y: CertificateY) -> tuple[float, float, float]:
@@ -141,38 +147,35 @@ def _dense_residuals(y_dense: np.ndarray, n: int) -> tuple[float, float, float]:
 def verify_anstreicher(
     inst: SimplicialInstance,
     y: CertificateY,
+    view: DenseView | None,
     eq_tol: float = 1e-9,
     psd_tol: float = 1e-8,
-    dense: bool | None = None,
-    max_dim: int | None = None,
 ) -> AnstreicherReport:
     """Check the trace-pattern relaxation's constraints on the certificate.
 
-    Mode selection mirrors the base verifier: dense=None goes dense whenever
-    n^2 fits the cap, dense=False stays with the blockwise closed forms, and
-    dense=True insists on the full matrix.  Dense mode also evaluates the
-    objective by brute-force trace so that equality of the two relaxations'
-    bound values is checked on actual matrices, not just by construction.
+    With ``view`` None (structured mode, see ``certificates.dense_view``)
+    the checks use the blockwise closed forms.  With a dense view the
+    residuals come off the dense matrix, the shifted spectrum from the
+    view's eigenvalues (failing the report if the row-sum spread exceeds
+    eq_tol), and the objective by brute-force trace, so that equality of
+    the two relaxations' bound values is checked on actual matrices, not
+    just by construction.
     """
     n = y.n
-    cap = dense_cap(max_dim)
-    if dense is None:
-        dense = n * n <= cap
-
     spectrum = shifted_spectrum(y.coeffs)
     min_shifted = spectrum.min_value()
     objective_closed = objective_povh_rendl(inst, y)
 
-    if dense:
-        y_dense = y.densify(max_dim=max_dim)
-        block_sum, trace_pattern, residual_f = _dense_residuals(y_dense, n)
-        shift = np.full((n * n, n * n), 1.0 / (n * n))
-        min_numeric = float(sym_eigs(y_dense - shift, max_dim=max_dim)[0])
-        objective_dense = objective_dense_trace(inst, y, max_dim=max_dim)
-    else:
+    if view is None:
         block_sum, trace_pattern, residual_f = _structured_residuals(y)
         min_numeric = None
+        row_sum_spread = None
         objective_dense = None
+    else:
+        block_sum, trace_pattern, residual_f = _dense_residuals(view.matrix, n)
+        shifted, row_sum_spread = dense_shifted_spectrum(view)
+        min_numeric = float(shifted[0])
+        objective_dense = objective_dense_trace(inst, view.matrix)
 
     passed = (
         block_sum <= eq_tol
@@ -180,6 +183,7 @@ def verify_anstreicher(
         and residual_f <= eq_tol
         and min_shifted >= -psd_tol
         and (min_numeric is None or min_numeric >= -psd_tol)
+        and (row_sum_spread is None or row_sum_spread <= eq_tol)
     )
     return AnstreicherReport(
         n=n,
@@ -193,6 +197,6 @@ def verify_anstreicher(
         objective_dense=objective_dense,
         eq_tol=eq_tol,
         psd_tol=psd_tol,
-        dense_checked=dense,
+        dense_checked=view is not None,
         passed=passed,
     )

@@ -11,8 +11,11 @@ feasible point built from two symmetric circulants:
 where A and B are the circulants with half-offset coefficient vectors a and
 b.  This module generates those coefficients (two-group closed form and the
 general even-g form), assembles Y structurally, evaluates its objective, and
-verifies feasibility twice over: from the closed forms, and densely against
-the eigensolver oracle.
+verifies feasibility.  The closed forms always run; below the dense cap the
+dense oracle joins in.  ``dense_view`` is the one place that chooses the
+mode: in dense mode it densifies Y once and factors it once, and both
+relaxations' verifiers (this module's and ``anstreicher_sdp``'s) read that
+one matrix and that one spectrum.
 
 Index convention: Y rows/columns are pairs (vertex u, tour position s)
 ordered u-major, i.e. row u*n + s.  Minor block (u, v) is then B/2n when u
@@ -38,17 +41,19 @@ import numpy as np
 from .circulant import SymmetricCirculant, cosine_profile, ring_adjacency
 from .instances import SimplicialInstance
 from .matrix_core import SizeLimitError, dense_cap, kron, sym_eigs, trace_inner
-from .serialize import fmt_float
+from .serialize import record_json
 
 __all__ = [
     "CertCoeffs",
     "CertSpectrum",
     "CertificateY",
+    "DenseView",
     "FeasibilityReport",
     "assemble",
     "closed_form_spectrum",
     "coeffs_general",
     "coeffs_two_group",
+    "dense_view",
     "lower_bound_akk",
     "objective_dense_trace",
     "objective_povh_rendl",
@@ -317,26 +322,7 @@ class FeasibilityReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "g": self.g,
-            "residual_row_assign": fmt_float(self.residual_row_assign),
-            "residual_col_assign": fmt_float(self.residual_col_assign),
-            "residual_gangster": fmt_float(self.residual_gangster),
-            "residual_total_sum": fmt_float(self.residual_total_sum),
-            "min_entry": fmt_float(self.min_entry),
-            "min_eig_closed_form": fmt_float(self.min_eig_closed_form),
-            "min_eig_numeric": (
-                None
-                if self.min_eig_numeric is None
-                else fmt_float(self.min_eig_numeric)
-            ),
-            "eq_tol": fmt_float(self.eq_tol),
-            "psd_tol": fmt_float(self.psd_tol),
-            "nn_tol": fmt_float(self.nn_tol),
-            "dense_checked": self.dense_checked,
-            "passed": self.passed,
-        }
+        return record_json(self)
 
 
 def _structured_residuals(y: CertificateY) -> tuple[float, float, float, float, float]:
@@ -388,36 +374,62 @@ def _dense_residuals(
     return row_assign, col_assign, gangster, total_sum, min_entry
 
 
+@dataclass
+class DenseView:
+    """One certificate densified once and factored once.
+
+    ``matrix`` is the n^2 x n^2 matrix Y and ``eigenvalues`` its ascending
+    spectrum from a single ``sym_eigs`` call; every dense check of both
+    relaxations reads these two arrays.
+    """
+
+    matrix: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
+
+
+def dense_view(
+    y: CertificateY, dense: bool | None = None, max_dim: int | None = None
+) -> DenseView | None:
+    """The one verification-mode choice: a DenseView, or None for structured.
+
+    dense=None goes dense whenever n^2 fits the dense cap (``max_dim``, else
+    SIMPLICIAL_GAP_MAX_DENSE, else the default); dense=False stays
+    structured (closed forms and blockwise residuals only); dense=True
+    insists on the dense oracle and raises SizeLimitError past the cap.
+    """
+    if dense is None:
+        dense = y.n * y.n <= dense_cap(max_dim)
+    if not dense:
+        return None
+    matrix = y.densify(max_dim=max_dim)
+    return DenseView(matrix=matrix, eigenvalues=sym_eigs(matrix, max_dim=max_dim))
+
+
 def verify_povh_rendl(
     y: CertificateY,
+    view: DenseView | None,
     eq_tol: float = EQ_TOL,
     psd_tol: float = PSD_TOL,
     nn_tol: float = NN_TOL,
-    dense: bool | None = None,
-    max_dim: int | None = None,
 ) -> FeasibilityReport:
     """Check every relaxation constraint on the certificate.
 
-    dense=None picks dense mode automatically whenever n^2 fits the dense
-    cap; dense=False stays structured (closed-form PSD only, blockwise
-    residuals); dense=True forces the full oracle and raises past the cap.
-    Tolerance violations yield a failing report, never an exception.
+    The closed-form PSD check always runs.  With ``view`` None (structured
+    mode, see ``dense_view``) the residuals come blockwise from the
+    coefficients; with a dense view they are read off the dense matrix and
+    its smallest eigenvalue joins the PSD check.  Tolerance violations
+    yield a failing report, never an exception.
     """
     n = y.n
-    cap = dense_cap(max_dim)
-    if dense is None:
-        dense = n * n <= cap
-
     spectrum = closed_form_spectrum(y.coeffs)
     min_eig_closed = spectrum.min_value() / (2.0 * n)
 
-    if dense:
-        y_dense = y.densify(max_dim=max_dim)
-        row, col, gang, total, min_entry = _dense_residuals(y_dense, n)
-        min_eig_numeric = float(sym_eigs(y_dense, max_dim=max_dim)[0])
-    else:
+    if view is None:
         row, col, gang, total, min_entry = _structured_residuals(y)
         min_eig_numeric = None
+    else:
+        row, col, gang, total, min_entry = _dense_residuals(view.matrix, n)
+        min_eig_numeric = float(view.eigenvalues[0])
 
     passed = (
         row <= eq_tol
@@ -441,7 +453,7 @@ def verify_povh_rendl(
         eq_tol=eq_tol,
         psd_tol=psd_tol,
         nn_tol=nn_tol,
-        dense_checked=dense,
+        dense_checked=view is not None,
         passed=passed,
     )
 
@@ -461,18 +473,17 @@ def objective_povh_rendl(inst: SimplicialInstance, y: CertificateY) -> float:
     return 0.5 * ((g - 1.0) / g) * n * n * float(y.coeffs.b[0])
 
 
-def objective_dense_trace(
-    inst: SimplicialInstance, y: CertificateY, max_dim: int | None = None
-) -> float:
-    """The same objective by brute-force dense trace (oracle route)."""
-    n = y.n
-    if inst.n_total != n:
+def objective_dense_trace(inst: SimplicialInstance, y_dense: np.ndarray) -> float:
+    """The same objective by brute-force trace over the dense Y (oracle route)."""
+    n = inst.n_total
+    if y_dense.shape != (n * n, n * n):
         raise ValueError(
-            f"instance has {inst.n_total} vertices, certificate expects {n}"
+            f"instance has {n} vertices, dense certificate has side "
+            f"{y_dense.shape[0]}"
         )
     d = inst.cost_matrix()
     c1 = ring_adjacency(n)
-    return 0.5 * trace_inner(kron(d, c1), y.densify(max_dim=max_dim))
+    return 0.5 * trace_inner(kron(d, c1), y_dense)
 
 
 def profile_identity_residuals(coeffs: CertCoeffs) -> dict[str, float]:

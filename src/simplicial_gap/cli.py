@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from .anstreicher_sdp import verify_anstreicher
-from .certificates import assemble, coeffs_general, verify_povh_rendl
+from .certificates import assemble, coeffs_general, dense_view, verify_povh_rendl
 from .circulant import identity_suite
 from .instances import (
     DP_MAX_VERTICES,
@@ -29,9 +29,9 @@ from .instances import (
 )
 from .matrix_core import SizeLimitError
 from .reduced_sdp import (
-    asymptote_value,
     build_reduction,
     gap_records_to_csv,
+    gap_rows,
     gap_table,
     objective_reduced,
 )
@@ -41,7 +41,7 @@ from .sdp_numeric import (
     nonmonotonicity_check,
     solve,
 )
-from .serialize import csv_lines, fmt_float, json_canonical
+from .serialize import csv_table, fmt_float, json_canonical
 from .subtour_lp import MAX_LP_VERTICES, solve_subtour
 
 __all__ = ["build_parser", "main"]
@@ -82,70 +82,55 @@ def _check_cert_config(g: int, n_values: list[int]) -> str | None:
     return None
 
 
+# certify CSV columns taken as they are from the povh_rendl report
+_CERTIFY_CSV_FIELDS = (
+    "g",
+    "n",
+    "dense_checked",
+    "passed",
+    "residual_row_assign",
+    "residual_col_assign",
+    "residual_gangster",
+    "residual_total_sum",
+    "min_entry",
+    "min_eig_closed_form",
+)
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     problem = _check_cert_config(args.g, args.n)
     if problem:
         return _usage_error(problem)
-    dense = True if args.dense else None
     rows = []
     reports = []
     all_passed = True
     try:
         for n in sorted(args.n):
-            coeffs = coeffs_general(n, args.g)
-            y = assemble(coeffs)
-            feas = verify_povh_rendl(
-                y, eq_tol=args.tol_eq, psd_tol=args.tol_psd, dense=dense
-            )
+            y = assemble(coeffs_general(n, args.g))
+            view = dense_view(y, dense=args.dense or None)
+            feas = verify_povh_rendl(y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd)
             inst = SimplicialInstance((n // args.g,) * args.g)
             anst = verify_anstreicher(
-                inst, y, eq_tol=args.tol_eq, psd_tol=args.tol_psd, dense=dense
+                inst, y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd
             )
-            spectrum_min = feas.min_eig_closed_form
             all_passed = all_passed and feas.passed and anst.passed
+            povh, trace = feas.to_json_dict(), anst.to_json_dict()
+            spectrum_min = fmt_float(feas.min_eig_closed_form)
             reports.append(
-                {
-                    "povh_rendl": feas.to_json_dict(),
-                    "anstreicher": anst.to_json_dict(),
-                    "spectrum_min": fmt_float(spectrum_min),
-                }
+                {"povh_rendl": povh, "anstreicher": trace, "spectrum_min": spectrum_min}
             )
             rows.append(
-                [
-                    str(args.g),
-                    str(n),
-                    str(feas.dense_checked).lower(),
-                    str(feas.passed).lower(),
-                    fmt_float(feas.residual_row_assign),
-                    fmt_float(feas.residual_col_assign),
-                    fmt_float(feas.residual_gangster),
-                    fmt_float(feas.residual_total_sum),
-                    fmt_float(feas.min_entry),
-                    fmt_float(feas.min_eig_closed_form),
-                    str(anst.passed).lower(),
-                    fmt_float(anst.min_shifted_eigenvalue),
-                    fmt_float(spectrum_min),
-                ]
+                {
+                    **{key: povh[key] for key in _CERTIFY_CSV_FIELDS},
+                    "anstreicher_passed": trace["passed"],
+                    "min_shifted_eigenvalue": trace["min_shifted_eigenvalue"],
+                    "spectrum_min": spectrum_min,
+                }
             )
     except SizeLimitError as exc:
         return _usage_error(str(exc))
     if args.format == "csv":
-        header = [
-            "g",
-            "n",
-            "dense_checked",
-            "passed",
-            "residual_row_assign",
-            "residual_col_assign",
-            "residual_gangster",
-            "residual_total_sum",
-            "min_entry",
-            "min_eig_closed_form",
-            "anstreicher_passed",
-            "min_shifted_eigenvalue",
-            "spectrum_min",
-        ]
-        _emit(csv_lines(header, rows), args.out)
+        _emit(csv_table(rows), args.out)
     else:
         _emit(json_canonical(reports), args.out)
     return 0 if all_passed else 1
@@ -159,12 +144,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(gap_records_to_csv(records, with_asymptote=True), args.out)
     else:
-        payload = []
-        for rec in records:
-            item = rec.to_json_dict()
-            item["asymptote"] = fmt_float(asymptote_value(rec.z, rec.n))
-            payload.append(item)
-        _emit(json_canonical(payload), args.out)
+        _emit(json_canonical(gap_rows(records, with_asymptote=True)), args.out)
     return 0
 
 
@@ -202,29 +182,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         "agree": agree,
     }
     if args.format == "csv":
-        header = [
-            "g",
-            "per_group",
-            "n_total",
-            "tsp_analytic",
-            "tsp_dp",
-            "subtour_objective",
-            "subtour_status",
-            "cuts_added",
-            "agree",
-        ]
-        row = [
-            str(args.g),
-            str(args.per_group),
-            str(inst.n_total),
-            fmt_float(analytic),
-            "" if dp_value is None else fmt_float(dp_value),
-            fmt_float(lp.objective),
-            lp.status,
-            str(lp.cuts_added),
-            str(agree).lower(),
-        ]
-        _emit(csv_lines(header, [row]), args.out)
+        _emit(csv_table([report]), args.out)
     else:
         _emit(json_canonical(report), args.out)
     return 0 if agree else 1
@@ -271,22 +229,18 @@ def cmd_identities(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     keys = sorted(suites[0][1])
     worst = max(abs(value) for _, suite in suites for value in suite.values())
+    payload = [
+        {
+            "g": args.g,
+            "n": n,
+            "residuals": {k: fmt_float(suite[k]) for k in keys},
+        }
+        for n, suite in suites
+    ]
     if args.format == "csv":
-        header = ["g", "n", *keys]
-        rows = [
-            [str(args.g), str(n), *(fmt_float(suite[k]) for k in keys)]
-            for n, suite in suites
-        ]
-        _emit(csv_lines(header, rows), args.out)
+        rows = [{"g": p["g"], "n": p["n"], **p["residuals"]} for p in payload]
+        _emit(csv_table(rows), args.out)
     else:
-        payload = [
-            {
-                "g": args.g,
-                "n": n,
-                "residuals": {k: fmt_float(suite[k]) for k in keys},
-            }
-            for n, suite in suites
-        ]
         _emit(json_canonical(payload), args.out)
     return 0 if worst <= args.tol_eq else 1
 

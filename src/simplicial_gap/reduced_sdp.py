@@ -41,7 +41,7 @@ from .certificates import (
 from .circulant import ring_adjacency
 from .instances import SimplicialInstance, make_one_extra
 from .matrix_core import kron, trace_inner, vec_stack
-from .serialize import csv_lines, fmt_float
+from .serialize import csv_table, fmt_float
 
 __all__ = [
     "CSV_HEADER",
@@ -52,6 +52,7 @@ __all__ = [
     "bound_constants",
     "build_reduction",
     "gap_records_to_csv",
+    "gap_rows",
     "gap_table",
     "objective_reduced",
     "objective_reduced_dense",
@@ -220,18 +221,6 @@ class GapRecord:
     sdp_upper_bound: float
     gap_lower_bound: float
 
-    def to_csv_row(self) -> list[str]:
-        return [
-            str(self.z),
-            str(self.g),
-            str(self.n),
-            fmt_float(self.tsp_value),
-            fmt_float(self.kron_term),
-            fmt_float(self.diag_term),
-            fmt_float(self.sdp_upper_bound),
-            fmt_float(self.gap_lower_bound),
-        ]
-
     def to_json_dict(self) -> dict:
         return {
             "z": self.z,
@@ -262,7 +251,7 @@ def gap_table(z: int, n_values: list[int]) -> list[GapRecord]:
             )
         coeffs = coeffs_general(n, g)
         y = assemble(coeffs)
-        report = verify_povh_rendl(y, dense=False)
+        report = verify_povh_rendl(y, None)
         if not report.passed:
             raise ArithmeticError(
                 f"certificate for (g={g}, n={n}) failed verification"
@@ -285,12 +274,16 @@ def gap_table(z: int, n_values: list[int]) -> list[GapRecord]:
     return records
 
 
-def gap_records_to_csv(records: list[GapRecord], with_asymptote: bool = False) -> str:
-    """CSV text for the records; optionally append the analytic asymptote column."""
-    header = list(CSV_HEADER)
-    rows = [r.to_csv_row() for r in records]
+def gap_rows(records: list[GapRecord], with_asymptote: bool = False) -> list[dict]:
+    """JSON dicts of the records; optionally with the analytic asymptote."""
+    rows = [rec.to_json_dict() for rec in records]
     if with_asymptote:
-        header.append("asymptote")
         for row, rec in zip(rows, records):
-            row.append(fmt_float(asymptote_value(rec.z, rec.n)))
-    return csv_lines(header, rows)
+            row["asymptote"] = fmt_float(asymptote_value(rec.z, rec.n))
+    return rows
+
+
+def gap_records_to_csv(records: list[GapRecord], with_asymptote: bool = False) -> str:
+    """CSV text of ``gap_rows``: CSV_HEADER, plus the asymptote column if asked."""
+    header = [*CSV_HEADER, "asymptote"] if with_asymptote else CSV_HEADER
+    return csv_table(gap_rows(records, with_asymptote), header)

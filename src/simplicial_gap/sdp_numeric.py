@@ -29,7 +29,7 @@ from .certificates import assemble, coeffs_two_group
 from .instances import SimplicialInstance, make_one_extra
 from .matrix_core import kron
 from .reduced_sdp import Reduction, build_reduction, objective_reduced
-from .serialize import fmt_float
+from .serialize import fmt_float, record_json
 
 __all__ = [
     "NonMonotonicityReport",
@@ -284,15 +284,7 @@ class NonMonotonicityReport:
     non_monotonic: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "tiny_value": fmt_float(self.tiny_value),
-            "tiny_converged": self.tiny_converged,
-            "large_n": self.large_n,
-            "certificate_bound": fmt_float(self.certificate_bound),
-            "difference": fmt_float(self.difference),
-            "conclusive": self.conclusive,
-            "non_monotonic": self.non_monotonic,
-        }
+        return record_json(self)
 
 
 def nonmonotonicity_check(

@@ -18,6 +18,7 @@ from simplicial_gap.certificates import (
     closed_form_spectrum,
     coeffs_general,
     coeffs_two_group,
+    dense_view,
     objective_povh_rendl,
     profile_identity_residuals,
     verify_povh_rendl,
@@ -187,7 +188,7 @@ def test_criterion_07_anstreicher_agreement():
     for n in (8, 16, 24):
         inst = make_equal(2, n // 2)
         y = assemble(coeffs_two_group(n))
-        rep = verify_anstreicher(inst, y, dense=True)
+        rep = verify_anstreicher(inst, y, dense_view(y, dense=True))
         all_ok &= rep.passed
         ref = objective_povh_rendl(inst, y)
         worst = max(worst, abs(rep.objective_closed_form - ref))

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from simplicial_gap.anstreicher_sdp import (
+    dense_shifted_spectrum,
     row_column_map,
     shifted_spectrum,
     verify_anstreicher,
 )
-from simplicial_gap.certificates import assemble, coeffs_general, objective_povh_rendl
+from simplicial_gap.certificates import (
+    DenseView,
+    assemble,
+    coeffs_general,
+    dense_view,
+    objective_povh_rendl,
+)
 from simplicial_gap.instances import make_equal
 
 
@@ -33,7 +40,7 @@ def test_gram_of_map_is_pair_pattern(n):
 def test_structured_verification_passes(g, n):
     inst = make_equal(g, n // g)
     y = assemble(coeffs_general(n, g))
-    rep = verify_anstreicher(inst, y, dense=False)
+    rep = verify_anstreicher(inst, y, dense_view(y, dense=False))
     assert rep.passed
     assert not rep.dense_checked
     assert rep.residual_block_sum <= 1e-15
@@ -48,7 +55,7 @@ def test_structured_verification_passes(g, n):
 def test_dense_verification_and_objective_agreement():
     inst = make_equal(2, 8)
     y = assemble(coeffs_general(16, 2))
-    rep = verify_anstreicher(inst, y, dense=True)
+    rep = verify_anstreicher(inst, y, dense_view(y, dense=True))
     assert rep.passed and rep.dense_checked
     assert rep.residual_block_sum <= 1e-9
     assert rep.residual_trace_pattern <= 1e-9
@@ -61,8 +68,8 @@ def test_dense_verification_and_objective_agreement():
 def test_auto_mode_follows_cap():
     inst = make_equal(2, 4)
     y = assemble(coeffs_general(8, 2))
-    assert verify_anstreicher(inst, y).dense_checked
-    rep = verify_anstreicher(inst, y, max_dim=32)
+    assert verify_anstreicher(inst, y, dense_view(y)).dense_checked
+    rep = verify_anstreicher(inst, y, dense_view(y, max_dim=32))
     assert not rep.dense_checked
     assert rep.objective_dense is None
 
@@ -81,7 +88,8 @@ def test_perturbed_certificate_fails_shifted_psd():
     inst = make_equal(2, 4)
     c = coeffs_general(8, 2)
     c.a[0] -= 0.6
-    rep = verify_anstreicher(inst, assemble(c), dense=True)
+    y = assemble(c)
+    rep = verify_anstreicher(inst, y, dense_view(y, dense=True))
     assert not rep.passed
     assert rep.min_shifted_eigenvalue < -1e-8
     assert rep.min_shifted_numeric < -1e-8
@@ -93,13 +101,75 @@ def test_perturbed_certificate_fails_shifted_psd():
 def test_layout_mismatch_rejected():
     y = assemble(coeffs_general(8, 2))
     with pytest.raises(ValueError):
-        verify_anstreicher(make_equal(4, 2), y)
+        verify_anstreicher(make_equal(4, 2), y, dense_view(y))
 
 
 def test_report_serializes():
     inst = make_equal(2, 4)
-    rep = verify_anstreicher(inst, assemble(coeffs_general(8, 2)))
+    y = assemble(coeffs_general(8, 2))
+    rep = verify_anstreicher(inst, y, dense_view(y))
     d = rep.to_json_dict()
     assert d["passed"] is True
     assert d["n"] == 8 and d["g"] == 2
     assert isinstance(d["objective_closed_form"], str)
+
+
+def _check_swapped_spectrum(yd, eigs):
+    n2 = yd.shape[0]
+    shifted, spread = dense_shifted_spectrum(DenseView(matrix=yd, eigenvalues=eigs))
+    assert spread <= 1e-12
+    want = np.linalg.eigvalsh(yd - np.full((n2, n2), 1.0 / n2))
+    assert np.abs(shifted - want).max() <= 1e-12
+    return shifted
+
+
+@pytest.mark.parametrize("g,n", [(2, 8), (4, 16), (6, 36)])
+def test_swapped_spectrum_matches_shifted_eigvalsh(g, n, dense_cert):
+    yd, eigs = dense_cert(g, n)
+    _check_swapped_spectrum(yd, eigs)
+
+
+def _perturb(c, name):
+    if name == "a0-minus":
+        c.a[0] -= 0.6
+    elif name == "b1-plus":
+        c.b[1] += 0.1
+    elif name == "a-scaled":
+        c.a *= 0.9
+    elif name == "b-halved":
+        c.b *= 0.5
+    else:
+        rng = np.random.default_rng(7)
+        c.a += rng.normal(0.0, 0.01, c.a.size)
+        c.b += rng.normal(0.0, 0.01, c.b.size)
+
+
+@pytest.mark.parametrize("name", ["a0-minus", "b1-plus", "a-scaled", "b-halved", "noise"])
+def test_swapped_spectrum_on_perturbed_coefficients(name):
+    c = coeffs_general(16, 4)
+    _perturb(c, name)
+    yd = assemble(c).densify()
+    eigs = np.linalg.eigvalsh(yd)
+    shifted = _check_swapped_spectrum(yd, eigs)
+    if name == "b-halved":
+        # Y stays PSD, the shifted matrix does not: the swap must see that
+        assert eigs[0] >= -1e-12
+        assert shifted[0] == pytest.approx(-0.375, abs=1e-12)
+
+
+def test_row_sum_spread_fails_the_report():
+    inst = make_equal(2, 4)
+    y = assemble(coeffs_general(8, 2))
+    view = dense_view(y, dense=True)
+    assert verify_anstreicher(inst, y, view).passed
+    # entry (u=0, s=0; v=4, t=1): off the block diagonal and off the trace
+    # pattern, so only the row sums of rows 0 and 33 move
+    tilted = view.matrix.copy()
+    tilted[0, 33] += 1e-6
+    tilted[33, 0] += 1e-6
+    bad = DenseView(matrix=tilted, eigenvalues=np.linalg.eigvalsh(tilted))
+    assert dense_shifted_spectrum(bad)[1] > 1e-9
+    rep = verify_anstreicher(inst, y, bad, psd_tol=1e-3)
+    assert max(rep.residual_block_sum, rep.residual_trace_pattern, rep.residual_f) <= 1e-9
+    assert rep.min_shifted_numeric >= -1e-3
+    assert not rep.passed

@@ -8,6 +8,7 @@ from simplicial_gap.certificates import (
     closed_form_spectrum,
     coeffs_general,
     coeffs_two_group,
+    dense_view,
     lower_bound_akk,
     objective_dense_trace,
     objective_povh_rendl,
@@ -103,8 +104,8 @@ def test_densify_respects_cap():
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16)])
 def test_verify_passes_dense_and_structured(g, n):
     y = assemble(coeffs_general(n, g))
-    dense = verify_povh_rendl(y, dense=True)
-    structured = verify_povh_rendl(y, dense=False)
+    dense = verify_povh_rendl(y, dense_view(y, dense=True))
+    structured = verify_povh_rendl(y, dense_view(y, dense=False))
     for rep in (dense, structured):
         assert rep.passed
         assert rep.residual_row_assign <= 1e-9
@@ -119,37 +120,41 @@ def test_verify_passes_dense_and_structured(g, n):
 
 
 def test_verify_structured_scales_far_past_dense_cap():
-    rep = verify_povh_rendl(assemble(coeffs_two_group(512)), dense=False)
+    y = assemble(coeffs_two_group(512))
+    rep = verify_povh_rendl(y, dense_view(y, dense=False))
     assert rep.passed
     assert rep.min_eig_closed_form >= -1e-12
 
 
 def test_verify_auto_mode_follows_cap():
     y = assemble(coeffs_two_group(8))
-    assert verify_povh_rendl(y).dense_checked  # 64 <= default cap
-    assert not verify_povh_rendl(y, max_dim=32).dense_checked
+    assert verify_povh_rendl(y, dense_view(y)).dense_checked  # 64 <= default cap
+    assert not verify_povh_rendl(y, dense_view(y, max_dim=32)).dense_checked
 
 
 def test_perturbed_total_sum_is_caught():
     c = coeffs_two_group(8)
     c.b[1] += 0.1  # 32 across-group cells gain 0.1 each
-    rep = verify_povh_rendl(assemble(c), dense=False)
+    y = assemble(c)
+    rep = verify_povh_rendl(y, dense_view(y, dense=False))
     assert not rep.passed
     assert rep.residual_total_sum == pytest.approx(3.2, abs=1e-12)
-    dense_rep = verify_povh_rendl(assemble(c), dense=True)
+    dense_rep = verify_povh_rendl(y, dense_view(y, dense=True))
     assert dense_rep.residual_total_sum == pytest.approx(3.2, abs=1e-9)
 
 
 def test_negative_coefficient_is_caught():
     c = coeffs_two_group(8)
     c.a[0] -= 0.6  # drives the within-group entries below zero
-    rep = verify_povh_rendl(assemble(c), dense=True)
+    y = assemble(c)
+    rep = verify_povh_rendl(y, dense_view(y, dense=True))
     assert not rep.passed
     assert rep.min_entry < -1e-9
 
 
 def test_report_serializes():
-    rep = verify_povh_rendl(assemble(coeffs_two_group(8)))
+    y = assemble(coeffs_two_group(8))
+    rep = verify_povh_rendl(y, dense_view(y))
     d = rep.to_json_dict()
     assert d["passed"] is True
     assert d["n"] == 8
@@ -171,7 +176,7 @@ def test_objective_double_route(g, n):
     inst = make_equal(g, n // g)
     y = assemble(coeffs_general(n, g))
     closed = objective_povh_rendl(inst, y)
-    dense = objective_dense_trace(inst, y)
+    dense = objective_dense_trace(inst, y.densify())
     assert closed == pytest.approx(dense, abs=1e-12)
 
 
@@ -180,7 +185,7 @@ def test_objective_rejects_wrong_layout():
     with pytest.raises(ValueError):
         objective_povh_rendl(make_equal(4, 2), y)
     with pytest.raises(ValueError):
-        objective_dense_trace(make_equal(2, 3), y)
+        objective_dense_trace(make_equal(2, 3), y.densify())
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16), (6, 36)])

@@ -132,3 +132,51 @@ def test_identity_suite_rejects_bad_config():
         identity_suite(4, 6)
     with pytest.raises(ValueError):
         identity_suite(2, 7)
+
+
+def identity_suite_loops(g, n):
+    """The identity suite as explicit loops over k, i and (j, k): the reference."""
+    d = n // 2
+    j = np.arange(1, g)
+    w = (g - j).astype(float)
+    i = np.arange(1, d + 1)
+    out = {}
+    out["cosine_block_sum"] = max(
+        abs(float(np.cos(np.pi * i * (k % (2 * d)) / d).sum()) - lagrange_cosine_sum(n, k))
+        for k in range(n + 1)
+    )
+    out["alternating_weight_sum_odd"] = abs(float(w[j % 2 == 1].sum()) - g * g / 4.0)
+    out["alternating_weight_sum_signed"] = abs(float((w * (-1.0) ** j).sum()) + g / 2.0)
+    res = 0.0
+    for ii in range(n + 1):
+        t = np.pi * ii / d
+        lhs = (2.0 * np.cos(t) - 2.0) * float((w * np.cos(j * t)).sum())
+        res = max(res, abs(lhs - (np.cos(g * t) - g * np.cos(t) + (g - 1.0))))
+    out["cosine_weight_telescope"] = res
+
+    def block_closed(t):
+        return float(d) if t % n == 0 else (-1.0 + (-1.0) ** t) / 2.0
+
+    res = 0.0
+    for jj in range(1, g):
+        for k in range(1, n):
+            direct = float((np.cos(np.pi * i * jj / d) * np.cos(np.pi * i * k / d)).sum())
+            closed = 0.5 * (block_closed(jj - k) + block_closed(jj + k))
+            res = max(res, abs(direct - closed))
+    out["cosine_product_case_sum"] = res
+    out["parity_weight_count"] = max(
+        abs(float(w[(j - k) % 2 == 1].sum()) - (g * (g - 1.0) + g * (-1.0) ** k) / 4.0)
+        for k in range(n)
+    )
+    return out
+
+
+@pytest.mark.parametrize("g,n", [(2, 4), (2, 30), (4, 8), (6, 36), (8, 50), (10, 120)])
+def test_identity_suite_matches_loops(g, n):
+    # same operations in the same order, so equal up to the cosine kernel's
+    # own last bit: a residual is a difference of sums of at most n/2 cosines
+    tol = n * np.finfo(float).eps
+    got, want = identity_suite(g, n), identity_suite_loops(g, n)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= tol, (key, got[key], want[key])

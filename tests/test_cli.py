@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from simplicial_gap import matrix_core
+from simplicial_gap.certificates import CertificateY
 from simplicial_gap.cli import main
 from simplicial_gap.serialize import fmt_float, json_canonical
 
@@ -49,6 +52,35 @@ def test_certify_json_round_trip(capsys):
     assert entry["povh_rendl"]["passed"] is True
     assert entry["anstreicher"]["passed"] is True
     assert float(entry["spectrum_min"]) >= -1e-12
+
+
+def test_certify_dense_densifies_and_factors_once(capsys, monkeypatch):
+    calls = {"densify": 0, "sym_eigs": 0, "eigh": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        CertificateY, "densify", counted("densify", CertificateY.densify)
+    )
+    # every package namespace that binds sym_eigs, as a tracer would patch it
+    original = matrix_core.sym_eigs
+    wrapped = counted("sym_eigs", original)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "simplicial_gap":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapped)
+    for attr in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, attr, counted("eigh", getattr(np.linalg, attr)))
+    code, out, _ = run(capsys, ["certify", "--g", "4", "--n", "16,32", "--dense"])
+    assert code == 0
+    assert len(json.loads(out)) == 2
+    assert calls == {"densify": 2, "sym_eigs": 2, "eigh": 2}
 
 
 def test_certify_dense_flag_past_cap(capsys):

@@ -40,10 +40,8 @@ CASES = {
 # solve-tiny writes JSON only
 JSON_ONLY = {"solve_tiny": ["solve-tiny", "--max-iters", "50"]}
 
-ARTIFACTS = [(stem, "json") for stem in {**CASES, **JSON_ONLY}] + [
-    (stem, "csv") for stem in CASES
-]
 ARGV = {**CASES, **JSON_ONLY}
+ARTIFACTS = [(stem, "json") for stem in ARGV] + [(stem, "csv") for stem in CASES]
 
 LAPACK_KEYS = {"min_eig_numeric", "min_shifted_numeric"}
 # identities CSV: every column after g and n is a residual
