@@ -44,7 +44,6 @@ from .reduced_sdp import (
     asymptote_value,
     bound_constants,
     build_reduction,
-    gap_records_to_csv,
     gap_table,
     objective_reduced,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "dense_cap",
     "dense_view",
     "encode_reduced",
-    "gap_records_to_csv",
     "gap_table",
     "held_karp_cycle",
     "identity_suite",

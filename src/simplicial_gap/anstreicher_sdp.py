@@ -31,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import (
+    EQ_TOL,
+    PSD_TOL,
     CertificateY,
     CertSpectrum,
     DenseView,
@@ -40,7 +42,6 @@ from .certificates import (
 )
 from .instances import SimplicialInstance
 from .matrix_core import kron, trace_inner
-from .serialize import record_json
 
 __all__ = [
     "AnstreicherReport",
@@ -113,9 +114,6 @@ class AnstreicherReport:
     dense_checked: bool
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return record_json(self)
-
 
 def _structured_residuals(y: CertificateY) -> tuple[float, float, float]:
     n = y.n
@@ -148,8 +146,8 @@ def verify_anstreicher(
     inst: SimplicialInstance,
     y: CertificateY,
     view: DenseView | None,
-    eq_tol: float = 1e-9,
-    psd_tol: float = 1e-8,
+    eq_tol: float = EQ_TOL,
+    psd_tol: float = PSD_TOL,
 ) -> AnstreicherReport:
     """Check the trace-pattern relaxation's constraints on the certificate.
 

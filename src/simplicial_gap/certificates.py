@@ -41,7 +41,6 @@ import numpy as np
 from .circulant import SymmetricCirculant, cosine_profile, ring_adjacency
 from .instances import SimplicialInstance
 from .matrix_core import SizeLimitError, dense_cap, kron, sym_eigs, trace_inner
-from .serialize import record_json
 
 __all__ = [
     "CertCoeffs",
@@ -110,14 +109,6 @@ class CertCoeffs:
 
     def b_profile(self) -> np.ndarray:
         return cosine_profile(self.b, self.n)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "g": self.g,
-            "a": [float(x) for x in self.a],
-            "b": [float(x) for x in self.b],
-        }
 
 
 def coeffs_two_group(n: int) -> CertCoeffs:
@@ -200,10 +191,10 @@ class CertificateY:
             return "identity"
         return "within" if u // p == v // p else "across"
 
-    def densify(self, max_dim: int | None = None) -> np.ndarray:
+    def densify(self) -> np.ndarray:
         """Full n^2 x n^2 matrix; SizeLimitError beyond the dense cap."""
         n, g, p = self.n, self.g, self.per_group
-        cap = dense_cap(max_dim)
+        cap = dense_cap()
         if n * n > cap:
             raise SizeLimitError(
                 f"dense certificate side {n * n} exceeds cap {cap}"
@@ -321,9 +312,6 @@ class FeasibilityReport:
     dense_checked: bool
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return record_json(self)
-
 
 def _structured_residuals(y: CertificateY) -> tuple[float, float, float, float, float]:
     """Constraint residuals computed blockwise from the coefficients."""
@@ -387,22 +375,18 @@ class DenseView:
     eigenvalues: np.ndarray = field(repr=False)
 
 
-def dense_view(
-    y: CertificateY, dense: bool | None = None, max_dim: int | None = None
-) -> DenseView | None:
+def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     """The one verification-mode choice: a DenseView, or None for structured.
 
-    dense=None goes dense whenever n^2 fits the dense cap (``max_dim``, else
-    SIMPLICIAL_GAP_MAX_DENSE, else the default); dense=False stays
-    structured (closed forms and blockwise residuals only); dense=True
-    insists on the dense oracle and raises SizeLimitError past the cap.
+    Goes dense whenever n^2 fits ``dense_cap()`` and stays structured
+    (closed forms and blockwise residuals only) past it; ``force`` insists
+    on the dense oracle and raises SizeLimitError past the cap.  Callers
+    that want the structured checks below the cap pass view None directly.
     """
-    if dense is None:
-        dense = y.n * y.n <= dense_cap(max_dim)
-    if not dense:
+    if not force and y.n * y.n > dense_cap():
         return None
-    matrix = y.densify(max_dim=max_dim)
-    return DenseView(matrix=matrix, eigenvalues=sym_eigs(matrix, max_dim=max_dim))
+    matrix = y.densify()
+    return DenseView(matrix=matrix, eigenvalues=sym_eigs(matrix))
 
 
 def verify_povh_rendl(
@@ -410,7 +394,6 @@ def verify_povh_rendl(
     view: DenseView | None,
     eq_tol: float = EQ_TOL,
     psd_tol: float = PSD_TOL,
-    nn_tol: float = NN_TOL,
 ) -> FeasibilityReport:
     """Check every relaxation constraint on the certificate.
 
@@ -436,7 +419,7 @@ def verify_povh_rendl(
         and col <= eq_tol
         and gang <= eq_tol
         and total <= eq_tol
-        and min_entry >= -nn_tol
+        and min_entry >= -NN_TOL
         and min_eig_closed >= -psd_tol
         and (min_eig_numeric is None or min_eig_numeric >= -psd_tol)
     )
@@ -452,7 +435,7 @@ def verify_povh_rendl(
         min_eig_numeric=min_eig_numeric,
         eq_tol=eq_tol,
         psd_tol=psd_tol,
-        nn_tol=nn_tol,
+        nn_tol=NN_TOL,
         dense_checked=view is not None,
         passed=passed,
     )

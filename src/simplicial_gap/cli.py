@@ -19,7 +19,14 @@ import argparse
 import sys
 
 from .anstreicher_sdp import verify_anstreicher
-from .certificates import assemble, coeffs_general, dense_view, verify_povh_rendl
+from .certificates import (
+    EQ_TOL,
+    PSD_TOL,
+    assemble,
+    coeffs_general,
+    dense_view,
+    verify_povh_rendl,
+)
 from .circulant import identity_suite
 from .instances import (
     DP_MAX_VERTICES,
@@ -27,21 +34,14 @@ from .instances import (
     make_one_extra,
     tsp_optimum,
 )
-from .matrix_core import SizeLimitError
-from .reduced_sdp import (
-    build_reduction,
-    gap_records_to_csv,
-    gap_rows,
-    gap_table,
-    objective_reduced,
-)
+from .reduced_sdp import build_reduction, gap_table, objective_reduced
 from .sdp_numeric import (
     DEFAULT_MAX_ITERS,
     encode_reduced,
     nonmonotonicity_check,
     solve,
 )
-from .serialize import csv_table, fmt_float, json_canonical
+from .serialize import csv_table, fmt_float, json_canonical, record_json
 from .subtour_lp import MAX_LP_VERTICES, solve_subtour
 
 __all__ = ["build_parser", "main"]
@@ -69,19 +69,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _check_cert_config(g: int, n_values: list[int]) -> str | None:
-    if g < 2 or g % 2 != 0:
-        return f"g must be even and >= 2, got {g}"
-    for n in n_values:
-        if n % 2 != 0:
-            return f"n must be even, got {n}"
-        if n % g != 0:
-            return f"g = {g} must divide n = {n}"
-        if n // g < 2:
-            return f"need at least 2 vertices per group, got n/g = {n // g}"
-    return None
-
-
 # certify CSV columns taken as they are from the povh_rendl report
 _CERTIFY_CSV_FIELDS = (
     "g",
@@ -98,37 +85,32 @@ _CERTIFY_CSV_FIELDS = (
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    problem = _check_cert_config(args.g, args.n)
-    if problem:
-        return _usage_error(problem)
+    # every configuration is checked before the first densify
+    certs = [assemble(coeffs_general(n, args.g)) for n in sorted(args.n)]
     rows = []
     reports = []
     all_passed = True
-    try:
-        for n in sorted(args.n):
-            y = assemble(coeffs_general(n, args.g))
-            view = dense_view(y, dense=args.dense or None)
-            feas = verify_povh_rendl(y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd)
-            inst = SimplicialInstance((n // args.g,) * args.g)
-            anst = verify_anstreicher(
-                inst, y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd
-            )
-            all_passed = all_passed and feas.passed and anst.passed
-            povh, trace = feas.to_json_dict(), anst.to_json_dict()
-            spectrum_min = fmt_float(feas.min_eig_closed_form)
-            reports.append(
-                {"povh_rendl": povh, "anstreicher": trace, "spectrum_min": spectrum_min}
-            )
-            rows.append(
-                {
-                    **{key: povh[key] for key in _CERTIFY_CSV_FIELDS},
-                    "anstreicher_passed": trace["passed"],
-                    "min_shifted_eigenvalue": trace["min_shifted_eigenvalue"],
-                    "spectrum_min": spectrum_min,
-                }
-            )
-    except SizeLimitError as exc:
-        return _usage_error(str(exc))
+    for y in certs:
+        view = dense_view(y, args.dense)
+        feas = verify_povh_rendl(y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd)
+        inst = SimplicialInstance((y.per_group,) * y.g)
+        anst = verify_anstreicher(
+            inst, y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd
+        )
+        all_passed = all_passed and feas.passed and anst.passed
+        povh, trace = record_json(feas), record_json(anst)
+        spectrum_min = fmt_float(feas.min_eig_closed_form)
+        reports.append(
+            {"povh_rendl": povh, "anstreicher": trace, "spectrum_min": spectrum_min}
+        )
+        rows.append(
+            {
+                **{key: povh[key] for key in _CERTIFY_CSV_FIELDS},
+                "anstreicher_passed": trace["passed"],
+                "min_shifted_eigenvalue": trace["min_shifted_eigenvalue"],
+                "spectrum_min": spectrum_min,
+            }
+        )
     if args.format == "csv":
         _emit(csv_table(rows), args.out)
     else:
@@ -137,14 +119,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
-    try:
-        records = gap_table(args.z, sorted(args.n))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    rows = [record_json(rec) for rec in gap_table(args.z, sorted(args.n))]
     if args.format == "csv":
-        _emit(gap_records_to_csv(records, with_asymptote=True), args.out)
+        _emit(csv_table(rows), args.out)
     else:
-        _emit(json_canonical(gap_rows(records, with_asymptote=True)), args.out)
+        _emit(json_canonical(rows), args.out)
     return 0
 
 
@@ -195,7 +174,7 @@ def cmd_solve_tiny(args: argparse.Namespace) -> int:
         return _usage_error(f"large-n must be even and >= 6, got {args.large_n}")
     if args.per_group == 1:
         report = nonmonotonicity_check(args.large_n, max_iters=args.max_iters)
-        _emit(json_canonical(report.to_json_dict()), args.out)
+        _emit(json_canonical(record_json(report)), args.out)
         return 0 if report.conclusive and report.non_monotonic else 1
     inst = make_one_extra(2, args.per_group)
     sol = solve(encode_reduced(inst), max_iters=args.max_iters)
@@ -219,14 +198,7 @@ def cmd_solve_tiny(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    if args.g < 2 or args.g % 2 != 0:
-        return _usage_error(f"g must be even and >= 2, got {args.g}")
-    suites = []
-    try:
-        for n in sorted(args.n):
-            suites.append((n, identity_suite(args.g, n)))
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    suites = [(n, identity_suite(args.g, n)) for n in sorted(args.n)]
     keys = sorted(suites[0][1])
     worst = max(abs(value) for _, suite in suites for value in suite.values())
     payload = [
@@ -263,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--g", type=int, required=True)
     p_cert.add_argument("--n", type=_n_list, required=True, help="comma list of n")
     p_cert.add_argument("--dense", action="store_true", help="force the dense oracle")
-    p_cert.add_argument("--tol-eq", type=float, default=1e-9)
-    p_cert.add_argument("--tol-psd", type=float, default=1e-8)
+    p_cert.add_argument("--tol-eq", type=float, default=EQ_TOL)
+    p_cert.add_argument("--tol-psd", type=float, default=PSD_TOL)
     add_common(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 

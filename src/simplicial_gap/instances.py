@@ -70,9 +70,6 @@ class SimplicialInstance:
         lbl = self.group_labels()
         return (lbl[:, None] != lbl[None, :]).astype(float)
 
-    def to_json_dict(self) -> dict:
-        return {"g": self.g, "group_sizes": list(self.group_sizes)}
-
 
 @dataclass(frozen=True)
 class TspValue:

@@ -2,7 +2,7 @@
 
 Small wrappers around numpy that the rest of the package builds on:
 
-* ``kron``        -- Kronecker product with an entry-count guard
+* ``kron``        -- Kronecker product, size-capped like every dense matrix
 * ``trace_inner`` -- trace inner product <a, b> = trace(a @ b) for symmetric a
 * ``vec_stack``   -- column-major vectorization
 * ``sym_eigs``    -- full spectrum of a symmetric matrix, sorted ascending,
@@ -10,9 +10,11 @@ Small wrappers around numpy that the rest of the package builds on:
 
 Matrices are plain ``numpy.ndarray`` objects built symmetrically by
 construction; ``sym_eigs`` enforces exact (tolerance-zero) symmetry at the
-boundary.  Dense work is size-capped: ``DEFAULT_DENSE_CAP`` bounds the side
-length of any matrix we are willing to factor, and the environment variable
-``SIMPLICIAL_GAP_MAX_DENSE`` overrides it.
+boundary.  Dense work is size-capped by one number, ``dense_cap()``: the
+environment variable ``SIMPLICIAL_GAP_MAX_DENSE`` if set, else
+``DEFAULT_DENSE_CAP``.  It bounds the side length of every matrix that
+``kron`` builds, ``CertificateY.densify`` assembles and ``sym_eigs``
+factors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 __all__ = [
     "DEFAULT_DENSE_CAP",
     "DENSE_CAP_ENV_VAR",
-    "KRON_MAX_ENTRIES",
+    "EIG_TOL",
     "ConvergenceError",
     "SizeLimitError",
     "dense_cap",
@@ -37,8 +39,8 @@ __all__ = [
 DEFAULT_DENSE_CAP = 2048
 DENSE_CAP_ENV_VAR = "SIMPLICIAL_GAP_MAX_DENSE"
 
-# kron refuses to allocate results beyond this many entries
-KRON_MAX_ENTRIES = 10_000_000
+# sym_eigs' accuracy contract, relative to the largest entry
+EIG_TOL = 1e-9
 
 
 class SizeLimitError(ValueError):
@@ -58,17 +60,11 @@ class ConvergenceError(RuntimeError):
         self.dim = dim
 
 
-def dense_cap(explicit: int | None = None) -> int:
-    """Resolve the dense-size cap.
+def dense_cap() -> int:
+    """The dense-size cap: SIMPLICIAL_GAP_MAX_DENSE, else DEFAULT_DENSE_CAP.
 
-    Precedence: explicit argument, then SIMPLICIAL_GAP_MAX_DENSE, then
-    DEFAULT_DENSE_CAP.  Raises ValueError on a malformed environment value.
+    Raises ValueError on a malformed or nonpositive environment value.
     """
-    if explicit is not None:
-        cap = int(explicit)
-        if cap <= 0:
-            raise ValueError(f"dense cap must be positive, got {cap}")
-        return cap
     raw = os.environ.get(DENSE_CAP_ENV_VAR)
     if raw is not None:
         try:
@@ -91,16 +87,16 @@ def _as_square(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, guarded against runaway sizes."""
+    """Kronecker product; SizeLimitError if either side exceeds the dense cap."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("kron expects two matrices")
-    entries = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if entries > KRON_MAX_ENTRIES:
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    cap = dense_cap()
+    if max(rows, cols) > cap:
         raise SizeLimitError(
-            f"kron result would hold {entries} entries "
-            f"(cap {KRON_MAX_ENTRIES})"
+            f"kron result {rows} x {cols} exceeds dense cap {cap}"
         )
     return np.kron(a, b)
 
@@ -126,32 +122,22 @@ def vec_stack(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1, order="F").copy()
 
 
-def sym_eigs(
-    m: np.ndarray,
-    tol: float = 1e-9,
-    max_dim: int | None = None,
-    return_vectors: bool = False,
-):
+def sym_eigs(m: np.ndarray) -> np.ndarray:
     """Full spectrum of a symmetric matrix, ascending.
 
     The input must be exactly symmetric (the package builds all its
     matrices symmetrically, so equality is checked with zero tolerance).
     Accuracy contract: every eigenpair satisfies
-    ``max|m v - lambda v| <= tol * max|m|``; violations raise
+    ``max|m v - lambda v| <= EIG_TOL * max|m|``; violations raise
     ConvergenceError.  Dimensions above the dense cap raise SizeLimitError.
-
-    With ``return_vectors=True`` also returns the orthonormal eigenvector
-    matrix (diagnostic use).
     """
     m = _as_square(m, "m")
     dim = m.shape[0]
-    cap = dense_cap(max_dim)
+    cap = dense_cap()
     if dim > cap:
         raise SizeLimitError(f"matrix side {dim} exceeds dense cap {cap}")
     if not np.array_equal(m, m.T):
         raise ValueError("sym_eigs requires an exactly symmetric matrix")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     try:
         vals, vecs = np.linalg.eigh(m)
@@ -163,16 +149,12 @@ def sym_eigs(
     scale = float(np.abs(m).max())
     if scale > 0.0:
         residual = float(np.abs(m @ vecs - vecs * vals).max())
-        if residual > tol * scale:
+        if residual > EIG_TOL * scale:
             raise ConvergenceError(
                 f"eigenpair residual {residual:.3e} exceeds "
-                f"{tol:.1e} * {scale:.3e} at dim {dim}",
+                f"{EIG_TOL:.1e} * {scale:.3e} at dim {dim}",
                 residual,
                 dim,
             )
 
-    order = np.argsort(vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    if return_vectors:
-        return vals, np.ascontiguousarray(vecs[:, order])
-    return vals
+    return np.ascontiguousarray(vals[np.argsort(vals, kind="stable")])

@@ -41,24 +41,18 @@ from .certificates import (
 from .circulant import ring_adjacency
 from .instances import SimplicialInstance, make_one_extra
 from .matrix_core import kron, trace_inner, vec_stack
-from .serialize import csv_table, fmt_float
 
 __all__ = [
-    "CSV_HEADER",
     "GapRecord",
     "Reduction",
     "ReducedObjective",
     "asymptote_value",
     "bound_constants",
     "build_reduction",
-    "gap_records_to_csv",
-    "gap_rows",
     "gap_table",
     "objective_reduced",
     "objective_reduced_dense",
 ]
-
-CSV_HEADER = ["z", "g", "n", "tsp", "kron_term", "diag_term", "sdp_upper", "gap_lower"]
 
 
 @dataclass
@@ -176,11 +170,9 @@ def objective_reduced(y: CertificateY, red: Reduction) -> ReducedObjective:
     return ReducedObjective(kron_term=kron_term, diag_term=diag_term)
 
 
-def objective_reduced_dense(
-    y: CertificateY, red: Reduction, max_dim: int | None = None
-) -> ReducedObjective:
+def objective_reduced_dense(y: CertificateY, red: Reduction) -> ReducedObjective:
     """The same two terms by brute-force dense traces (oracle route)."""
-    y_dense = y.densify(max_dim=max_dim)
+    y_dense = y.densify()
     kron_term = trace_inner(kron(red.d_beta, 0.5 * red.c1_alpha), y_dense)
     diag_term = float(red.cbar @ np.diag(y_dense))
     return ReducedObjective(kron_term=kron_term, diag_term=diag_term)
@@ -210,28 +202,17 @@ def asymptote_value(z: int, n: int) -> float:
 
 @dataclass
 class GapRecord:
-    """One integrality-gap lower-bound row."""
+    """One integrality-gap lower-bound row, in the field order of its CSV."""
 
     z: int
     g: int
     n: int
-    tsp_value: float
+    tsp: float
     kron_term: float
     diag_term: float
-    sdp_upper_bound: float
-    gap_lower_bound: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "z": self.z,
-            "g": self.g,
-            "n": self.n,
-            "tsp": fmt_float(self.tsp_value),
-            "kron_term": fmt_float(self.kron_term),
-            "diag_term": fmt_float(self.diag_term),
-            "sdp_upper": fmt_float(self.sdp_upper_bound),
-            "gap_lower": fmt_float(self.gap_lower_bound),
-        }
+    sdp_upper: float
+    gap_lower: float
+    asymptote: float
 
 
 def gap_table(z: int, n_values: list[int]) -> list[GapRecord]:
@@ -264,26 +245,13 @@ def gap_table(z: int, n_values: list[int]) -> list[GapRecord]:
                 z=z,
                 g=g,
                 n=n,
-                tsp_value=float(g),
+                tsp=float(g),
                 kron_term=obj.kron_term,
                 diag_term=obj.diag_term,
-                sdp_upper_bound=obj.upper_bound,
-                gap_lower_bound=float(g) / obj.upper_bound,
+                sdp_upper=obj.upper_bound,
+                gap_lower=float(g) / obj.upper_bound,
+                asymptote=asymptote_value(z, n),
             )
         )
     return records
 
-
-def gap_rows(records: list[GapRecord], with_asymptote: bool = False) -> list[dict]:
-    """JSON dicts of the records; optionally with the analytic asymptote."""
-    rows = [rec.to_json_dict() for rec in records]
-    if with_asymptote:
-        for row, rec in zip(rows, records):
-            row["asymptote"] = fmt_float(asymptote_value(rec.z, rec.n))
-    return rows
-
-
-def gap_records_to_csv(records: list[GapRecord], with_asymptote: bool = False) -> str:
-    """CSV text of ``gap_rows``: CSV_HEADER, plus the asymptote column if asked."""
-    header = [*CSV_HEADER, "asymptote"] if with_asymptote else CSV_HEADER
-    return csv_table(gap_rows(records, with_asymptote), header)

@@ -28,8 +28,7 @@ import numpy as np
 from .certificates import assemble, coeffs_two_group
 from .instances import SimplicialInstance, make_one_extra
 from .matrix_core import kron
-from .reduced_sdp import Reduction, build_reduction, objective_reduced
-from .serialize import fmt_float, record_json
+from .reduced_sdp import build_reduction, objective_reduced
 
 __all__ = [
     "NonMonotonicityReport",
@@ -44,21 +43,22 @@ __all__ = [
 MAX_SOLVE_DIM = 64
 MAX_ENCODE_N = 6
 
-DEFAULT_EQ_TOL = 1e-6
-DEFAULT_PSD_TOL = 1e-7
-DEFAULT_NN_TOL = 1e-9
+# convergence tolerances on the affine iterate: equality residual, most
+# negative eigenvalue, most negative entry; and on the consensus and dual gaps
+EQ_TOL = 1e-6
+PSD_TOL = 1e-7
+NN_TOL = 1e-9
+CONS_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200_000
 
 
 @dataclass
 class SdpProblem:
-    """min <C, Y> over symmetric Y with <A_i, Y> = b_i and cone memberships."""
+    """min <C, Y> over symmetric Y with <A_i, Y> = b_i, Y PSD and Y >= 0."""
 
     dim: int
     objective: np.ndarray = field(repr=False)
     constraints: list[tuple[np.ndarray, float]] = field(repr=False)
-    psd: bool = True
-    nonneg: bool = True
 
     def __post_init__(self) -> None:
         m = self.dim
@@ -81,17 +81,6 @@ class SdpProblem:
             checked.append((a, float(b)))
         self.constraints = checked
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "objective": self.objective.tolist(),
-            "constraints": [
-                {"matrix": a.tolist(), "rhs": b} for a, b in self.constraints
-            ],
-            "psd": self.psd,
-            "nonneg": self.nonneg,
-        }
-
 
 @dataclass
 class SdpSolution:
@@ -103,17 +92,6 @@ class SdpSolution:
     iterations: int
     converged: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "y_hat": self.y_hat.tolist(),
-            "objective_value": fmt_float(self.objective_value),
-            "max_equality_residual": fmt_float(self.max_equality_residual),
-            "min_eigenvalue": fmt_float(self.min_eigenvalue),
-            "min_entry": fmt_float(self.min_entry),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix: clip the spectrum."""
@@ -124,23 +102,17 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def encode_reduced(
-    inst: SimplicialInstance, red: Reduction | None = None
-) -> SdpProblem:
+def encode_reduced(inst: SimplicialInstance) -> SdpProblem:
     """Encode the reduced relaxation of an (n+1)-vertex instance, n <= 6.
 
-    Variables are the n^2 x n^2 matrix Y; constraints are the n per-position
-    and n per-vertex assignment sums, the forbidden-pattern sum and the total
-    sum, 2n + 2 in all.  The objective matrix is D[beta] (x) (1/2)C1[alpha]
-    plus the fixing's linear costs on the diagonal.
+    The fixing is the canonical one, r = s = 1.  Variables are the n^2 x n^2
+    matrix Y; constraints are the n per-position and n per-vertex assignment
+    sums, the forbidden-pattern sum and the total sum, 2n + 2 in all.  The
+    objective matrix is D[beta] (x) (1/2)C1[alpha] plus the fixing's linear
+    costs on the diagonal.  Built through ``kron``, so the dense cap applies.
     """
-    if red is None:
-        red = build_reduction(inst)
+    red = build_reduction(inst)
     n = red.n
-    if inst.n_total != n + 1:
-        raise ValueError(
-            f"instance has {inst.n_total} vertices but reduction expects {n + 1}"
-        )
     if n > MAX_ENCODE_N:
         raise ValueError(f"encoding capped at n = {MAX_ENCODE_N}, got {n}")
     m = n * n
@@ -173,13 +145,7 @@ def _affine_data(p: SdpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     return amat, b, amat.T @ gram_pinv
 
 
-def solve(
-    p: SdpProblem,
-    eq_tol: float = DEFAULT_EQ_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-    nn_tol: float = DEFAULT_NN_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> SdpSolution:
+def solve(p: SdpProblem, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Run consensus ADMM until the affine iterate satisfies all tolerances.
 
     The reported matrix is the affine copy, so equality residuals are at
@@ -189,8 +155,6 @@ def solve(
     """
     if p.dim > MAX_SOLVE_DIM:
         raise ValueError(f"solver capped at dim {MAX_SOLVE_DIM}, got {p.dim}")
-    if min(eq_tol, psd_tol, nn_tol) <= 0:
-        raise ValueError("tolerances must be positive")
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
 
@@ -212,20 +176,19 @@ def solve(
     c_flat = p.objective.reshape(-1)
     rho = 1.0
     y = proj_affine(np.zeros(m * m))
-    z1 = project_psd(y.reshape(m, m)).reshape(-1) if p.psd else y.copy()
-    z2 = np.maximum(y, 0.0) if p.nonneg else y.copy()
+    z1 = project_psd(y.reshape(m, m)).reshape(-1)
+    z2 = np.maximum(y, 0.0)
     u1 = np.zeros(m * m)
     u2 = np.zeros(m * m)
 
     check_every = 25
-    cons_tol = max(1e-7, 0.1 * psd_tol)
     it = 0
     converged = False
     for it in range(1, max_iters + 1):
         w = 0.5 * (z1 - u1 + z2 - u2) - c_flat / (2.0 * rho)
         y = proj_affine(w)
-        z1_new = project_psd((y + u1).reshape(m, m)).reshape(-1) if p.psd else y + u1
-        z2_new = np.maximum(y + u2, 0.0) if p.nonneg else y + u2
+        z1_new = project_psd((y + u1).reshape(m, m)).reshape(-1)
+        z2_new = np.maximum(y + u2, 0.0)
         u1 += y - z1_new
         u2 += y - z2_new
         dual_move = rho * max(
@@ -235,14 +198,12 @@ def solve(
 
         if it % check_every == 0 or it == max_iters:
             cons = max(float(np.abs(y - z1).max()), float(np.abs(y - z2).max()))
-            if cons <= cons_tol and dual_move <= cons_tol:
+            if cons <= CONS_TOL and dual_move <= CONS_TOL:
                 ymat = 0.5 * (y.reshape(m, m) + y.reshape(m, m).T)
-                min_eig = float(np.linalg.eigvalsh(ymat)[0]) if p.psd else 0.0
-                min_entry = float(ymat.min()) if p.nonneg else 0.0
                 if (
-                    eq_residual(y) <= eq_tol
-                    and min_eig >= -psd_tol
-                    and min_entry >= -nn_tol
+                    eq_residual(y) <= EQ_TOL
+                    and float(np.linalg.eigvalsh(ymat)[0]) >= -PSD_TOL
+                    and float(ymat.min()) >= -NN_TOL
                 ):
                     converged = True
                     break
@@ -282,9 +243,6 @@ class NonMonotonicityReport:
     difference: float
     conclusive: bool
     non_monotonic: bool
-
-    def to_json_dict(self) -> dict:
-        return record_json(self)
 
 
 def nonmonotonicity_check(

@@ -66,9 +66,8 @@ def csv_lines(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def csv_table(records: list[dict], header: list[str] | None = None) -> str:
-    """CSV of rendered JSON dicts; the header defaults to the first's keys."""
-    if header is None:
-        header = list(records[0])
+def csv_table(records: list[dict]) -> str:
+    """CSV of rendered JSON dicts under the first dict's keys, in its order."""
+    header = list(records[0])
     rows = [[csv_cell(rec[key]) for key in header] for rec in records]
     return csv_lines(header, rows)

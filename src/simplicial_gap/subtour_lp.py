@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instances import SimplicialInstance
-from .serialize import fmt_float
 
 __all__ = [
     "LpEdgeSolution",
@@ -198,7 +197,6 @@ def simplex_solve(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    max_pivots: int = MAX_PIVOTS,
     basis=None,
 ) -> tuple[np.ndarray, float, str, list[int] | None]:
     """Dense simplex for min c.x s.t. a x = b, x >= 0, b >= 0.
@@ -208,7 +206,7 @@ def simplex_solve(
     runs dual, then primal pivots from it; a basis that is dual feasible
     and off only in some rows' signs needs no phase 1.  Returns (x,
     objective, status, basis), status "optimal" or "iteration-limit" when
-    ``max_pivots`` ran out in either phase, and the final basis, or None
+    ``MAX_PIVOTS`` ran out in either phase, and the final basis, or None
     when it still holds artificial columns or the rows were redundant.  An
     infeasible or unbounded system raises, as the callers only build
     feasible, bounded ones.
@@ -229,7 +227,7 @@ def simplex_solve(
             raise ValueError(f"need one basic column per row, got {basis.shape}")
         # refactor by Gauss-Jordan pivots, each on the largest entry among
         # the rows no earlier basic column took
-        t = _Tableau(np.hstack([a, rhs]), np.full(m, -1), max_pivots)
+        t = _Tableau(np.hstack([a, rhs]), np.full(m, -1), MAX_PIVOTS)
         for j in basis:
             col = np.where(t.basis < 0, np.abs(t.tab[:, j]), 0.0)
             r = int(col.argmax())
@@ -238,7 +236,7 @@ def simplex_solve(
             t.pivot(r, j)
     else:
         # phase 1: drive out the artificial basis
-        t = _Tableau(np.hstack([a, np.eye(m), rhs]), np.arange(k, k + m), max_pivots)
+        t = _Tableau(np.hstack([a, np.eye(m), rhs]), np.arange(k, k + m), MAX_PIVOTS)
         t.price(np.r_[np.zeros(k), np.ones(m)])
         if not t.optimize():
             x = t.point(k)
@@ -328,18 +326,6 @@ class LpEdgeSolution:
 
     def weight_matrix(self) -> np.ndarray:
         return _weights(self.n, self.x)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "edges": [
-                [u, v, fmt_float(self.x[e])]
-                for e, (u, v) in enumerate(edge_list(self.n))
-            ],
-            "objective": fmt_float(self.objective),
-            "cuts_added": self.cuts_added,
-            "status": self.status,
-        }
 
 
 def _violated_cuts(n: int, x: np.ndarray) -> list[frozenset[int]]:

@@ -147,7 +147,7 @@ def test_criterion_05_reduced_gap_thresholds():
     all_ok = True
     finals = {}
     for z, (ns, threshold) in grids.items():
-        gaps = [rec.gap_lower_bound for rec in gap_table(z, ns)]
+        gaps = [rec.gap_lower for rec in gap_table(z, ns)]
         all_ok &= all(b >= a for a, b in zip(gaps, gaps[1:]))
         all_ok &= gaps[-1] > threshold
         finals[z] = gaps[-1]
@@ -188,7 +188,7 @@ def test_criterion_07_anstreicher_agreement():
     for n in (8, 16, 24):
         inst = make_equal(2, n // 2)
         y = assemble(coeffs_two_group(n))
-        rep = verify_anstreicher(inst, y, dense_view(y, dense=True))
+        rep = verify_anstreicher(inst, y, dense_view(y, force=True))
         all_ok &= rep.passed
         ref = objective_povh_rendl(inst, y)
         worst = max(worst, abs(rep.objective_closed_form - ref))

@@ -15,6 +15,8 @@ from simplicial_gap.certificates import (
     objective_povh_rendl,
 )
 from simplicial_gap.instances import make_equal
+from simplicial_gap.matrix_core import DENSE_CAP_ENV_VAR
+from simplicial_gap.serialize import record_json
 
 
 def test_row_column_map_layout():
@@ -40,7 +42,7 @@ def test_gram_of_map_is_pair_pattern(n):
 def test_structured_verification_passes(g, n):
     inst = make_equal(g, n // g)
     y = assemble(coeffs_general(n, g))
-    rep = verify_anstreicher(inst, y, dense_view(y, dense=False))
+    rep = verify_anstreicher(inst, y, None)
     assert rep.passed
     assert not rep.dense_checked
     assert rep.residual_block_sum <= 1e-15
@@ -55,7 +57,7 @@ def test_structured_verification_passes(g, n):
 def test_dense_verification_and_objective_agreement():
     inst = make_equal(2, 8)
     y = assemble(coeffs_general(16, 2))
-    rep = verify_anstreicher(inst, y, dense_view(y, dense=True))
+    rep = verify_anstreicher(inst, y, dense_view(y, force=True))
     assert rep.passed and rep.dense_checked
     assert rep.residual_block_sum <= 1e-9
     assert rep.residual_trace_pattern <= 1e-9
@@ -65,11 +67,13 @@ def test_dense_verification_and_objective_agreement():
     assert rep.objective_dense == pytest.approx(rep.objective_closed_form, abs=1e-12)
 
 
-def test_auto_mode_follows_cap():
+def test_auto_mode_follows_cap(monkeypatch):
+    monkeypatch.delenv(DENSE_CAP_ENV_VAR, raising=False)
     inst = make_equal(2, 4)
     y = assemble(coeffs_general(8, 2))
     assert verify_anstreicher(inst, y, dense_view(y)).dense_checked
-    rep = verify_anstreicher(inst, y, dense_view(y, max_dim=32))
+    monkeypatch.setenv(DENSE_CAP_ENV_VAR, "32")
+    rep = verify_anstreicher(inst, y, dense_view(y))
     assert not rep.dense_checked
     assert rep.objective_dense is None
 
@@ -89,7 +93,7 @@ def test_perturbed_certificate_fails_shifted_psd():
     c = coeffs_general(8, 2)
     c.a[0] -= 0.6
     y = assemble(c)
-    rep = verify_anstreicher(inst, y, dense_view(y, dense=True))
+    rep = verify_anstreicher(inst, y, dense_view(y, force=True))
     assert not rep.passed
     assert rep.min_shifted_eigenvalue < -1e-8
     assert rep.min_shifted_numeric < -1e-8
@@ -108,7 +112,7 @@ def test_report_serializes():
     inst = make_equal(2, 4)
     y = assemble(coeffs_general(8, 2))
     rep = verify_anstreicher(inst, y, dense_view(y))
-    d = rep.to_json_dict()
+    d = record_json(rep)
     assert d["passed"] is True
     assert d["n"] == 8 and d["g"] == 2
     assert isinstance(d["objective_closed_form"], str)
@@ -160,7 +164,7 @@ def test_swapped_spectrum_on_perturbed_coefficients(name):
 def test_row_sum_spread_fails_the_report():
     inst = make_equal(2, 4)
     y = assemble(coeffs_general(8, 2))
-    view = dense_view(y, dense=True)
+    view = dense_view(y, force=True)
     assert verify_anstreicher(inst, y, view).passed
     # entry (u=0, s=0; v=4, t=1): off the block diagonal and off the trace
     # pattern, so only the row sums of rows 0 and 33 move

@@ -16,7 +16,8 @@ from simplicial_gap.certificates import (
     verify_povh_rendl,
 )
 from simplicial_gap.instances import make_equal
-from simplicial_gap.matrix_core import SizeLimitError
+from simplicial_gap.matrix_core import DENSE_CAP_ENV_VAR, SizeLimitError
+from simplicial_gap.serialize import record_json
 
 # oracle values computed independently at 40-digit precision and frozen
 TWO_GROUP_8_A = (
@@ -95,17 +96,26 @@ def test_densify_block_structure():
     assert y.block_kind(3, 4) == "across"
 
 
-def test_densify_respects_cap():
+def test_densify_respects_cap(monkeypatch):
+    monkeypatch.setenv(DENSE_CAP_ENV_VAR, "1024")
     y = assemble(coeffs_two_group(64))
     with pytest.raises(SizeLimitError):
-        y.densify(max_dim=1024)
+        y.densify()
+
+
+def test_densify_follows_a_raised_cap(monkeypatch):
+    # one cap bounds densify and the kron products inside it alike
+    monkeypatch.setenv(DENSE_CAP_ENV_VAR, "4096")
+    yd = assemble(coeffs_two_group(60)).densify()
+    assert yd.shape == (3600, 3600)
+    assert np.all(np.diag(yd) == 1.0 / 60)
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16)])
 def test_verify_passes_dense_and_structured(g, n):
     y = assemble(coeffs_general(n, g))
-    dense = verify_povh_rendl(y, dense_view(y, dense=True))
-    structured = verify_povh_rendl(y, dense_view(y, dense=False))
+    dense = verify_povh_rendl(y, dense_view(y, force=True))
+    structured = verify_povh_rendl(y, None)
     for rep in (dense, structured):
         assert rep.passed
         assert rep.residual_row_assign <= 1e-9
@@ -121,25 +131,27 @@ def test_verify_passes_dense_and_structured(g, n):
 
 def test_verify_structured_scales_far_past_dense_cap():
     y = assemble(coeffs_two_group(512))
-    rep = verify_povh_rendl(y, dense_view(y, dense=False))
+    rep = verify_povh_rendl(y, None)
     assert rep.passed
     assert rep.min_eig_closed_form >= -1e-12
 
 
-def test_verify_auto_mode_follows_cap():
+def test_verify_auto_mode_follows_cap(monkeypatch):
+    monkeypatch.delenv(DENSE_CAP_ENV_VAR, raising=False)
     y = assemble(coeffs_two_group(8))
     assert verify_povh_rendl(y, dense_view(y)).dense_checked  # 64 <= default cap
-    assert not verify_povh_rendl(y, dense_view(y, max_dim=32)).dense_checked
+    monkeypatch.setenv(DENSE_CAP_ENV_VAR, "32")
+    assert not verify_povh_rendl(y, dense_view(y)).dense_checked
 
 
 def test_perturbed_total_sum_is_caught():
     c = coeffs_two_group(8)
     c.b[1] += 0.1  # 32 across-group cells gain 0.1 each
     y = assemble(c)
-    rep = verify_povh_rendl(y, dense_view(y, dense=False))
+    rep = verify_povh_rendl(y, None)
     assert not rep.passed
     assert rep.residual_total_sum == pytest.approx(3.2, abs=1e-12)
-    dense_rep = verify_povh_rendl(y, dense_view(y, dense=True))
+    dense_rep = verify_povh_rendl(y, dense_view(y, force=True))
     assert dense_rep.residual_total_sum == pytest.approx(3.2, abs=1e-9)
 
 
@@ -147,7 +159,7 @@ def test_negative_coefficient_is_caught():
     c = coeffs_two_group(8)
     c.a[0] -= 0.6  # drives the within-group entries below zero
     y = assemble(c)
-    rep = verify_povh_rendl(y, dense_view(y, dense=True))
+    rep = verify_povh_rendl(y, dense_view(y, force=True))
     assert not rep.passed
     assert rep.min_entry < -1e-9
 
@@ -155,7 +167,7 @@ def test_negative_coefficient_is_caught():
 def test_report_serializes():
     y = assemble(coeffs_two_group(8))
     rep = verify_povh_rendl(y, dense_view(y))
-    d = rep.to_json_dict()
+    d = record_json(rep)
     assert d["passed"] is True
     assert d["n"] == 8
     assert isinstance(d["min_eig_closed_form"], str)

@@ -89,6 +89,22 @@ def test_certify_dense_flag_past_cap(capsys):
     assert "error:" in err
 
 
+def test_certify_checks_every_n_before_densifying(capsys, monkeypatch):
+    calls = []
+    real = CertificateY.densify
+
+    def recording(self):
+        calls.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(CertificateY, "densify", recording)
+    code, out, err = run(capsys, ["certify", "--g", "2", "--n", "44,45", "--dense"])
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
+    assert calls == []
+
+
 def test_certify_strict_psd_tolerance_exits_one(capsys):
     # the closed-form minimum eigenvalue is a tiny negative rounding residue
     code, out, _ = run(capsys, ["certify", "--g", "2", "--n", "8", "--tol-psd", "1e-30"])
@@ -187,6 +203,15 @@ def test_solve_tiny_five_vertex_within_bound(capsys):
     report = json.loads(out)
     assert report["within_bound"] is True
     assert report["certificate_bound"] == "2.5"
+
+
+def test_solve_tiny_encoding_obeys_the_dense_cap(capsys, monkeypatch):
+    # the 7-vertex encoding builds 36 x 36 matrices
+    monkeypatch.setenv("SIMPLICIAL_GAP_MAX_DENSE", "16")
+    code, out, err = run(capsys, ["solve-tiny", "--per-group", "3"])
+    assert code == 2
+    assert "error:" in err and "36" in err
+    assert out == ""
 
 
 def test_solve_tiny_usage_errors(capsys):

@@ -194,8 +194,3 @@ def test_tsp_value_method_tag():
     with pytest.raises(ValueError):
         tsp_optimum(inst, method="guess")
 
-
-def test_instance_json_dict():
-    inst = make_one_extra(4, 2)
-    payload = inst.to_json_dict()
-    assert payload == {"g": 4, "group_sizes": [3, 2, 2, 2]}

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from simplicial_gap.certificates import assemble, coeffs_general, objective_povh_rendl
 from simplicial_gap.instances import SimplicialInstance, make_equal, make_one_extra
 from simplicial_gap.reduced_sdp import (
-    CSV_HEADER,
     asymptote_value,
     bound_constants,
     build_reduction,
-    gap_records_to_csv,
     gap_table,
     objective_reduced,
     objective_reduced_dense,
 )
+from simplicial_gap.serialize import csv_table, record_json
 
 PI2 = np.pi * np.pi
 
@@ -135,22 +134,22 @@ def test_gap_table_frozen_records():
     for z, records in tables.items():
         for rec in records:
             kron, gap = GAP_ORACLE[(z, rec.n)]
-            assert rec.gap_lower_bound == pytest.approx(gap, rel=1e-12)
+            assert rec.gap_lower == pytest.approx(gap, rel=1e-12)
             if kron is not None:
                 assert rec.kron_term == pytest.approx(kron, rel=1e-12)
-            assert rec.tsp_value == 2.0 * z
+            assert rec.tsp == 2.0 * z
             assert rec.g == 2 * z
-            assert rec.sdp_upper_bound == pytest.approx(
+            assert rec.sdp_upper == pytest.approx(
                 rec.kron_term + rec.diag_term, abs=1e-15
             )
-            assert rec.gap_lower_bound == pytest.approx(
-                rec.tsp_value / rec.sdp_upper_bound, rel=1e-15
+            assert rec.gap_lower == pytest.approx(
+                rec.tsp / rec.sdp_upper, rel=1e-15
             )
             seen += 1
     assert seen == len(GAP_ORACLE)
     t1 = tables[1][0]
     assert t1.diag_term == pytest.approx(1.0, abs=1e-12)
-    assert t1.sdp_upper_bound == pytest.approx(2.0251262658470837, rel=1e-12)
+    assert t1.sdp_upper == pytest.approx(2.0251262658470837, rel=1e-12)
 
 
 def test_gap_table_sorted_and_validated():
@@ -193,7 +192,7 @@ def test_gap_dominates_asymptote_and_grows(z):
     g = 2 * z
     n_values = [g * m for m in (2, 4, 8, 16, 24)]
     recs = gap_table(z, n_values)
-    gaps = [r.gap_lower_bound for r in recs]
+    gaps = [r.gap_lower for r in recs]
     for rec, gap in zip(recs, gaps):
         assert gap >= asymptote_value(z, rec.n) - 1e-12
     assert all(b >= a for a, b in zip(gaps, gaps[1:]))
@@ -201,22 +200,22 @@ def test_gap_dominates_asymptote_and_grows(z):
 
 def test_csv_round_trip():
     recs = gap_table(1, [8, 16])
-    text = gap_records_to_csv(recs)
+    text = csv_table([record_json(rec) for rec in recs])
     lines = text.strip().split("\n")
-    assert lines[0] == ",".join(CSV_HEADER)
+    assert lines[0] == "z,g,n,tsp,kron_term,diag_term,sdp_upper,gap_lower,asymptote"
     assert len(lines) == 3
     row = lines[1].split(",")
     assert row[0] == "1" and row[1] == "2" and row[2] == "8"
-    assert float(row[7]) == recs[0].gap_lower_bound  # 17 digits survive
-    aug = gap_records_to_csv(recs, with_asymptote=True)
-    assert aug.split("\n")[0].endswith(",asymptote")
-    val = float(aug.strip().split("\n")[1].split(",")[-1])
-    assert val == pytest.approx(asymptote_value(1, 8), rel=1e-15)
+    assert float(row[7]) == recs[0].gap_lower  # 17 digits survive
+    assert float(row[8]) == pytest.approx(asymptote_value(1, 8), rel=1e-15)
 
 
 def test_record_json_fields():
     rec = gap_table(1, [8])[0]
-    d = rec.to_json_dict()
-    assert set(d) == {"z", "g", "n", "tsp", "kron_term", "diag_term", "sdp_upper", "gap_lower"}
+    d = record_json(rec)
+    assert set(d) == {
+        "z", "g", "n", "tsp", "kron_term", "diag_term", "sdp_upper", "gap_lower",
+        "asymptote",
+    }
     assert d["n"] == 8
-    assert float(d["gap_lower"]) == rec.gap_lower_bound
+    assert float(d["gap_lower"]) == rec.gap_lower

@@ -12,6 +12,7 @@ from simplicial_gap.sdp_numeric import (
     project_psd,
     solve,
 )
+from simplicial_gap.serialize import record_json
 
 TINY_BOUND_16 = 1.5709035061653493
 
@@ -43,11 +44,8 @@ def test_solve_input_caps():
     big = SdpProblem(dim=65, objective=np.eye(65), constraints=[])
     with pytest.raises(ValueError):
         solve(big)
-    p = sanity_problem(3)
     with pytest.raises(ValueError):
-        solve(p, eq_tol=0.0)
-    with pytest.raises(ValueError):
-        solve(p, max_iters=0)
+        solve(sanity_problem(3), max_iters=0)
 
 
 def test_project_psd_idempotent_and_feasible():
@@ -104,7 +102,7 @@ def test_encode_objective_agrees_with_certificate_route():
     # same number evaluated through the dense encoding and the closed form
     inst = make_one_extra(2, 2)
     red = build_reduction(inst)
-    p = encode_reduced(inst, red)
+    p = encode_reduced(inst)
     y = assemble(coeffs_general(4, 2))
     obj = objective_reduced(y, red)
     assert trace_inner(p.objective, y.densify()) == pytest.approx(
@@ -144,14 +142,7 @@ def test_nonmonotonicity_check_frozen():
     assert rep.difference == pytest.approx(2.0 - TINY_BOUND_16, abs=1e-3)
     assert rep.difference >= 0.3
     assert rep.non_monotonic and rep.conclusive
-    d = rep.to_json_dict()
+    d = record_json(rep)
     assert d["non_monotonic"] is True
     assert isinstance(d["certificate_bound"], str)
 
-
-def test_problem_serializes():
-    p = sanity_problem(2)
-    d = p.to_json_dict()
-    assert d["dim"] == 2
-    assert d["objective"] == [[1.0, 0.0], [0.0, 1.0]]
-    assert d["constraints"][0]["rhs"] == 2.0

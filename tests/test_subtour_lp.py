@@ -48,12 +48,14 @@ def test_simplex_rejects_bad_systems():
         simplex_solve(np.array([[1.0]]), np.array([-1.0]), np.array([1.0]))
 
 
-def test_simplex_budget_exhaustion_is_iteration_limit():
+def test_simplex_budget_exhaustion_is_iteration_limit(monkeypatch):
     # feasible, but phase 1 needs two pivots to clear both artificials
     a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     b = np.array([1.0, 1.0])
     c = np.array([1.0, 1.0, 1.0])
-    _, _, status, basis = simplex_solve(a, b, c, max_pivots=1)
+    with monkeypatch.context() as m:
+        m.setattr(subtour_lp, "MAX_PIVOTS", 1)
+        _, _, status, basis = simplex_solve(a, b, c)
     assert status == "iteration-limit"
     assert basis is None
     _, obj, status, _ = simplex_solve(a, b, c)
@@ -247,12 +249,7 @@ def test_bland_rule_alone_also_solves(monkeypatch, g, p):
 
 
 def test_subtour_passes_iteration_limit_through(monkeypatch):
-    real = subtour_lp.simplex_solve
-
-    def one_pivot(a, b, c, max_pivots=None, basis=None):
-        return real(a, b, c, max_pivots=1, basis=basis)
-
-    monkeypatch.setattr(subtour_lp, "simplex_solve", one_pivot)
+    monkeypatch.setattr(subtour_lp, "MAX_PIVOTS", 1)
     sol = solve_subtour(make_equal(2, 3))
     assert sol.status == "iteration-limit"
 
@@ -262,9 +259,9 @@ def test_disconnected_support_gets_one_cut_per_component(monkeypatch):
     real = subtour_lp.simplex_solve
     rows = []
 
-    def recording(a, b, c, max_pivots=subtour_lp.MAX_PIVOTS, basis=None):
+    def recording(a, b, c, basis=None):
         rows.append(a.shape[0])
-        return real(a, b, c, max_pivots=max_pivots, basis=basis)
+        return real(a, b, c, basis=basis)
 
     monkeypatch.setattr(subtour_lp, "simplex_solve", recording)
     sol = solve_subtour(SimplicialInstance((3, 3, 3)))
@@ -285,13 +282,3 @@ def test_size_caps():
     with pytest.raises(ValueError):
         solve_subtour(SimplicialInstance((1, 1)))
 
-
-def test_solution_serializes():
-    sol = solve_subtour(make_equal(2, 2))
-    d = sol.to_json_dict()
-    assert d["status"] == "optimal"
-    assert d["n"] == 4
-    assert len(d["edges"]) == 6
-    u, v, val = d["edges"][0]
-    assert (u, v) == (0, 1)
-    assert isinstance(val, str)
