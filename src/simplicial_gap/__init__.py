@@ -30,7 +30,6 @@ from .certificates import (
 from .circulant import SymmetricCirculant, cosine_profile, identity_suite
 from .instances import (
     SimplicialInstance,
-    TspValue,
     held_karp_cycle,
     is_metric,
     make_equal,
@@ -46,6 +45,7 @@ from .reduced_sdp import (
     build_reduction,
     gap_table,
     objective_reduced,
+    one_extra_bound,
 )
 from .sdp_numeric import (
     NonMonotonicityReport,
@@ -75,7 +75,6 @@ __all__ = [
     "SimplicialInstance",
     "SizeLimitError",
     "SymmetricCirculant",
-    "TspValue",
     "assemble",
     "asymptote_value",
     "bound_constants",
@@ -99,6 +98,7 @@ __all__ = [
     "objective_dense_trace",
     "objective_povh_rendl",
     "objective_reduced",
+    "one_extra_bound",
     "profile_identity_residuals",
     "shifted_spectrum",
     "solve_sdp",

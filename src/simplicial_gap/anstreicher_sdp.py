@@ -36,11 +36,10 @@ from .certificates import (
     CertificateY,
     CertSpectrum,
     DenseView,
-    closed_form_spectrum,
     objective_dense_trace,
     objective_povh_rendl,
 )
-from .instances import SimplicialInstance
+from .instances import make_equal
 from .matrix_core import kron, trace_inner
 
 __all__ = [
@@ -61,14 +60,13 @@ def row_column_map(n: int) -> np.ndarray:
     return np.vstack([kron(ones_row, eye), kron(eye, ones_row)])
 
 
-def shifted_spectrum(coeffs) -> CertSpectrum:
-    """Closed-form eigenvalues of Y - J/n^2 (unit scale, not the 2nY scale).
+def shifted_spectrum(base: CertSpectrum) -> CertSpectrum:
+    """Closed-form eigenvalues of Y - J/n^2 (unit scale) from those of 2nY.
 
     The shift removes exactly the all-ones eigendirection: the k = 0 entry
     of the coupled family drops from 1 to 0 and every other eigenvalue just
     rescales by 1/2n.
     """
-    base = closed_form_spectrum(coeffs)
     scale = 1.0 / (2.0 * base.n)
     coupled = base.coupled * scale
     coupled[0] = 0.0
@@ -143,7 +141,6 @@ def _dense_residuals(y_dense: np.ndarray, n: int) -> tuple[float, float, float]:
 
 
 def verify_anstreicher(
-    inst: SimplicialInstance,
     y: CertificateY,
     view: DenseView | None,
     eq_tol: float = EQ_TOL,
@@ -157,12 +154,12 @@ def verify_anstreicher(
     view's eigenvalues (failing the report if the row-sum spread exceeds
     eq_tol), and the objective by brute-force trace, so that equality of
     the two relaxations' bound values is checked on actual matrices, not
-    just by construction.
+    just by construction.  The dense objective runs on the certificate's
+    own equal layout.
     """
     n = y.n
-    spectrum = shifted_spectrum(y.coeffs)
-    min_shifted = spectrum.min_value()
-    objective_closed = objective_povh_rendl(inst, y)
+    min_shifted = shifted_spectrum(y.spectrum).min_value()
+    objective_closed = objective_povh_rendl(y)
 
     if view is None:
         block_sum, trace_pattern, residual_f = _structured_residuals(y)
@@ -173,7 +170,9 @@ def verify_anstreicher(
         block_sum, trace_pattern, residual_f = _dense_residuals(view.matrix, n)
         shifted, row_sum_spread = dense_shifted_spectrum(view)
         min_numeric = float(shifted[0])
-        objective_dense = objective_dense_trace(inst, view.matrix)
+        objective_dense = objective_dense_trace(
+            make_equal(y.g, y.per_group), view.matrix
+        )
 
     passed = (
         block_sum <= eq_tol

@@ -35,6 +35,7 @@ Only even g is supported here; odd group counts never carry certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -184,12 +185,15 @@ class CertificateY:
         b = SymmetricCirculant(self.n, self.coeffs.b).densify()
         return a, b
 
-    def block_kind(self, u: int, v: int) -> str:
-        """Minor block type at vertex pair (u, v): identity|within|across."""
-        p = self.per_group
-        if u == v:
-            return "identity"
-        return "within" if u // p == v // p else "across"
+    @cached_property
+    def spectrum(self) -> CertSpectrum:
+        """The closed-form spectrum of 2nY, computed on first use only.
+
+        Cached on the premise that the coefficients are final once
+        ``assemble`` wraps them: code that edits ``coeffs.a`` or ``coeffs.b``
+        does so before it assembles.
+        """
+        return closed_form_spectrum(self.coeffs)
 
     def densify(self) -> np.ndarray:
         """Full n^2 x n^2 matrix; SizeLimitError beyond the dense cap."""
@@ -234,9 +238,6 @@ class CertSpectrum:
             (self.middle, self.g - 1),
             (self.plain, self.n - self.g),
         )
-
-    def total_multiplicity(self) -> int:
-        return sum(len(values) * mult for values, mult in self.families())
 
     def multiset(self) -> np.ndarray:
         """All n^2 eigenvalues of 2nY expanded by multiplicity, sorted."""
@@ -404,8 +405,7 @@ def verify_povh_rendl(
     yield a failing report, never an exception.
     """
     n = y.n
-    spectrum = closed_form_spectrum(y.coeffs)
-    min_eig_closed = spectrum.min_value() / (2.0 * n)
+    min_eig_closed = y.spectrum.min_value() / (2.0 * n)
 
     if view is None:
         row, col, gang, total, min_entry = _structured_residuals(y)
@@ -441,18 +441,14 @@ def verify_povh_rendl(
     )
 
 
-def objective_povh_rendl(inst: SimplicialInstance, y: CertificateY) -> float:
+def objective_povh_rendl(y: CertificateY) -> float:
     """Relaxation objective (1/2) <D (x) C1, Y> of the certificate.
 
-    Requires the instance to be the matching equal layout.  Closed form:
-    ((g-1)/g) n^2 b_1 / 2, which specializes to d^2 b_1 at g = 2.
+    D is the cost matrix of the certificate's own equal layout (g groups of
+    n/g).  Closed form: ((g-1)/g) n^2 b_1 / 2, which specializes to d^2 b_1
+    at g = 2.
     """
     n, g = y.n, y.g
-    if inst.group_sizes != (y.per_group,) * g:
-        raise ValueError(
-            f"instance layout {inst.group_sizes} does not match certificate "
-            f"(g={g}, per_group={y.per_group})"
-        )
     return 0.5 * ((g - 1.0) / g) * n * n * float(y.coeffs.b[0])
 
 

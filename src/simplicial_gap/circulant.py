@@ -75,10 +75,6 @@ class SymmetricCirculant:
         offsets = (np.arange(self.m)[None, :] - np.arange(self.m)[:, None]) % self.m
         return row[offsets]
 
-    def row_sum(self) -> float:
-        """Common row sum, 2 * sum(coeffs)."""
-        return 2.0 * float(self.coeffs.sum())
-
 
 def basis(m: int, i: int) -> SymmetricCirculant:
     """The i-th basis circulant of dimension m (i = 1..m/2)."""
@@ -165,9 +161,9 @@ def identity_suite(g: int, n: int) -> dict[str, float]:
     * parity_weight_count       -- sum over j with j-k odd of (g-j) vs
                                    (g(g-1) + g(-1)^k)/4, k = 0..n-1
 
-    Each identity is evaluated on its whole grid as one array expression;
-    the largest array, for the product sum, holds (g-1)(n-1)n/2 doubles
-    (36 MB at g = 10, n = 1000).
+    Each identity is evaluated on its whole grid as array expressions, the
+    product sum one j row at a time; the largest arrays, the cosine table
+    and one row's products, hold about n^2/2 doubles (4 MB at n = 1000).
     """
     if g < 2 or g % 2 != 0:
         raise ValueError(f"g must be even and >= 2, got {g}")
@@ -206,7 +202,9 @@ def identity_suite(g: int, n: int) -> dict[str, float]:
     out["cosine_weight_telescope"] = float(np.abs(lhs - rhs).max())
 
     kk = k[1:n]
-    direct = (cos_ik[j][:, None, :] * cos_ik[kk][None, :, :]).sum(axis=2)
+    # one j row at a time: the full (g-1) x (n-1) x n/2 product would not fit
+    # in memory at the CLI's larger g and n
+    direct = np.stack([(cos_ik[jj] * cos_ik[kk]).sum(axis=1) for jj in j])
     closed = 0.5 * (
         block_closed(j[:, None] - kk[None, :]) + block_closed(j[:, None] + kk[None, :])
     )

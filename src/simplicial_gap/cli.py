@@ -34,7 +34,7 @@ from .instances import (
     make_one_extra,
     tsp_optimum,
 )
-from .reduced_sdp import build_reduction, gap_table, objective_reduced
+from .reduced_sdp import gap_table, one_extra_bound
 from .sdp_numeric import (
     DEFAULT_MAX_ITERS,
     encode_reduced,
@@ -42,7 +42,7 @@ from .sdp_numeric import (
     solve,
 )
 from .serialize import csv_table, fmt_float, json_canonical, record_json
-from .subtour_lp import MAX_LP_VERTICES, solve_subtour
+from .subtour_lp import solve_subtour
 
 __all__ = ["build_parser", "main"]
 
@@ -93,10 +93,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     for y in certs:
         view = dense_view(y, args.dense)
         feas = verify_povh_rendl(y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd)
-        inst = SimplicialInstance((y.per_group,) * y.g)
-        anst = verify_anstreicher(
-            inst, y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd
-        )
+        anst = verify_anstreicher(y, view, eq_tol=args.tol_eq, psd_tol=args.tol_psd)
         all_passed = all_passed and feas.passed and anst.passed
         povh, trace = record_json(feas), record_json(anst)
         spectrum_min = fmt_float(feas.min_eig_closed_form)
@@ -128,20 +125,14 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    if args.g < 2:
-        return _usage_error(f"g must be >= 2, got {args.g}")
+    # a policy of this command, not a limit of the library: one-vertex
+    # groups are left out of the baseline comparison
     if args.per_group < 2:
         return _usage_error(f"per-group must be >= 2, got {args.per_group}")
     inst = SimplicialInstance((args.per_group,) * args.g)
-    if inst.n_total > MAX_LP_VERTICES:
-        return _usage_error(
-            f"instance has {inst.n_total} vertices, LP cap is {MAX_LP_VERTICES}"
-        )
-    analytic = tsp_optimum(inst).value
+    analytic = tsp_optimum(inst)
     dp_value = (
-        tsp_optimum(inst, method="dp").value
-        if inst.n_total <= DP_MAX_VERTICES
-        else None
+        tsp_optimum(inst, method="dp") if inst.n_total <= DP_MAX_VERTICES else None
     )
     lp = solve_subtour(inst)
     agree = (
@@ -168,19 +159,18 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_solve_tiny(args: argparse.Namespace) -> int:
-    if not 1 <= args.per_group <= 3:
-        return _usage_error(f"per-group must be 1..3, got {args.per_group}")
-    if args.large_n < 6 or args.large_n % 2 != 0:
-        return _usage_error(f"large-n must be even and >= 6, got {args.large_n}")
     if args.per_group == 1:
         report = nonmonotonicity_check(args.large_n, max_iters=args.max_iters)
         _emit(json_canonical(record_json(report)), args.out)
         return 0 if report.conclusive and report.non_monotonic else 1
+    # --large-n feeds only per-group 1, where coeffs_two_group checks it; a
+    # bad value is refused here too
+    if args.large_n < 6 or args.large_n % 2 != 0:
+        return _usage_error(f"large-n must be even and >= 6, got {args.large_n}")
     inst = make_one_extra(2, args.per_group)
     sol = solve(encode_reduced(inst), max_iters=args.max_iters)
-    n = 2 * args.per_group
-    y = assemble(coeffs_general(n, 2))
-    bound = objective_reduced(y, build_reduction(inst)).upper_bound
+    y = assemble(coeffs_general(2 * args.per_group, 2))
+    bound = one_extra_bound(y).upper_bound
     ok = sol.objective_value <= bound + 1e-3
     payload = {
         "n_plus_one": inst.n_total,
@@ -264,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identities", help="trigonometric residual suites")
     p_id.add_argument("--g", type=int, required=True)
     p_id.add_argument("--n", type=_n_list, required=True, help="comma list of n")
-    p_id.add_argument("--tol-eq", type=float, default=1e-9)
+    p_id.add_argument("--tol-eq", type=float, default=EQ_TOL)
     add_common(p_id)
     p_id.set_defaults(func=cmd_identities)
 

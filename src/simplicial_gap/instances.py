@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "SimplicialInstance",
-    "TspValue",
     "held_karp_cycle",
     "is_metric",
     "make_equal",
@@ -62,19 +61,9 @@ class SimplicialInstance:
     def group_labels(self) -> np.ndarray:
         return np.repeat(np.arange(self.g), self.group_sizes)
 
-    def cost(self, u: int, v: int) -> float:
-        lbl = self.group_labels()
-        return float(lbl[u] != lbl[v])
-
     def cost_matrix(self) -> np.ndarray:
         lbl = self.group_labels()
         return (lbl[:, None] != lbl[None, :]).astype(float)
-
-
-@dataclass(frozen=True)
-class TspValue:
-    value: float
-    method: str
 
 
 def make_equal(g: int, per_group: int) -> SimplicialInstance:
@@ -163,15 +152,10 @@ def held_karp_cycle(dist: np.ndarray) -> float:
     return float(np.min(below[0] + dist[1:, 0]))
 
 
-def tsp_optimum(inst: SimplicialInstance, method: str = "analytic") -> TspValue:
+def tsp_optimum(inst: SimplicialInstance, method: str = "analytic") -> float:
     """Exact tour optimum: 'analytic' returns the group count, 'dp' runs Held-Karp."""
     if method == "analytic":
-        return TspValue(value=float(inst.g), method="analytic")
+        return float(inst.g)
     if method == "dp":
-        if inst.n_total > DP_MAX_VERTICES:
-            raise ValueError(
-                f"DP oracle capped at {DP_MAX_VERTICES} vertices, "
-                f"instance has {inst.n_total}"
-            )
-        return TspValue(value=held_karp_cycle(inst.cost_matrix()), method="dp")
+        return held_karp_cycle(inst.cost_matrix())
     raise ValueError(f"method must be 'analytic' or 'dp', got {method!r}")

@@ -28,7 +28,7 @@ import numpy as np
 from .certificates import assemble, coeffs_two_group
 from .instances import SimplicialInstance, make_one_extra
 from .matrix_core import kron
-from .reduced_sdp import build_reduction, objective_reduced
+from .reduced_sdp import build_reduction, one_extra_bound
 
 __all__ = [
     "NonMonotonicityReport",
@@ -79,12 +79,13 @@ class SdpProblem:
             if not np.array_equal(a, a.T):
                 raise ValueError(f"constraint {i} matrix must be symmetric")
             checked.append((a, float(b)))
+        if not checked:
+            raise ValueError("need at least one equality constraint")
         self.constraints = checked
 
 
 @dataclass
 class SdpSolution:
-    y_hat: np.ndarray = field(repr=False)
     objective_value: float
     max_equality_residual: float
     min_eigenvalue: float
@@ -111,10 +112,10 @@ def encode_reduced(inst: SimplicialInstance) -> SdpProblem:
     objective matrix is D[beta] (x) (1/2)C1[alpha] plus the fixing's linear
     costs on the diagonal.  Built through ``kron``, so the dense cap applies.
     """
-    red = build_reduction(inst)
-    n = red.n
+    n = inst.n_total - 1
     if n > MAX_ENCODE_N:
         raise ValueError(f"encoding capped at n = {MAX_ENCODE_N}, got {n}")
+    red = build_reduction(inst)
     m = n * n
     eye = np.eye(n)
     jj = np.ones((n, n))
@@ -134,9 +135,7 @@ def encode_reduced(inst: SimplicialInstance) -> SdpProblem:
     return SdpProblem(dim=m, objective=c, constraints=constraints)
 
 
-def _affine_data(p: SdpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    if not p.constraints:
-        return None
+def _affine_data(p: SdpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     amat = np.stack([a.reshape(-1) for a, _ in p.constraints])
     b = np.array([rhs for _, rhs in p.constraints])
     # constraint rows may be linearly dependent (assignment families overlap),
@@ -159,18 +158,12 @@ def solve(p: SdpProblem, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
 
     m = p.dim
-    aff = _affine_data(p)
+    amat, b, corr = _affine_data(p)
 
     def proj_affine(flat: np.ndarray) -> np.ndarray:
-        if aff is None:
-            return flat
-        amat, b, corr = aff
         return flat - corr @ (amat @ flat - b)
 
     def eq_residual(flat: np.ndarray) -> float:
-        if aff is None:
-            return 0.0
-        amat, b, _ = aff
         return float(np.abs(amat @ flat - b).max())
 
     c_flat = p.objective.reshape(-1)
@@ -222,7 +215,6 @@ def solve(p: SdpProblem, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     min_eig = float(np.linalg.eigvalsh(ymat)[0])
     min_entry = float(ymat.min())
     return SdpSolution(
-        y_hat=ymat,
         objective_value=float(c_flat @ ymat.reshape(-1)),
         max_equality_residual=eq_res,
         min_eigenvalue=min_eig,
@@ -256,14 +248,9 @@ def nonmonotonicity_check(
     A non-converged tiny solve makes the report inconclusive rather than
     asserting anything.
     """
-    tiny = make_one_extra(2, 1)
-    sol = solve(encode_reduced(tiny), max_iters=max_iters)
-
-    coeffs = coeffs_two_group(large_n)
-    y = assemble(coeffs)
-    inst = make_one_extra(2, large_n // 2)
-    obj = objective_reduced(y, build_reduction(inst))
-    bound = obj.upper_bound
+    # the bound first: coeffs_two_group rejects a bad large_n before the solve
+    bound = one_extra_bound(assemble(coeffs_two_group(large_n))).upper_bound
+    sol = solve(encode_reduced(make_one_extra(2, 1)), max_iters=max_iters)
 
     conclusive = sol.converged
     return NonMonotonicityReport(

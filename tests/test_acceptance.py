@@ -10,7 +10,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from simplicial_gap.anstreicher_sdp import verify_anstreicher
 from simplicial_gap.certificates import (
@@ -21,11 +20,10 @@ from simplicial_gap.certificates import (
     dense_view,
     objective_povh_rendl,
     profile_identity_residuals,
-    verify_povh_rendl,
 )
 from simplicial_gap.circulant import identity_suite
 from simplicial_gap.cli import main
-from simplicial_gap.instances import SimplicialInstance, make_equal, make_one_extra, tsp_optimum
+from simplicial_gap.instances import SimplicialInstance, make_one_extra, tsp_optimum
 from simplicial_gap.reduced_sdp import build_reduction, gap_table, objective_reduced
 from simplicial_gap.sdp_numeric import nonmonotonicity_check
 from simplicial_gap.subtour_lp import solve_subtour
@@ -120,9 +118,8 @@ def test_criterion_04_unbounded_gap_two_groups():
     ratio_at_512 = 0.0
     all_ok = True
     for n in (8, 16, 32, 64, 128, 256, 512):
-        inst = make_equal(2, n // 2)
         y = assemble(coeffs_two_group(n))
-        obj = objective_povh_rendl(inst, y)
+        obj = objective_povh_rendl(y)
         d = n // 2
         bound = 4.0 * np.pi**2 * d * d / n**3
         all_ok &= obj <= bound
@@ -186,11 +183,10 @@ def test_criterion_07_anstreicher_agreement():
     all_ok = True
     worst = 0.0
     for n in (8, 16, 24):
-        inst = make_equal(2, n // 2)
         y = assemble(coeffs_two_group(n))
-        rep = verify_anstreicher(inst, y, dense_view(y, force=True))
+        rep = verify_anstreicher(y, dense_view(y, force=True))
         all_ok &= rep.passed
-        ref = objective_povh_rendl(inst, y)
+        ref = objective_povh_rendl(y)
         worst = max(worst, abs(rep.objective_closed_form - ref))
         worst = max(worst, abs(rep.objective_dense - ref))
     ok = all_ok and worst <= 1e-12
@@ -258,8 +254,8 @@ def test_criterion_10_exact_solver_agreement():
             if len(sizes) < 2:
                 continue
             inst = SimplicialInstance(sizes)
-            dp = tsp_optimum(inst, method="dp").value
-            analytic = tsp_optimum(inst, method="analytic").value
+            dp = tsp_optimum(inst, method="dp")
+            analytic = tsp_optimum(inst, method="analytic")
             all_ok &= dp == analytic
             count += 1
     report(

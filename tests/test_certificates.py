@@ -2,6 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from simplicial_gap import certificates
+from simplicial_gap.anstreicher_sdp import verify_anstreicher
 from simplicial_gap.certificates import (
     CertCoeffs,
     assemble,
@@ -91,9 +93,8 @@ def test_densify_block_structure():
     assert np.array_equal(blocks[0, 0], np.eye(8) / 8)  # same vertex
     assert np.array_equal(blocks[0, 1], amat / 16)  # same group
     assert np.array_equal(blocks[0, 4], bmat / 16)  # across groups
-    assert y.block_kind(0, 0) == "identity"
-    assert y.block_kind(0, 3) == "within"
-    assert y.block_kind(3, 4) == "across"
+    assert np.array_equal(blocks[0, 3], amat / 16)  # last of the first group
+    assert np.array_equal(blocks[3, 4], bmat / 16)  # across the group border
 
 
 def test_densify_respects_cap(monkeypatch):
@@ -174,12 +175,10 @@ def test_report_serializes():
 
 
 def test_objective_frozen_values():
-    inst8 = make_equal(2, 4)
     y8 = assemble(coeffs_two_group(8))
-    assert objective_povh_rendl(inst8, y8) == pytest.approx(OBJ_8_2, rel=1e-13)
-    inst16 = make_equal(2, 8)
+    assert objective_povh_rendl(y8) == pytest.approx(OBJ_8_2, rel=1e-13)
     y16 = assemble(coeffs_two_group(16))
-    assert objective_povh_rendl(inst16, y16) == pytest.approx(OBJ_16_2, rel=1e-13)
+    assert objective_povh_rendl(y16) == pytest.approx(OBJ_16_2, rel=1e-13)
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16)])
@@ -187,15 +186,13 @@ def test_objective_double_route(g, n):
     # closed form against the brute-force dense trace
     inst = make_equal(g, n // g)
     y = assemble(coeffs_general(n, g))
-    closed = objective_povh_rendl(inst, y)
+    closed = objective_povh_rendl(y)
     dense = objective_dense_trace(inst, y.densify())
     assert closed == pytest.approx(dense, abs=1e-12)
 
 
 def test_objective_rejects_wrong_layout():
     y = assemble(coeffs_two_group(8))
-    with pytest.raises(ValueError):
-        objective_povh_rendl(make_equal(4, 2), y)
     with pytest.raises(ValueError):
         objective_dense_trace(make_equal(2, 3), y.densify())
 
@@ -209,13 +206,30 @@ def test_spectrum_multiset_matches_dense(g, n, dense_cert):
 
 def test_spectrum_bookkeeping():
     spectrum = closed_form_spectrum(coeffs_two_group(8))
-    assert spectrum.total_multiplicity() == 64
+    assert len(spectrum.multiset()) == 64
     assert spectrum.coupled[0] == pytest.approx(16.0, abs=1e-12)
     for value in spectrum.coupled[1:]:
         assert abs(value) <= 1e-12
     assert spectrum.min_value() >= -1e-12
     # 2 - 2 * a-profile at k=1 for n=8: profile is 1/3, eigenvalue 4/3
     assert spectrum.plain[1] == pytest.approx(4.0 / 3.0, abs=1e-14)
+
+
+def test_spectrum_is_computed_once_per_certificate(monkeypatch):
+    calls = []
+
+    def counting(coeffs):
+        calls.append(coeffs.n)
+        return closed_form_spectrum(coeffs)
+
+    monkeypatch.setattr(certificates, "closed_form_spectrum", counting)
+    y = assemble(coeffs_two_group(16))
+    view = dense_view(y, force=True)
+    assert verify_povh_rendl(y, view).passed
+    assert verify_anstreicher(y, view).passed
+    assert verify_anstreicher(y, None).passed
+    assert calls == [16]
+    assert y.spectrum is y.spectrum
 
 
 def test_lower_bound_akk_hits_floor_at_small_n():

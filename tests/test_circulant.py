@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ def test_first_row_layout():
     c = SymmetricCirculant(6, [1.0, 2.0, 3.0])
     # offsets 1 and 5 get coeff 1, 2 and 4 get coeff 2, the antipode gets 2*3
     assert np.array_equal(c.first_row(), [0.0, 1.0, 2.0, 6.0, 2.0, 1.0])
-    assert c.row_sum() == 12.0
+    assert c.densify().sum(axis=1)[0] == 2.0 * c.coeffs.sum() == 12.0
 
 
 def test_densify_symmetric_circulant():
@@ -29,7 +31,7 @@ def test_densify_symmetric_circulant():
     # every row is a rotation of the first
     for r in range(8):
         assert np.array_equal(m[r], np.roll(m[0], r))
-    assert np.allclose(m.sum(axis=1), c.row_sum(), atol=1e-12)
+    assert np.allclose(m.sum(axis=1), 2.0 * c.coeffs.sum(), atol=1e-12)
 
 
 def test_basis_matrices_cover_offdiagonal():
@@ -39,7 +41,7 @@ def test_basis_matrices_cover_offdiagonal():
     antipode = np.roll(np.eye(6), 3, axis=1)
     assert np.array_equal(total, np.ones((6, 6)) - np.eye(6) + antipode)
     for i in range(1, 4):
-        assert basis(6, i).row_sum() == 2.0
+        assert np.array_equal(basis(6, i).densify().sum(axis=1), np.full(6, 2.0))
 
 
 def test_spectrum_matches_dense_eigenvalues():
@@ -123,6 +125,19 @@ def test_identity_suite_has_stable_keys():
     keys = sorted(identity_suite(2, 8))
     assert keys == sorted(identity_suite(4, 16))
     assert len(keys) == 6
+
+
+def test_identity_suite_memory_stays_small():
+    # the product sum goes one j row at a time; the whole (g-1) x (n-1) x n/2
+    # product, 25 MiB at g = 40, n = 400, would grow as g n^2 with the CLI's
+    # inputs
+    tracemalloc.start()
+    try:
+        identity_suite(40, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_identity_suite_rejects_bad_config():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplicial_gap import matrix_core
+from simplicial_gap import cli, matrix_core, reduced_sdp, sdp_numeric, subtour_lp
 from simplicial_gap.certificates import CertificateY
 from simplicial_gap.cli import main
 from simplicial_gap.serialize import fmt_float, json_canonical
@@ -217,6 +217,39 @@ def test_solve_tiny_encoding_obeys_the_dense_cap(capsys, monkeypatch):
 def test_solve_tiny_usage_errors(capsys):
     assert run(capsys, ["solve-tiny", "--per-group", "4"])[0] == 2
     assert run(capsys, ["solve-tiny", "--large-n", "7"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-tiny", "--per-group", "4"],
+        ["solve-tiny", "--per-group", "0"],
+        ["solve-tiny", "--large-n", "7"],
+        ["solve-tiny", "--per-group", "2", "--large-n", "5"],
+        ["baseline", "--g", "1", "--per-group", "3"],
+        ["baseline", "--g", "20", "--per-group", "4"],
+        ["gap", "--z", "0", "--n", "8"],
+        ["gap", "--z", "2", "--n", "10"],
+    ],
+    ids=" ".join,
+)
+def test_library_checks_refuse_before_any_work(argv, capsys, monkeypatch):
+    # the library's own checks give the usage errors, ahead of any solve,
+    # reduction or LP round
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    for module, name in [
+        (sdp_numeric, "solve"),
+        (cli, "solve"),
+        (sdp_numeric, "build_reduction"),
+        (subtour_lp, "simplex_solve"),
+        (reduced_sdp, "build_reduction"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
 
 
 def test_identities_csv(capsys):

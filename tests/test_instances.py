@@ -92,13 +92,13 @@ def test_make_one_extra_layout():
 def test_make_one_extra_tiny_case_allowed():
     inst = make_one_extra(2, 1)
     assert inst.group_sizes == (2, 1)
-    assert tsp_optimum(inst, method="dp").value == 2.0
+    assert tsp_optimum(inst, method="dp") == 2.0
 
 
 def test_constructor_accepts_odd_group_counts():
     inst = SimplicialInstance((3, 3, 3))
     assert inst.g == 3
-    assert tsp_optimum(inst).value == 3.0
+    assert tsp_optimum(inst) == 3.0
 
 
 def test_cost_matrix_shape_and_symmetry():
@@ -167,7 +167,7 @@ def test_dp_cap():
 def test_analytic_equals_group_count():
     for sizes in [(2, 2), (3, 1), (4, 4, 4), (2, 1, 1, 2)]:
         inst = SimplicialInstance(sizes)
-        assert tsp_optimum(inst).value == float(len(sizes))
+        assert tsp_optimum(inst) == float(len(sizes))
 
 
 def test_dp_matches_analytic_on_small_simplicial():
@@ -180,17 +180,15 @@ def test_dp_matches_analytic_on_small_simplicial():
                 if sum(sizes) > 14:
                     continue
                 inst = SimplicialInstance(sizes)
-                dp = tsp_optimum(inst, method="dp")
-                assert dp.value == float(g), sizes
-                assert dp.method == "dp"
+                assert tsp_optimum(inst, method="dp") == float(g), sizes
                 checked += 1
     assert checked >= 10
 
 
 def test_tsp_value_method_tag():
     inst = make_equal(2, 2)
-    assert tsp_optimum(inst).method == "analytic"
-    assert tsp_optimum(inst, method="dp").method == "dp"
+    assert tsp_optimum(inst, method="analytic") == 2.0
+    assert tsp_optimum(inst, method="dp") == 2.0
     with pytest.raises(ValueError):
         tsp_optimum(inst, method="guess")
 

@@ -38,11 +38,13 @@ def test_problem_validation():
         SdpProblem(dim=2, objective=np.eye(2), constraints=[(asym, 1.0)])
     with pytest.raises(ValueError):
         SdpProblem(dim=2, objective=np.eye(2), constraints=[(np.eye(3), 1.0)])
+    with pytest.raises(ValueError, match="at least one"):
+        SdpProblem(dim=2, objective=np.eye(2), constraints=[])
 
 
 def test_solve_input_caps():
-    big = SdpProblem(dim=65, objective=np.eye(65), constraints=[])
-    with pytest.raises(ValueError):
+    big = sanity_problem(65)
+    with pytest.raises(ValueError, match="capped at dim 64"):
         solve(big)
     with pytest.raises(ValueError):
         solve(sanity_problem(3), max_iters=0)

@@ -71,7 +71,7 @@ def test_simplex_warm_start_after_a_cut():
     a = np.zeros((n, len(edges)))
     for e, (u, v) in enumerate(edges):
         a[u, e] = a[v, e] = 1.0
-    cost = np.array([inst.cost(u, v) for u, v in edges])
+    cost = np.array([inst.cost_matrix()[u, v] for u, v in edges])
     b = np.full(n, 2.0)
     x, obj, status, basis = simplex_solve(a, b, cost)
     assert status == "optimal" and obj == pytest.approx(0.0, abs=1e-12)
@@ -272,7 +272,7 @@ def test_disconnected_support_gets_one_cut_per_component(monkeypatch):
 def test_lp_lower_bounds_exact_optimum():
     for inst in (make_equal(2, 3), make_one_extra(2, 3), SimplicialInstance((2, 2, 2))):
         lp = solve_subtour(inst).objective
-        exact = tsp_optimum(inst, method="dp").value
+        exact = tsp_optimum(inst, method="dp")
         assert lp <= exact + 1e-6
 
 
