@@ -113,18 +113,19 @@ def circulant_spectrum(c: SymmetricCirculant) -> np.ndarray:
     return np.sort(2.0 * cosine_profile(c.coeffs, c.m))
 
 
-def lagrange_cosine_sum(n: int, k: int) -> float:
-    """Closed form of sum_{j=1}^{n/2} cos(pi j k / (n/2)) for k = 0..n.
+def lagrange_cosine_sum(n: int, k: int | np.ndarray) -> float | np.ndarray:
+    """Closed form of sum_{j=1}^{n/2} cos(pi j k / (n/2)) for integer k = 0..n.
 
     Equals n/2 at k in {0, n}; otherwise -1 for odd k and 0 for even k.
+    An integer array k gives an array of its shape, a scalar k a float.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    if not 0 <= k <= n:
+    k = np.asarray(k)
+    if np.any((k < 0) | (k > n)):
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    if k == 0 or k == n:
-        return float(n // 2)
-    return (-1.0 + (-1.0) ** k) / 2.0
+    out = np.where((k == 0) | (k == n), float(n // 2), (-1.0 + (-1.0) ** k) / 2.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def ring_adjacency(m: int) -> np.ndarray:
@@ -176,10 +177,9 @@ def identity_suite(g: int, n: int) -> dict[str, float]:
     out: dict[str, float] = {}
 
     # the block sum sum_{i=1}^{d} cos(pi i t / d) is periodic in the integer
-    # t with period n = 2d; its closed form is d on multiples of n, else -1
-    # for odd t and 0 for even t (lagrange_cosine_sum on t = 0..n)
+    # t with period n = 2d, and n is even, so t % n keeps the parity of t
     def block_closed(t: np.ndarray) -> np.ndarray:
-        return np.where(t % n == 0, float(d), (-1.0 + (-1.0) ** t) / 2.0)
+        return lagrange_cosine_sum(n, t % n)
 
     # cos_ik[k, i-1] = cos(pi i k / d), k = 0..n
     k = np.arange(n + 1)

@@ -157,4 +157,4 @@ def sym_eigs(m: np.ndarray) -> np.ndarray:
                 dim,
             )
 
-    return np.ascontiguousarray(vals[np.argsort(vals, kind="stable")])
+    return vals  # eigh returns them ascending

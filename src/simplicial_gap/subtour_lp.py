@@ -1,4 +1,4 @@
-"""Subtour elimination LP baseline: warm-started dense simplex and cut separation.
+"""Subtour elimination LP baseline: one dense simplex tableau and cut separation.
 
 The LP lives on the n(n-1)/2 edge variables of the complete graph: degree
 equalities sum each vertex's incident edges to 2, every proper vertex subset
@@ -16,16 +16,14 @@ bounds go bad.
 
 The simplex is a dense tableau with Dantzig pricing (most negative reduced
 cost, lowest index on ties), falling back to Bland's rule after a run of
-degenerate pivots.  Only the first round starts from an artificial basis.
-Every later round refactors the previous optimal basis, extended by the
-new rows' own slack or surplus columns: that basis is dual feasible and
-primal infeasible exactly on the new rows, so dual simplex pivots restore
-feasibility and a primal pass cleans up, as in the cut loops of Applegate,
-Bixby, Chvatal & Cook, *The Traveling Salesman Problem* (2006).  Pivots are
-chosen on a right-hand side perturbed by ~1e-7 so that degenerate vertices
-cannot stall the walk; x is read from the exact right-hand side carried
-through the same pivots, and any slightly negative exact entry is repaired
-by dual pivots at the end.  Fine at n <= 60.
+degenerate pivots, which guarantees termination.  The degree LP is solved
+in two phases from an artificial basis; the same tableau then carries the
+whole cut loop, as in Applegate, Bixby, Chvatal & Cook, *The Traveling
+Salesman Problem* (2006).  Each round's new rows are appended to it in the
+current basis, each with its own slack or surplus column basic in it: the
+basis stays dual feasible and is primal infeasible exactly on the rows the
+current point violates, so dual pivots restore feasibility and a primal
+pass cleans up.  Fine at n <= 60.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .instances import SimplicialInstance
 __all__ = [
     "LpEdgeSolution",
     "MAX_LP_VERTICES",
-    "edge_list",
     "min_cut",
     "simplex_solve",
     "solve_subtour",
@@ -52,17 +49,10 @@ MAX_ROUNDS = 500
 DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes over
 _EPS = 1e-9
 _TIE = 1e-12
-_PERTURB = 1e-7
-_EXACT, _PERTURBED = -2, -1  # right-hand-side columns at the end of the tableau
-
-
-def edge_list(n: int) -> list[tuple[int, int]]:
-    """Edges of the complete graph on n vertices, (u, v) with u < v, sorted."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def _weights(n: int, x: np.ndarray) -> np.ndarray:
-    """Symmetric n x n matrix with the edge values x (edge_list order) off the diagonal."""
+    """Symmetric n x n matrix with the edge values x (np.triu_indices order) off the diagonal."""
     w = np.zeros((n, n))
     w[np.triu_indices(n, 1)] = x
     return w + w.T
@@ -87,31 +77,23 @@ def _components(adj: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _perturbation(m: int) -> np.ndarray:
-    """Distinct deterministic shifts in [1e-7, 2e-7); row i's shift does not depend on m."""
-    return _PERTURB * (1.0 + (np.arange(m) * 0.6180339887498949) % 1.0)
-
-
 class _Tableau:
-    """Dense tableau [B^-1 A | B^-1 b | B^-1 b + delta] and its reduced-cost row.
+    """Dense tableau [B^-1 A | B^-1 b] and its reduced-cost row.
 
     ``basis[i]`` is the column basic in row i.  ``z`` holds the reduced
-    costs of every column followed by minus the objective at each
-    right-hand side.  Only the first ``n_enter`` columns may enter.
+    costs of every column followed by minus the objective.  ``pivots``
+    counts the pivots spent against ``MAX_PIVOTS``.
     """
 
-    def __init__(self, tab: np.ndarray, basis: np.ndarray, budget: int):
+    def __init__(self, tab: np.ndarray, basis: np.ndarray):
         self.tab = tab
         self.basis = basis
-        self.budget = budget
         self.pivots = 0
-        self.n_enter = 0
         self.z = np.zeros(tab.shape[1])
 
     def price(self, cost: np.ndarray) -> None:
-        """Reduced costs for ``cost``, whose columns become the ones allowed to enter."""
-        self.n_enter = len(cost)
-        self.z = np.concatenate([cost, [0.0, 0.0]]) - cost[self.basis] @ self.tab
+        """Reduced costs for ``cost``, one entry per column but the rhs."""
+        self.z = np.r_[cost, 0.0] - cost[self.basis] @ self.tab
 
     def pivot(self, r: int, j: int) -> None:
         tab = self.tab
@@ -123,11 +105,11 @@ class _Tableau:
         self.z -= self.z[j] * tab[r]
         self.basis[r] = j
 
-    def primal(self, rc: int) -> bool:
+    def primal(self) -> bool:
         """Primal pivots until no reduced cost is negative; False when out of pivots."""
         degenerate = 0
         while True:
-            z = self.z[: self.n_enter]
+            z = self.z[:-1]
             if degenerate < DEGENERATE_RUN:
                 j = int(np.argmin(z))
                 if z[j] >= -_EPS:
@@ -137,13 +119,13 @@ class _Tableau:
                 if eligible.size == 0:
                     return True
                 j = int(eligible[0])
-            if self.pivots >= self.budget:
+            if self.pivots >= MAX_PIVOTS:
                 return False
             col = self.tab[:, j]
             rows = np.flatnonzero(col > _EPS)
             if rows.size == 0:
                 raise ArithmeticError("LP unbounded, construction is broken")
-            ratios = np.maximum(self.tab[rows, rc], 0.0) / col[rows]
+            ratios = np.maximum(self.tab[rows, -1], 0.0) / col[rows]
             step = ratios.min()
             ties = rows[ratios <= step + _TIE]
             if degenerate < DEGENERATE_RUN:
@@ -154,11 +136,11 @@ class _Tableau:
             self.pivot(int(r), j)
             self.pivots += 1
 
-    def dual(self, rc: int) -> bool:
+    def dual(self) -> bool:
         """Dual pivots until the rhs column is nonnegative; False when out of pivots."""
         degenerate = 0
         while True:
-            rhs = self.tab[:, rc]
+            rhs = self.tab[:, -1]
             if degenerate < DEGENERATE_RUN:
                 r = int(np.argmin(rhs))
                 if rhs[r] >= -_EPS:
@@ -168,9 +150,9 @@ class _Tableau:
                 if infeasible.size == 0:
                     return True
                 r = int(infeasible[np.argmin(self.basis[infeasible])])
-            if self.pivots >= self.budget:
+            if self.pivots >= MAX_PIVOTS:
                 return False
-            row = self.tab[r, : self.n_enter]
+            row = self.tab[r, :-1]
             cols = np.flatnonzero(row < -_EPS)
             if cols.size == 0:
                 raise ArithmeticError("LP infeasible, construction is broken")
@@ -183,13 +165,38 @@ class _Tableau:
             self.pivots += 1
 
     def optimize(self) -> bool:
-        """Dual then primal pivots on the perturbed rhs, then again on the exact one."""
-        return all(self.dual(rc) and self.primal(rc) for rc in (_PERTURBED, _EXACT))
+        """Dual pivots to a feasible point, then primal pivots to an optimal one."""
+        return self.dual() and self.primal()
+
+    def add_rows(self, rows: np.ndarray, rhs: np.ndarray, signs: np.ndarray) -> None:
+        """Append the rows ``rows[i] . x + signs[i] * s_i = rhs[i]``, s_i a new column.
+
+        ``rows`` covers the leading columns.  Each new row is written in the
+        current basis and scaled so that s_i, basic in it, reads +1: the
+        basis stays dual feasible, and a row the current point violates
+        shows a negative rhs for the dual pivots to repair.
+        """
+        m, width = self.tab.shape
+        added = len(rhs)
+        grown = np.zeros((m + added, width + added))
+        grown[:m, : width - 1] = self.tab[:, :-1]
+        grown[:m, -1] = self.tab[:, -1]
+        for i in range(added):
+            new = grown[m + i]
+            new[: rows.shape[1]] = rows[i]
+            new[width - 1 + i] = signs[i]
+            new[-1] = rhs[i]
+            new -= new[self.basis] @ grown[:m]
+            new *= signs[i]
+        self.tab = grown
+        self.basis = np.r_[self.basis, width - 1 + np.arange(added)]
+        self.z = np.r_[self.z[:-1], np.zeros(added), self.z[-1]]
 
     def point(self, k: int) -> np.ndarray:
+        """Values of the first k columns at the current basis."""
         x = np.zeros(k)
         structural = self.basis < k
-        x[self.basis[structural]] = self.tab[structural, _EXACT]
+        x[self.basis[structural]] = self.tab[structural, -1]
         return x
 
 
@@ -197,19 +204,16 @@ def simplex_solve(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    basis=None,
-) -> tuple[np.ndarray, float, str, list[int] | None]:
-    """Dense simplex for min c.x s.t. a x = b, x >= 0, b >= 0.
+) -> tuple[np.ndarray, float, str, _Tableau | None]:
+    """Dense two-phase simplex for min c.x s.t. a x = b, x >= 0, b >= 0.
 
-    Without ``basis`` it runs two phases from an artificial basis.  With
-    ``basis`` (one column of ``a`` per row) it refactors that basis and
-    runs dual, then primal pivots from it; a basis that is dual feasible
-    and off only in some rows' signs needs no phase 1.  Returns (x,
-    objective, status, basis), status "optimal" or "iteration-limit" when
-    ``MAX_PIVOTS`` ran out in either phase, and the final basis, or None
-    when it still holds artificial columns or the rows were redundant.  An
-    infeasible or unbounded system raises, as the callers only build
-    feasible, bounded ones.
+    Phase 1 drives out an artificial basis and drops the rows it shows
+    redundant; phase 2 prices c.  Returns (x, objective, status, tableau):
+    status "optimal", or "iteration-limit" when the two phases together
+    ran out of ``MAX_PIVOTS``, and the optimal tableau, ready for
+    ``add_rows``, or None at the iteration limit.  An infeasible or
+    unbounded system raises, as the callers only build feasible, bounded
+    ones.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -219,47 +223,30 @@ def simplex_solve(
         raise ValueError("inconsistent LP dimensions")
     if b.min() < 0:
         raise ValueError("rhs must be nonnegative")
-    rhs = np.column_stack([b, b + _perturbation(m)])
 
-    if basis is not None:
-        basis = np.array(basis, dtype=int)
-        if basis.shape != (m,):
-            raise ValueError(f"need one basic column per row, got {basis.shape}")
-        # refactor by Gauss-Jordan pivots, each on the largest entry among
-        # the rows no earlier basic column took
-        t = _Tableau(np.hstack([a, rhs]), np.full(m, -1), MAX_PIVOTS)
-        for j in basis:
-            col = np.where(t.basis < 0, np.abs(t.tab[:, j]), 0.0)
-            r = int(col.argmax())
-            if col[r] <= _EPS:
-                raise ValueError("warm-start basis is singular")
-            t.pivot(r, j)
-    else:
-        # phase 1: drive out the artificial basis
-        t = _Tableau(np.hstack([a, np.eye(m), rhs]), np.arange(k, k + m), MAX_PIVOTS)
-        t.price(np.r_[np.zeros(k), np.ones(m)])
-        if not t.optimize():
-            x = t.point(k)
-            return x, float(c @ x), "iteration-limit", None
-        if -t.z[_EXACT] > 1e-7:
-            raise ArithmeticError("LP infeasible, construction is broken")
-        # any artificial still basic sits at zero: pivot it out or drop the row
-        keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(t.basis >= k):
-            sub = np.abs(t.tab[i, :k])
-            j = int(sub.argmax())
-            if sub[j] > _EPS:
-                t.pivot(i, j)
-            else:
-                keep[i] = False
-        t.tab = np.delete(t.tab[keep], np.s_[k : k + m], axis=1)
-        t.basis = t.basis[keep]
+    t = _Tableau(np.hstack([a, np.eye(m), b[:, None]]), np.arange(k, k + m))
+    t.price(np.r_[np.zeros(k), np.ones(m)])
+    if not t.optimize():
+        x = t.point(k)
+        return x, float(c @ x), "iteration-limit", None
+    if -t.z[-1] > 1e-7:
+        raise ArithmeticError("LP infeasible, construction is broken")
+    # any artificial still basic sits at zero: pivot it out or drop the row
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(t.basis >= k):
+        sub = np.abs(t.tab[i, :k])
+        j = int(sub.argmax())
+        if sub[j] > _EPS:
+            t.pivot(i, j)
+        else:
+            keep[i] = False
+    t.tab = np.delete(t.tab[keep], np.s_[k : k + m], axis=1)
+    t.basis = t.basis[keep]
 
     t.price(c)
     status = "optimal" if t.optimize() else "iteration-limit"
     x = t.point(k)
-    final = t.basis.tolist() if len(t.basis) == m else None
-    return x, float(c @ x), status, final
+    return x, float(c @ x), status, t if status == "optimal" else None
 
 
 def min_cut(weights: np.ndarray) -> tuple[float, frozenset[int]]:
@@ -353,11 +340,10 @@ def _violated_cuts(n: int, x: np.ndarray) -> list[frozenset[int]]:
 def solve_subtour(inst: SimplicialInstance) -> LpEdgeSolution:
     """Optimize the subtour LP by lazy separation, n_total <= 60.
 
-    Each round re-solves from the last optimal basis, extended by one basic
-    slack or surplus column per new row, then adds an x_e <= 1 row for every
-    edge above 1 and a cut row for every violated subtour cut found.  Stops
-    when no row is added, or flags iteration-limit when a solve runs out of
-    pivots or the rounds run out.
+    The degree LP is solved once; each round then adds an x_e <= 1 row for
+    every edge above 1 and a cut row for every violated subtour cut to the
+    live tableau and re-optimizes it.  Stops when no row is added, or flags
+    iteration-limit when a solve runs out of pivots or the rounds run out.
     """
     n = inst.n_total
     if n > MAX_LP_VERTICES:
@@ -368,24 +354,16 @@ def solve_subtour(inst: SimplicialInstance) -> LpEdgeSolution:
     n_edges = eu.size
     edge_cost = inst.cost_matrix()[eu, ev]
 
-    # rows: degree equalities, then added rows in order; each added row has
-    # its own column after the edges (surplus -1 for a cut, slack +1 for a bound)
-    a = np.zeros((n, n_edges))
-    a[eu, np.arange(n_edges)] = 1.0
-    a[ev, np.arange(n_edges)] = 1.0
-    b = np.full(n, 2.0)
-    cost = edge_cost.copy()
-    basis = None
+    degree = np.zeros((n, n_edges))
+    degree[eu, np.arange(n_edges)] = 1.0
+    degree[ev, np.arange(n_edges)] = 1.0
+    x, _, status, t = simplex_solve(degree, np.full(n, 2.0), edge_cost)
     cuts: set[frozenset[int]] = set()
     bounded = np.zeros(n_edges, dtype=bool)
-    x = np.zeros(n_edges)
     for _ in range(MAX_ROUNDS):
-        sol, _, status, basis = simplex_solve(a, b, cost, basis=basis)
-        x = sol[:n_edges]
         if status != "optimal":
             break
-
-        over = np.flatnonzero((x > 1.0 + 1e-9) & ~bounded)
+        over = np.flatnonzero((x > 1.0 + _EPS) & ~bounded)
         bounded[over] = True
         new_cuts = _violated_cuts(n, x)
         if cuts.intersection(new_cuts):
@@ -394,22 +372,19 @@ def solve_subtour(inst: SimplicialInstance) -> LpEdgeSolution:
         if not over.size and not new_cuts:
             break
 
-        added = len(over) + len(new_cuts)
+        # a bound row x_e + s = 1 for each edge over 1, a cut row
+        # x(delta(S)) - s = 2 for each cut
         inside = np.zeros((len(new_cuts), n), dtype=bool)
         for i, cut in enumerate(new_cuts):
             inside[i, list(cut)] = True
-        m, k = a.shape
-        grown = np.zeros((m + added, k + added))
-        grown[:m, :k] = a
-        grown[m + np.arange(len(over)), over] = 1.0
-        grown[m + len(over) :, :n_edges] = inside[:, eu] != inside[:, ev]
-        grown[m + np.arange(added), k + np.arange(added)] = np.r_[
-            np.ones(len(over)), -np.ones(len(new_cuts))
-        ]
-        a = grown
-        b = np.r_[b, np.ones(len(over)), np.full(len(new_cuts), 2.0)]
-        cost = np.r_[cost, np.zeros(added)]
-        basis = basis + list(range(k, k + added))
+        rows = np.zeros((len(over) + len(new_cuts), n_edges))
+        rows[np.arange(len(over)), over] = 1.0
+        rows[len(over) :] = inside[:, eu] != inside[:, ev]
+        signs = np.repeat([1.0, -1.0], [len(over), len(new_cuts)])
+        t.add_rows(rows, np.where(signs > 0, 1.0, 2.0), signs)
+        t.pivots = 0  # every round has MAX_PIVOTS of its own
+        status = "optimal" if t.optimize() else "iteration-limit"
+        x = t.point(n_edges)
     else:
         status = "iteration-limit"
 

@@ -96,6 +96,10 @@ def test_lagrange_cosine_sum_against_brute_force(n):
     for k in range(n + 1):
         brute = float(np.cos(np.pi * j * k / d).sum())
         assert lagrange_cosine_sum(n, k) == pytest.approx(brute, abs=1e-12)
+    whole = lagrange_cosine_sum(n, np.arange(n + 1))
+    assert whole.tolist() == [lagrange_cosine_sum(n, k) for k in range(n + 1)]
+    with pytest.raises(ValueError):
+        lagrange_cosine_sum(n, np.arange(n + 2))
 
 
 def test_ring_adjacency_structure():
