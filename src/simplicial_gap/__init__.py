@@ -52,6 +52,7 @@ from .sdp_numeric import (
     SdpProblem,
     SdpSolution,
     encode_reduced,
+    lift_upper_bound,
     nonmonotonicity_check,
 )
 from .sdp_numeric import solve as solve_sdp
@@ -90,6 +91,7 @@ __all__ = [
     "held_karp_cycle",
     "identity_suite",
     "is_metric",
+    "lift_upper_bound",
     "lower_bound_akk",
     "make_equal",
     "make_one_extra",

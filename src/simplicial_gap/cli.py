@@ -3,8 +3,8 @@
 Five subcommands: certify (feasibility of the certificates under both
 relaxations plus their closed-form spectrum), gap (lower-bound tables with
 the analytic asymptote column), baseline (exact TSP by dynamic programming
-and analytic value against the subtour LP), solve-tiny (the numeric solver
-on the smallest reduced problems and the non-monotonicity comparison), and
+and analytic value against the subtour LP), solve-tiny (a proven bracket
+of the smallest reduced problems and the non-monotonicity comparison), and
 identities (trigonometric residual suites backing the closed forms).
 
 Everything is batch and deterministic: work items are sorted, floats are
@@ -38,6 +38,7 @@ from .reduced_sdp import gap_table, one_extra_bound
 from .sdp_numeric import (
     DEFAULT_MAX_ITERS,
     encode_reduced,
+    lift_upper_bound,
     nonmonotonicity_check,
     solve,
 )
@@ -168,13 +169,18 @@ def cmd_solve_tiny(args: argparse.Namespace) -> int:
     if args.large_n < 6 or args.large_n % 2 != 0:
         return _usage_error(f"large-n must be even and >= 6, got {args.large_n}")
     inst = make_one_extra(2, args.per_group)
-    sol = solve(encode_reduced(inst), max_iters=args.max_iters)
+    problem = encode_reduced(inst)
+    sol = solve(problem, max_iters=args.max_iters)
     y = assemble(coeffs_general(2 * args.per_group, 2))
     bound = one_extra_bound(y).upper_bound
-    ok = sol.objective_value <= bound + 1e-3
+    # the proven lower bound, not the iterate's value, is compared
+    ok = sol.lower_bound <= bound
     payload = {
         "n_plus_one": inst.n_total,
         "objective_value": fmt_float(sol.objective_value),
+        "lower_bound": fmt_float(sol.lower_bound),
+        "upper_bound": fmt_float(lift_upper_bound(problem)),
+        "status": sol.status,
         "converged": sol.converged,
         "iterations": sol.iterations,
         "max_equality_residual": fmt_float(sol.max_equality_residual),
@@ -247,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tiny.add_argument("--per-group", type=int, default=1, dest="per_group")
     p_tiny.add_argument("--large-n", type=int, default=16, dest="large_n")
-    p_tiny.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    p_tiny.add_argument(
+        "--max-iters", type=int, default=DEFAULT_MAX_ITERS, help="Newton steps"
+    )
     add_common(p_tiny)
     p_tiny.set_defaults(func=cmd_solve_tiny)
 

@@ -4,9 +4,8 @@
 output against ``perfbench/references.json``.  Running those checks here
 catches an output change in the regular suite instead of in a traced
 benchmark run.  The file is only imported, and no bytecode is written next
-to it.  Three items are left to the benchmark because they take seconds
-each: the 200 000-sweep ``solve-tiny --per-group 2`` and the two n = 44
-dense certificates.
+to it.  Two items are left to the benchmark because they take seconds
+each: the two n = 44 dense certificates.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ def _load_workloads():
 workloads = _load_workloads()
 
 SLOW_ITEMS = {
-    "solve-tiny --per-group 2",
     "certify --g 2 --n 44 --dense",
     "certify --g 4 --n 44 --dense",
 }

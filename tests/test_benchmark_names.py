@@ -47,8 +47,8 @@ def test_expected_spans_are_traced(perfbench):
 
 
 # Runs every workload's seed-0 items under an installed Tracer in a fresh
-# process (the tracer patches the package for good), with cheap stand-ins
-# for the slow items: no n = 44 dense certify, and a 50-iteration ADMM.
+# process (the tracer patches the package for good), without the slow
+# n = 44 dense certify items.
 _TRACED_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -63,8 +63,6 @@ for workload in workloads.WORKLOADS:
     for argv in workloads.draw(workload, 0):
         if argv[0] == "certify" and "44" in argv:
             continue
-        if argv[0] == "solve-tiny":
-            argv = argv + ["--max-iters", "50"]
         worker.run_item(cli, argv)
     seen[workload] = sorted({span[0] for span in tracer.spans[start:]})
 print(json.dumps({"seen": seen, "metrics": len(tracer.metrics())}))

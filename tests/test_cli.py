@@ -184,8 +184,14 @@ def test_solve_tiny_default_is_conclusive(capsys):
 
 
 def test_solve_tiny_three_vertex_converges_immediately(capsys):
-    # the 3-vertex feasible set is a single point, one iteration lands on it
+    # the 3-vertex objective is pinned to 2 by the affine constraints: one
+    # Newton step already proves a bound above the certificate's, and a
+    # handful of steps reach the tolerances
     code, out, _ = run(capsys, ["solve-tiny", "--max-iters", "1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["conclusive"] is True and report["non_monotonic"] is True
+    code, out, _ = run(capsys, ["solve-tiny", "--max-iters", "10"])
     assert code == 0
     assert json.loads(out)["tiny_converged"] is True
 
@@ -194,7 +200,8 @@ def test_solve_tiny_starved_run_reports_unconverged(capsys):
     code, out, _ = run(capsys, ["solve-tiny", "--per-group", "2", "--max-iters", "1"])
     report = json.loads(out)
     assert report["converged"] is False
-    assert code == 0  # the value check is on the objective alone
+    assert report["status"] == "iteration-limit"
+    assert code == 0  # the check is on the proven lower bound alone
 
 
 def test_solve_tiny_five_vertex_within_bound(capsys):
@@ -203,6 +210,8 @@ def test_solve_tiny_five_vertex_within_bound(capsys):
     report = json.loads(out)
     assert report["within_bound"] is True
     assert report["certificate_bound"] == "2.5"
+    assert 1.999 <= float(report["lower_bound"]) <= 2.0
+    assert report["upper_bound"] == "2"
 
 
 def test_solve_tiny_encoding_obeys_the_dense_cap(capsys, monkeypatch):

@@ -8,8 +8,10 @@ eigenvalues (``min_eig_numeric``, ``min_shifted_numeric``) and the
 ``identities`` residuals, whose last bits depend on the eigensolver and on
 the order of floating-point sums.
 
-Rewrite the files only for an output that changes on purpose:
-``PYTHONPATH=src python tests/test_golden.py``.
+Rewrite the files only for an output that changes on purpose, naming its
+stems: ``PYTHONPATH=src python tests/test_golden.py solve_tiny`` rewrites
+``solve_tiny.json`` alone.  With no stem every artifact is rewritten,
+including the LAPACK-derived cells whose last bits vary by machine.
 """
 
 from __future__ import annotations
@@ -105,8 +107,14 @@ def test_artifact_matches_golden(stem, fmt, tmp_path):
 
 
 if __name__ == "__main__":
+    stems = sys.argv[1:] or list(ARGV)
+    unknown = sorted(set(stems) - set(ARGV))
+    if unknown:
+        sys.exit(f"unknown stems {unknown}; choose from {sorted(ARGV)}")
     GOLDEN.mkdir(exist_ok=True)
     for stem, fmt in ARTIFACTS:
+        if stem not in stems:
+            continue
         path = GOLDEN / f"{stem}.{fmt}"
         render(stem, fmt, path)
         print(path, file=sys.stderr)

@@ -1,6 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from simplicial_gap import sdp_numeric
 from simplicial_gap.certificates import assemble, coeffs_general
 from simplicial_gap.instances import make_one_extra
 from simplicial_gap.matrix_core import trace_inner
@@ -8,6 +14,7 @@ from simplicial_gap.reduced_sdp import build_reduction, objective_reduced
 from simplicial_gap.sdp_numeric import (
     SdpProblem,
     encode_reduced,
+    lift_upper_bound,
     nonmonotonicity_check,
     project_psd,
     solve,
@@ -85,8 +92,64 @@ def test_zero_objective_converges_to_zero():
 def test_unconverged_solution_is_still_returned():
     sol = solve(sanity_problem(4), max_iters=1)
     assert not sol.converged
+    assert sol.status == "iteration-limit"
     assert sol.iterations == 1
     assert np.isfinite(sol.objective_value)
+
+
+def test_sanity_bracket_holds_the_optimum():
+    sol = solve(sanity_problem(4))
+    assert sol.status == "optimal"
+    assert sol.lower_bound <= 1.0 <= sol.objective_value + 1e-6
+    assert sol.objective_value - sol.lower_bound <= sdp_numeric.GAP_TOL
+
+
+def test_vanishing_steps_report_stalled(monkeypatch):
+    monkeypatch.setattr(sdp_numeric, "_max_step", lambda *args: 1e-6)
+    sol = solve(sanity_problem(4))
+    assert sol.status == "stalled"
+    assert sol.iterations == sdp_numeric.STALL_ITERS
+    assert not sol.converged
+
+
+def test_cone_rows_replace_the_gangster_sum_and_drop_a_dependent_row():
+    # n = 4: 2n + 2 constraints, one assignment row dependent, the gangster
+    # sum split into its 48 entries, 120 - 48 off-diagonal slacks
+    rows, b, n_slack = sdp_numeric._cone_rows(encode_reduced(make_one_extra(2, 2)))
+    assert rows.shape == (8 + 48 + 72, 256)
+    assert n_slack == 72
+    # independent once each slack row carries its -s_e column
+    slack_columns = np.vstack([np.zeros((56, 72)), -np.eye(72)])
+    assert np.linalg.matrix_rank(np.hstack([rows, slack_columns])) == len(rows)
+    assert b[:8].tolist() == [1.0] * 7 + [16.0]
+    assert not b[8:].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-5.0, 5.0))
+@example(1.0, -2.0)  # S = C - A^T y is 0, but the entry multiplier is negative
+@example(1.0, 0.0)  # S = I - J is indefinite
+def test_lower_bound_holds_at_any_dual_point(y_sum, y_entry):
+    # min tr Y over Y PSD, Y >= 0, 1^T Y 1 = 2 is 1, at Y = J/2; the rows
+    # are the sum and Y_01 - s = 0
+    p = sanity_problem(2)
+    rows, b, n_slack = sdp_numeric._cone_rows(p)
+    bound = sdp_numeric._lower_bound(
+        p.objective,
+        rows,
+        b,
+        np.array([y_sum, y_entry]),
+        len(b) - n_slack,
+        sdp_numeric._trace_bound(p),
+    )
+    assert bound <= 1.0 + 1e-12
+
+
+def test_trace_bound_reads_the_constraints():
+    assert sdp_numeric._trace_bound(encode_reduced(make_one_extra(2, 2))) == pytest.approx(4.0)
+    assert sdp_numeric._trace_bound(sanity_problem(4)) == 4.0
+    unbounded = SdpProblem(dim=2, objective=np.eye(2), constraints=[(np.diag([1.0, 0.0]), 1.0)])
+    assert sdp_numeric._trace_bound(unbounded) == math.inf
 
 
 def test_encode_shapes():
@@ -127,18 +190,75 @@ def test_three_vertex_value_is_pinned_by_constraints():
 
 
 def test_five_vertex_value_stays_under_certificate_bound():
-    # degenerate optimum: the solver tail is sublinear, so only the value
-    # is asserted here, not the convergence flag
+    # degenerate optimum: no strictly feasible point, so the iterates stall
+    # at the cone boundary; the proven bound is asserted, not the flag
     sol = solve(encode_reduced(make_one_extra(2, 2)), max_iters=20_000)
+    assert sol.lower_bound <= 2.5
     assert sol.objective_value <= 2.5 + 1e-3
     assert np.isfinite(sol.max_equality_residual)
     assert sol.iterations <= 20_000
+    assert sol.status in ("optimal", "stalled")
+
+
+def lifts(p: SdpProblem) -> list[np.ndarray]:
+    """Every permutation lift vec(P) (vec(P))^T meeting all constraints exactly."""
+    n = math.isqrt(p.dim)
+    out = []
+    for perm in itertools.permutations(range(n)):
+        pmat = np.eye(n)[list(perm)]
+        yy = np.outer(pmat.reshape(-1), pmat.reshape(-1))
+        if all(trace_inner(a, yy) == b for a, b in p.constraints):
+            out.append(yy)
+    return out
+
+
+@pytest.fixture(scope="module")
+def brackets():
+    """(problem, solution, feasible lifts) per group size 1, 2, 3."""
+    out = {}
+    for per_group in (1, 2, 3):
+        p = encode_reduced(make_one_extra(2, per_group))
+        out[per_group] = (p, solve(p), lifts(p))
+    return out
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_lower_bound_is_below_every_feasible_lift(brackets, per_group):
+    p, sol, feasible = brackets[per_group]
+    assert len(feasible) == math.factorial(2 * per_group)
+    values = [trace_inner(p.objective, yy) for yy in feasible]
+    assert sol.lower_bound <= min(values)
+    assert lift_upper_bound(p) == min(values) == pytest.approx(2.0, abs=1e-12)
+    assert sol.lower_bound <= lift_upper_bound(p)
+
+
+def test_brackets_match_the_documented_values(brackets):
+    assert brackets[1][1].converged
+    assert brackets[1][1].lower_bound == pytest.approx(2.0, abs=1e-6)
+    assert brackets[2][1].lower_bound >= 1.999
+    # per group 3 sits below 2: the relaxation is not tight there
+    assert 1.74 <= brackets[3][1].lower_bound <= 1.76
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24).filter(lambda w: sum(w) > 0))
+def test_lower_bound_is_below_convex_combinations_of_lifts(brackets, weights):
+    p, sol, feasible = brackets[2]
+    w = np.array(weights) / sum(weights)
+    yy = sum(wk * lift for wk, lift in zip(w, feasible))
+    assert sol.lower_bound <= trace_inner(p.objective, yy) + 1e-12
+
+
+def test_lift_upper_bound_needs_a_square_dim():
+    with pytest.raises(ValueError, match="n\\^2"):
+        lift_upper_bound(sanity_problem(3))
 
 
 def test_nonmonotonicity_check_frozen():
     rep = nonmonotonicity_check(large_n=16)
     assert rep.tiny_converged
     assert rep.tiny_value == pytest.approx(2.0, abs=1e-3)
+    assert rep.certificate_bound < rep.lower_bound <= 2.0 == rep.upper_bound
     assert rep.large_n == 16
     assert rep.certificate_bound == pytest.approx(TINY_BOUND_16, rel=1e-12)
     assert rep.difference == pytest.approx(2.0 - TINY_BOUND_16, abs=1e-3)
