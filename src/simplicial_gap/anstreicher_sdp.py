@@ -22,6 +22,14 @@ form (``shifted_spectrum``) drops the coupled k = 0 value from 1 to 0;
 the dense oracle (``dense_shifted_spectrum``) swaps the eigenvalue nearest
 c in the one spectrum that ``certificates.dense_view`` computed, after
 measuring the row-sum spread max|Y 1 - c| that the swap rests on.
+
+That spectrum comes from Y's frequency blocks, not from Y itself, and the
+swap still holds on it: the all-ones vector is constant over tour
+positions, so the Fourier basis maps it into the frequency-0 block, where
+c is the eigenvalue of the all-ones vertex vector.  The block spectrum is
+Y's to within the mass the blocking discards (at most ``EIG_TOL`` max|Y|,
+or ``dense_view`` raises), so its eigenvalue nearest c is the one that the
+shift moves.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ b.  This module generates those coefficients (two-group closed form and the
 general even-g form), assembles Y structurally, evaluates its objective, and
 verifies feasibility.  The closed forms always run; below the dense cap the
 dense oracle joins in.  ``dense_view`` is the one place that chooses the
-mode: in dense mode it densifies Y once and factors it once, and both
+mode: in dense mode it densifies Y once, blocks it once into its n
+frequency blocks of side n, and factors those in one batched call; both
 relaxations' verifiers (this module's and ``anstreicher_sdp``'s) read that
 one matrix and that one spectrum.
 
@@ -41,7 +42,15 @@ import numpy as np
 
 from .circulant import SymmetricCirculant, cosine_profile, ring_adjacency
 from .instances import SimplicialInstance
-from .matrix_core import SizeLimitError, dense_cap, kron, sym_eigs, trace_inner
+from .matrix_core import (
+    EIG_TOL,
+    ConvergenceError,
+    SizeLimitError,
+    dense_cap,
+    kron,
+    sym_eigs,
+    trace_inner,
+)
 
 __all__ = [
     "CertCoeffs",
@@ -365,15 +374,67 @@ def _dense_residuals(
 
 @dataclass
 class DenseView:
-    """One certificate densified once and factored once.
+    """One certificate densified once, blocked once, factored in one batch.
 
     ``matrix`` is the n^2 x n^2 matrix Y and ``eigenvalues`` its ascending
-    spectrum from a single ``sym_eigs`` call; every dense check of both
+    spectrum: the n frequency blocks of Y (see ``dense_view``) go to a
+    single batched ``sym_eigs`` call.  Every dense check of both
     relaxations reads these two arrays.
     """
 
     matrix: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
+
+
+def _real_fourier_basis(n: int) -> np.ndarray:
+    """Orthogonal Q whose columns diagonalise every symmetric n x n circulant.
+
+    For even n (every certificate's), column k is the cosine of frequency k
+    for k <= n/2 and the sine of frequency n - k above it, so Q^T C Q is
+    diagonal with C's eigenvalue at frequency k in place k.
+    """
+    k = np.arange(n)
+    angle = (2.0 * np.pi / n) * (np.outer(k, k) % n)
+    q = np.where(k <= n // 2, np.cos(angle), np.sin(angle)) * np.sqrt(2.0 / n)
+    q[:, 0] = 1.0 / np.sqrt(n)
+    q[:, n // 2] = (-1.0) ** k / np.sqrt(n)
+    return q
+
+
+def _frequency_blocks(y_dense: np.ndarray, n: int) -> np.ndarray:
+    """The n symmetric vertex blocks of Y in the Fourier basis of positions.
+
+    Conjugating Y by I (x) Q leaves entry [(u, k), (v, l)] = (Q^T Y^(uv) Q)_kl,
+    so Y splits into blocks M_k[u, v] = (Q^T Y^(uv) Q)_kk when every minor
+    block Y^(uv) is a symmetric circulant.  This reads the dense matrix one
+    vertex row at a time and keeps the frequency diagonal, symmetrised; the
+    Frobenius mass it discards (off the frequency diagonal, plus the
+    antisymmetric part) bounds by Weyl's inequality how far any eigenvalue
+    of Y lies from the block spectrum.  More than ``EIG_TOL * max|Y|`` of it
+    raises ConvergenceError carrying that mass.
+    """
+    q = _real_fourier_basis(n)
+    y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
+    diag = np.arange(n)
+    blocks = np.empty((n, n, n))
+    off = 0.0
+    for u in range(n):
+        z = (q.T @ y4[u].reshape(n, n * n)).reshape(n * n, n) @ q
+        z = z.reshape(n, n, n)  # [k, v, l]
+        blocks[:, u, :] = z[diag, :, diag]
+        z[diag, :, diag] = 0.0
+        off += float(np.vdot(z, z))
+    anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
+    discarded = float(np.sqrt(off + np.vdot(anti, anti)))
+    scale = max(float(y_dense.max()), -float(y_dense.min()))
+    if discarded > EIG_TOL * scale:
+        raise ConvergenceError(
+            f"Y is not block-diagonal over position frequencies: discarded "
+            f"mass {discarded:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}",
+            discarded,
+            n * n,
+        )
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
 
 def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
@@ -383,11 +444,15 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     (closed forms and blockwise residuals only) past it; ``force`` insists
     on the dense oracle and raises SizeLimitError past the cap.  Callers
     that want the structured checks below the cap pass view None directly.
+    The dense Y is built once and split into its n frequency blocks of
+    side n, whose spectra are, to within the mass the split discards, the
+    spectrum of Y; one batched ``sym_eigs`` call factors them all.
     """
     if not force and y.n * y.n > dense_cap():
         return None
     matrix = y.densify()
-    return DenseView(matrix=matrix, eigenvalues=sym_eigs(matrix))
+    blocks = _frequency_blocks(matrix, y.n)
+    return DenseView(matrix=matrix, eigenvalues=sym_eigs(blocks))
 
 
 def verify_povh_rendl(

@@ -5,8 +5,9 @@ Small wrappers around numpy that the rest of the package builds on:
 * ``kron``        -- Kronecker product, size-capped like every dense matrix
 * ``trace_inner`` -- trace inner product <a, b> = trace(a @ b) for symmetric a
 * ``vec_stack``   -- column-major vectorization
-* ``sym_eigs``    -- full spectrum of a symmetric matrix, sorted ascending,
-                     with an always-on residual check
+* ``sym_eigs``    -- full spectrum of a symmetric matrix or of a stack of
+                     symmetric blocks, sorted ascending, from one batched
+                     ``eigh`` with an always-on per-block residual check
 
 Matrices are plain ``numpy.ndarray`` objects built symmetrically by
 construction; ``sym_eigs`` enforces exact (tolerance-zero) symmetry at the
@@ -14,7 +15,7 @@ boundary.  Dense work is size-capped by one number, ``dense_cap()``: the
 environment variable ``SIMPLICIAL_GAP_MAX_DENSE`` if set, else
 ``DEFAULT_DENSE_CAP``.  It bounds the side length of every matrix that
 ``kron`` builds, ``CertificateY.densify`` assembles and ``sym_eigs``
-factors.
+factors (for a stack, the side of each block).
 """
 
 from __future__ import annotations
@@ -79,13 +80,6 @@ def dense_cap() -> int:
     return DEFAULT_DENSE_CAP
 
 
-def _as_square(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    return m
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; SizeLimitError if either side exceeds the dense cap."""
     a = np.asarray(a, dtype=float)
@@ -123,38 +117,52 @@ def vec_stack(m: np.ndarray) -> np.ndarray:
 
 
 def sym_eigs(m: np.ndarray) -> np.ndarray:
-    """Full spectrum of a symmetric matrix, ascending.
+    """Full spectrum of a symmetric matrix, or of a stack of them, ascending.
 
-    The input must be exactly symmetric (the package builds all its
-    matrices symmetrically, so equality is checked with zero tolerance).
-    Accuracy contract: every eigenpair satisfies
-    ``max|m v - lambda v| <= EIG_TOL * max|m|``; violations raise
-    ConvergenceError.  Dimensions above the dense cap raise SizeLimitError.
+    ``m`` is one matrix (m, m) or a stack (k, m, m) of k blocks; a matrix is
+    a stack of one on the same path.  All blocks go to one batched ``eigh``
+    call, and the k*m eigenvalues come back as one sorted flat array (the
+    spectrum of the block-diagonal matrix the stack describes).
+
+    Every block must be exactly symmetric (the package builds its matrices
+    symmetrically, so equality is checked with zero tolerance).  Accuracy
+    contract, per block: every eigenpair satisfies
+    ``max|m v - lambda v| <= EIG_TOL * max|m|``; a violation raises
+    ConvergenceError with ``dim`` the block side.  A block side above the
+    dense cap raises SizeLimitError.
     """
-    m = _as_square(m, "m")
-    dim = m.shape[0]
+    stack = np.asarray(m, dtype=float)
+    if stack.ndim == 2:
+        stack = stack[None]
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(
+            f"m must be a square matrix or a stack of them, got shape {np.shape(m)}"
+        )
+    dim = stack.shape[1]
     cap = dense_cap()
     if dim > cap:
         raise SizeLimitError(f"matrix side {dim} exceeds dense cap {cap}")
-    if not np.array_equal(m, m.T):
-        raise ValueError("sym_eigs requires an exactly symmetric matrix")
+    if not np.array_equal(stack, stack.transpose(0, 2, 1)):
+        raise ValueError("sym_eigs requires exactly symmetric matrices")
 
     try:
-        vals, vecs = np.linalg.eigh(m)
+        vals, vecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigendecomposition failed at dim {dim}: {exc}", None, dim
         ) from exc
 
-    scale = float(np.abs(m).max())
-    if scale > 0.0:
-        residual = float(np.abs(m @ vecs - vecs * vals).max())
-        if residual > EIG_TOL * scale:
-            raise ConvergenceError(
-                f"eigenpair residual {residual:.3e} exceeds "
-                f"{EIG_TOL:.1e} * {scale:.3e} at dim {dim}",
-                residual,
-                dim,
-            )
+    scale = np.abs(stack).max(axis=(1, 2))
+    residual = np.abs(stack @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2))
+    # written so that a NaN residual fails too
+    bad = np.flatnonzero(~(residual <= EIG_TOL * scale))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(
+            f"eigenpair residual {residual[i]:.3e} exceeds "
+            f"{EIG_TOL:.1e} * {scale[i]:.3e} in block {i} at dim {dim}",
+            float(residual[i]),
+            dim,
+        )
 
-    return vals  # eigh returns them ascending
+    return np.sort(vals, axis=None)

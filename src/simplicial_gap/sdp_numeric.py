@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import assemble, coeffs_two_group
+from .certificates import assemble, coeffs_two_group, verify_povh_rendl
 from .instances import SimplicialInstance, make_one_extra
 from .matrix_core import kron, trace_inner
 from .reduced_sdp import build_reduction, one_extra_bound
@@ -420,16 +420,19 @@ def nonmonotonicity_check(
     Every feasible point of the 3-vertex problem costs exactly 2, while the
     certificate bound on the two-group instance with large_n + 1 vertices
     falls strictly below 2, so adding vertices lowers the relaxation value.
-    The report is conclusive when the bracket [lower_bound, upper_bound]
-    lies wholly on one side of the certificate bound.
+    The report is conclusive when the certificate passes its structured
+    verification (otherwise its bound proves nothing) and the bracket
+    [lower_bound, upper_bound] lies wholly on one side of that bound.
     """
     # the bound first: coeffs_two_group rejects a bad large_n before the solve
-    bound = one_extra_bound(assemble(coeffs_two_group(large_n))).upper_bound
+    y = assemble(coeffs_two_group(large_n))
+    bound = one_extra_bound(y).upper_bound
+    verified = verify_povh_rendl(y, None).passed
     p = encode_reduced(make_one_extra(2, 1))
     sol = solve(p, max_iters=max_iters)
     upper = lift_upper_bound(p)
 
-    conclusive = sol.lower_bound > bound or upper <= bound
+    conclusive = verified and (sol.lower_bound > bound or upper <= bound)
     return NonMonotonicityReport(
         tiny_value=sol.objective_value,
         tiny_converged=sol.converged,

@@ -18,7 +18,12 @@ from simplicial_gap.certificates import (
     verify_povh_rendl,
 )
 from simplicial_gap.instances import make_equal
-from simplicial_gap.matrix_core import DENSE_CAP_ENV_VAR, SizeLimitError
+from simplicial_gap.matrix_core import (
+    DENSE_CAP_ENV_VAR,
+    EIG_TOL,
+    ConvergenceError,
+    SizeLimitError,
+)
 from simplicial_gap.serialize import record_json
 
 # oracle values computed independently at 40-digit precision and frozen
@@ -202,6 +207,46 @@ def test_spectrum_multiset_matches_dense(g, n, dense_cert):
     _, eigs = dense_cert(g, n)
     multiset = closed_form_spectrum(coeffs_general(n, g)).multiset()
     assert np.abs(multiset / (2.0 * n) - eigs).max() < 1e-8
+
+
+BLOCK_GRID = (
+    [(2, n) for n in (4, 8, 16, 32, 44)] + [(4, n) for n in (16, 32, 44)] + [(6, 36)]
+)
+
+
+@pytest.mark.parametrize("g,n", BLOCK_GRID)
+def test_block_spectrum_matches_full_factorization(g, n, dense_cert):
+    # the oracle of the oracle: dense_view's frequency-block spectrum against
+    # one eigvalsh of the whole n^2 x n^2 matrix and against the closed form
+    y = assemble(coeffs_general(n, g))
+    view = dense_view(y, force=True)
+    yd, full = dense_cert(g, n)
+    assert np.array_equal(view.matrix, yd)
+    assert view.eigenvalues.shape == (n * n,)
+    assert np.abs(view.eigenvalues - full).max() <= 1e-13
+    multiset = y.spectrum.multiset() / (2.0 * n)
+    assert np.abs(view.eigenvalues - multiset).max() <= 1e-13
+
+
+def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
+    n, delta = 8, 1e-3
+    y = assemble(coeffs_two_group(n))
+    tilted = y.densify()
+    # vertex 0 at position 1 against vertex 5 at position 2: the same
+    # vertex pair at positions (2, 3) keeps its old value, so the minor
+    # block is no longer circulant
+    i, j = 0 * n + 1, 5 * n + 2
+    tilted[i, j] += delta
+    tilted[j, i] += delta
+    monkeypatch.setattr(type(y), "densify", lambda self: tilted)
+    with pytest.raises(ConvergenceError) as exc:
+        dense_view(y, force=True)
+    # the moved pair has Frobenius mass sqrt(2) delta; at most a 2/n share
+    # of its square lands on the frequency diagonal
+    assert np.sqrt(2.0 * (1.0 - 2.0 / n)) * delta <= exc.value.residual
+    assert exc.value.residual <= np.sqrt(2.0) * delta + 1e-12
+    assert exc.value.residual > EIG_TOL * np.abs(tilted).max()
+    assert exc.value.dim == n * n
 
 
 def test_spectrum_bookkeeping():

@@ -183,6 +183,16 @@ def test_solve_tiny_default_is_conclusive(capsys):
     assert float(report["difference"]) >= 0.3
 
 
+def test_solve_tiny_refuses_a_certificate_that_fails_its_check(capsys):
+    # coeffs_two_group(2546) misses the total-sum check by roundoff, so its
+    # bound proves nothing and the report cannot be conclusive
+    code, out, _ = run(capsys, ["solve-tiny", "--large-n", "2546"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["conclusive"] is False
+    assert report["non_monotonic"] is False
+
+
 def test_solve_tiny_three_vertex_converges_immediately(capsys):
     # the 3-vertex objective is pinned to 2 by the affine constraints: one
     # Newton step already proves a bound above the certificate's, and a

@@ -157,3 +157,55 @@ def test_sym_eigs_backend_failure_is_convergence_error(monkeypatch):
         sym_eigs(_random_symmetric(5))
     assert exc.value.residual is None
     assert exc.value.dim == 5
+
+
+def test_sym_eigs_stack_is_the_spectrum_of_the_block_diagonal():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(3, 5, 5))
+    stack = stack + stack.transpose(0, 2, 1)
+    vals = sym_eigs(stack)
+    full = np.zeros((15, 15))
+    for i, block in enumerate(stack):
+        full[5 * i : 5 * i + 5, 5 * i : 5 * i + 5] = block
+    assert vals.shape == (15,)
+    assert np.all(np.diff(vals) >= 0)
+    assert np.abs(vals - np.linalg.eigvalsh(full)).max() <= 1e-13
+
+
+def test_sym_eigs_stack_contract_is_per_block(monkeypatch):
+    stack = np.stack([_random_symmetric(6), _random_symmetric(6), np.eye(6)])
+    real = np.linalg.eigh
+
+    def perturbed_middle(a):
+        vals, vecs = real(a)
+        vecs = vecs.copy()
+        vecs[1] += 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_middle)
+    with pytest.raises(ConvergenceError, match="block 1") as exc:
+        sym_eigs(stack)
+    assert exc.value.residual > EIG_TOL * np.abs(stack[1]).max()
+    assert exc.value.dim == 6
+
+
+def test_sym_eigs_stack_rejects_an_asymmetric_block():
+    stack = np.stack([np.eye(3), np.eye(3)])
+    stack[1, 0, 2] += 1e-14
+    with pytest.raises(ValueError):
+        sym_eigs(stack)
+
+
+def test_sym_eigs_stack_cap_bounds_the_block_side(monkeypatch):
+    monkeypatch.setenv(DENSE_CAP_ENV_VAR, "8")
+    with pytest.raises(SizeLimitError):
+        sym_eigs(np.stack([np.eye(10), np.eye(10)]))
+    # the cap bounds each block, not the side of the block-diagonal whole
+    assert np.array_equal(sym_eigs(np.stack([np.eye(4)] * 100)), np.ones(400))
+
+
+def test_sym_eigs_rejects_non_square_stacks():
+    with pytest.raises(ValueError):
+        sym_eigs(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        sym_eigs(np.zeros((2, 2, 3, 3)))
