@@ -21,17 +21,14 @@ from .certificates import (
     coeffs_general,
     coeffs_two_group,
     dense_view,
-    lower_bound_akk,
     objective_dense_trace,
     objective_povh_rendl,
-    profile_identity_residuals,
     verify_povh_rendl,
 )
 from .circulant import SymmetricCirculant, cosine_profile, identity_suite
 from .instances import (
     SimplicialInstance,
     held_karp_cycle,
-    is_metric,
     make_equal,
     make_one_extra,
     tsp_optimum,
@@ -90,9 +87,7 @@ __all__ = [
     "gap_table",
     "held_karp_cycle",
     "identity_suite",
-    "is_metric",
     "lift_upper_bound",
-    "lower_bound_akk",
     "make_equal",
     "make_one_extra",
     "min_cut",
@@ -101,7 +96,6 @@ __all__ = [
     "objective_povh_rendl",
     "objective_reduced",
     "one_extra_bound",
-    "profile_identity_residuals",
     "shifted_spectrum",
     "solve_sdp",
     "solve_subtour",

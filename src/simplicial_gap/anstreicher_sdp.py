@@ -7,6 +7,10 @@ satisfy trace(Y F^T F) = 2n where F stacks the row- and column-sum maps, so
 that F^T F = J (x) I + I (x) J.  Positive semidefiniteness is demanded of
 the shifted matrix Y - J/n^2 rather than of Y itself.
 
+The dense check builds no F: trace(Y (I (x) J)) is the entry sum of the
+diagonal blocks and trace(Y (J (x) I)) the sum of the block traces, the two
+n x n contractions the matrix constraints already read off Y.
+
 The certificates satisfy all of this exactly: their diagonal blocks are
 I/n and their off-diagonal blocks circulants with zero diagonal (hence
 traceless).  Both relaxations share the same objective matrix, so the bound
@@ -48,24 +52,13 @@ from .certificates import (
     objective_povh_rendl,
 )
 from .instances import make_equal
-from .matrix_core import kron, trace_inner
 
 __all__ = [
     "AnstreicherReport",
     "dense_shifted_spectrum",
-    "row_column_map",
     "shifted_spectrum",
     "verify_anstreicher",
 ]
-
-
-def row_column_map(n: int) -> np.ndarray:
-    """The 2n x n^2 map F whose rows read off block-row and block-column sums."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    eye = np.eye(n)
-    ones_row = np.ones((1, n))
-    return np.vstack([kron(ones_row, eye), kron(eye, ones_row)])
 
 
 def shifted_spectrum(base: CertSpectrum) -> CertSpectrum:
@@ -138,9 +131,9 @@ def _dense_residuals(y_dense: np.ndarray, n: int) -> tuple[float, float, float]:
     eye = np.eye(n)
     block_sum = np.einsum("usut->st", y4)
     trace_pattern = np.einsum("usvs->uv", y4)
-    ftf = row_column_map(n)
-    ftf = ftf.T @ ftf
-    residual_f = abs(trace_inner(ftf, y_dense) - 2.0 * n)
+    # trace(Y F^T F) = trace(Y (I (x) J)) + trace(Y (J (x) I)): the entry sum
+    # of the diagonal blocks plus the sum of the block traces
+    residual_f = abs(float(block_sum.sum() + trace_pattern.sum()) - 2.0 * n)
     return (
         float(np.abs(block_sum - eye).max()),
         float(np.abs(trace_pattern - eye).max()),
@@ -160,10 +153,10 @@ def verify_anstreicher(
     the checks use the blockwise closed forms.  With a dense view the
     residuals come off the dense matrix, the shifted spectrum from the
     view's eigenvalues (failing the report if the row-sum spread exceeds
-    eq_tol), and the objective by brute-force trace, so that equality of
-    the two relaxations' bound values is checked on actual matrices, not
-    just by construction.  The dense objective runs on the certificate's
-    own equal layout.
+    eq_tol), and the objective by contraction over the dense matrix, so
+    that equality of the two relaxations' bound values is checked on actual
+    matrices, not just by construction.  The dense objective runs on the
+    certificate's own equal layout.
     """
     n = y.n
     min_shifted = shifted_spectrum(y.spectrum).min_value()

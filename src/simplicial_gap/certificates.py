@@ -49,7 +49,6 @@ from .matrix_core import (
     dense_cap,
     kron,
     sym_eigs,
-    trace_inner,
 )
 
 __all__ = [
@@ -63,10 +62,8 @@ __all__ = [
     "coeffs_general",
     "coeffs_two_group",
     "dense_view",
-    "lower_bound_akk",
     "objective_dense_trace",
     "objective_povh_rendl",
-    "profile_identity_residuals",
     "verify_povh_rendl",
 ]
 
@@ -143,8 +140,11 @@ def coeffs_general(n: int, g: int) -> CertCoeffs:
 
     a_i = (1/(n-g)) [2 + (4/g) sum_{j=1}^{g-1} (g-j) cos(pi i j / d)] for
     i < d, halved at i = d; then b_i is pinned by the linear coupling
-    (n-g) a_i + n(g-1) b_i = 2g (i < d) resp. g (i = d).  Reduces exactly to
-    coeffs_two_group at g = 2.
+    (n-g) a_i + n(g-1) b_i = 2g (i < d) resp. g (i = d).  At g = 2 this is
+    coeffs_two_group's formula evaluated in another order, so the two agree
+    only to roundoff: on every even n in 6..4000 they differ in some entry
+    (by at most 1.8 eps times the largest coefficient), and their b_1, which
+    prices the objective, matches bit for bit on 428 of those 1,998 n.
     """
     if g < 2 or g % 2 != 0:
         raise ValueError(f"g must be even and >= 2, got {g}")
@@ -248,13 +248,6 @@ class CertSpectrum:
             (self.plain, self.n - self.g),
         )
 
-    def multiset(self) -> np.ndarray:
-        """All n^2 eigenvalues of 2nY expanded by multiplicity, sorted."""
-        vals = np.concatenate(
-            [np.repeat(values, mult) for values, mult in self.families()]
-        )
-        return np.sort(vals)
-
     def min_value(self) -> float:
         return min(float(values.min()) for values, _ in self.families())
 
@@ -281,26 +274,6 @@ def closed_form_spectrum(coeffs: CertCoeffs) -> CertSpectrum:
         middle=-2.0 * p * bp + 2.0 * p * ap + plain,
         plain=plain,
     )
-
-
-def lower_bound_akk(coeffs: CertCoeffs) -> float:
-    """min over k >= 1 of the a-profile; never below -g/(n-g).
-
-    Raises if the structural floor -g/(n-g) (or the trivial ceiling 1) is
-    violated beyond roundoff, which would mean broken coefficients.
-    """
-    n, g = coeffs.n, coeffs.g
-    prof = coeffs.a_profile()[1:]
-    mn = float(prof.min())
-    mx = float(prof.max())
-    floor = -g / (n - g)
-    if mn < floor - 1e-10:
-        raise ArithmeticError(
-            f"a-profile minimum {mn} sits below its floor {floor}"
-        )
-    if mx > 1.0 + 1e-12:
-        raise ArithmeticError(f"a-profile maximum {mx} exceeds 1")
-    return mn
 
 
 @dataclass
@@ -518,7 +491,12 @@ def objective_povh_rendl(y: CertificateY) -> float:
 
 
 def objective_dense_trace(inst: SimplicialInstance, y_dense: np.ndarray) -> float:
-    """The same objective by brute-force trace over the dense Y (oracle route)."""
+    """The same objective read off the dense Y (oracle route).
+
+    (1/2) <D (x) C1, Y> = (1/2) sum_uv D[u, v] <C1, Y^(uv)>: one contraction
+    of Y's (n, n, n, n) view with C1 gives <C1, Y^(uv)> for every minor
+    block at once, so D (x) C1 is never built.
+    """
     n = inst.n_total
     if y_dense.shape != (n * n, n * n):
         raise ValueError(
@@ -527,34 +505,5 @@ def objective_dense_trace(inst: SimplicialInstance, y_dense: np.ndarray) -> floa
         )
     d = inst.cost_matrix()
     c1 = ring_adjacency(n)
-    return 0.5 * trace_inner(kron(d, c1), y_dense)
-
-
-def profile_identity_residuals(coeffs: CertCoeffs) -> dict[str, float]:
-    """Residuals of the profile-level facts behind the spectrum analysis.
-
-    Always reported: unit coefficient sums, the a/b profile coupling over
-    k >= 1, and the profile floor -g/(n-g).  At g = 2 the sharper profile
-    values ((d-2)/(n-2) at k = 1, -2/(n-2) for k = 2..d) and the leading
-    coefficient bound b_1 <= 4 pi^2/n^3 join in.
-    """
-    n, g = coeffs.n, coeffs.g
-    d = coeffs.d
-    ap = coeffs.a_profile()
-    bp = coeffs.b_profile()
-    out: dict[str, float] = {}
-    out["coefficient_sum_a"] = abs(float(coeffs.a.sum()) - 1.0)
-    out["coefficient_sum_b"] = abs(float(coeffs.b.sum()) - 1.0)
-    out["profile_at_zero"] = max(abs(float(ap[0]) - 1.0), abs(float(bp[0]) - 1.0))
-    coupling = bp[1:] + g / (n * (g - 1.0)) + ((n - g) / (n * (g - 1.0))) * ap[1:]
-    out["profile_coupling"] = float(np.abs(coupling).max())
-    out["profile_floor"] = max(0.0, -g / (n - g) - float(ap[1:].min()))
-    if g == 2:
-        out["two_group_profile_first"] = abs(float(ap[1]) - (d - 2.0) / (n - 2.0))
-        out["two_group_profile_tail"] = float(
-            np.abs(ap[2 : d + 1] + 2.0 / (n - 2.0)).max()
-        )
-        out["two_group_leading_bound"] = max(
-            0.0, float(coeffs.b[0]) - 4.0 * np.pi**2 / n**3
-        )
-    return out
+    y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
+    return 0.5 * float((d * np.einsum("usvt,st->uv", y4, c1)).sum())

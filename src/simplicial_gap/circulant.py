@@ -27,8 +27,6 @@ import numpy as np
 
 __all__ = [
     "SymmetricCirculant",
-    "basis",
-    "circulant_spectrum",
     "cosine_profile",
     "identity_suite",
     "lagrange_cosine_sum",
@@ -76,17 +74,6 @@ class SymmetricCirculant:
         return row[offsets]
 
 
-def basis(m: int, i: int) -> SymmetricCirculant:
-    """The i-th basis circulant of dimension m (i = 1..m/2)."""
-    if m < 2 or m % 2 != 0:
-        raise ValueError(f"dimension must be even and >= 2, got {m}")
-    if not 1 <= i <= m // 2:
-        raise ValueError(f"offset must lie in 1..{m // 2}, got {i}")
-    coeffs = np.zeros(m // 2)
-    coeffs[i - 1] = 1.0
-    return SymmetricCirculant(m, coeffs)
-
-
 def cosine_profile(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Frequency profile sum_i coeffs[i-1] * cos(2 pi i k / n), k = 0..n-1.
 
@@ -108,11 +95,6 @@ def cosine_profile(coeffs: np.ndarray, n: int) -> np.ndarray:
     return half[folded]
 
 
-def circulant_spectrum(c: SymmetricCirculant) -> np.ndarray:
-    """All m eigenvalues, sorted ascending (closed form, no factorization)."""
-    return np.sort(2.0 * cosine_profile(c.coeffs, c.m))
-
-
 def lagrange_cosine_sum(n: int, k: int | np.ndarray) -> float | np.ndarray:
     """Closed form of sum_{j=1}^{n/2} cos(pi j k / (n/2)) for integer k = 0..n.
 
@@ -132,7 +114,7 @@ def ring_adjacency(m: int) -> np.ndarray:
     """Dense adjacency matrix of the m-cycle (first-neighbor step costs).
 
     Handles odd m too, unlike the half-offset basis; for even m >= 4 it
-    equals basis(m, 1).densify().
+    equals the densified basis circulant at offset 1.
     """
     if m < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {m}")

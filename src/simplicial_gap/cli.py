@@ -173,8 +173,9 @@ def cmd_solve_tiny(args: argparse.Namespace) -> int:
     sol = solve(problem, max_iters=args.max_iters)
     y = assemble(coeffs_general(2 * args.per_group, 2))
     bound = one_extra_bound(y).upper_bound
-    # the proven lower bound, not the iterate's value, is compared
-    ok = sol.lower_bound <= bound
+    # the quoted certificate must pass its own verification, and the proven
+    # lower bound, not the iterate's value, is compared with its bound
+    ok = verify_povh_rendl(y, None).passed and sol.lower_bound <= bound
     payload = {
         "n_plus_one": inst.n_total,
         "objective_value": fmt_float(sol.objective_value),

@@ -6,7 +6,7 @@ Two layouts are exposed and never inferred from each other:
 * ``make_one_extra(g, per_group)`` -- group 1 carries one extra vertex
 
 Costs are the 0/1 cut semi-metric (0 within a group, 1 across), which is
-metric by construction; ``is_metric`` asserts it exhaustively anyway.  The
+metric by construction (the tests check every triangle inequality).  The
 exact tour optimum is available analytically (it equals the number of groups)
 and through an independent Held-Karp subset-DP oracle.
 
@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "SimplicialInstance",
     "held_karp_cycle",
-    "is_metric",
     "make_equal",
     "make_one_extra",
     "tsp_optimum",
@@ -86,28 +85,6 @@ def make_one_extra(g: int, per_group: int) -> SimplicialInstance:
     if per_group < 1:
         raise ValueError(f"per_group must be >= 1, got {per_group}")
     return SimplicialInstance((per_group + 1,) + (per_group,) * (g - 1))
-
-
-def is_metric(costs) -> bool:
-    """Exact symmetry + zero diagonal + all triangle inequalities.
-
-    Accepts an instance or a raw square cost matrix.
-    """
-    if isinstance(costs, SimplicialInstance):
-        d = costs.cost_matrix()
-    else:
-        d = np.asarray(costs, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {d.shape}")
-    n = d.shape[0]
-    if not np.array_equal(d, d.T):
-        return False
-    if np.any(np.diag(d) != 0.0):
-        return False
-    for k in range(n):
-        if np.any(d > d[:, [k]] + d[[k], :]):
-            return False
-    return True
 
 
 def held_karp_cycle(dist: np.ndarray) -> float:

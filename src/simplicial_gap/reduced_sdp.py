@@ -16,8 +16,7 @@ The structured route stores only the O(n) index arrays alpha and beta and
 counts the ones it needs from group labels, so together with the FFT-based
 spectrum a whole gap record costs O(n log n) time and O(n) memory.  The
 dense D[beta], C1[alpha] and cbar are built on demand and are read only by
-the oracle ``objective_reduced_dense``, the tiny numeric encodings and the
-tests.
+the tiny numeric encodings and by the tests' dense-trace oracle.
 
 ``gap_table`` turns this into integrality-gap lower-bound records: the tour
 optimum is the group count g = 2z while the reduced relaxation's optimum is
@@ -39,7 +38,7 @@ from .certificates import (
 )
 from .circulant import ring_adjacency
 from .instances import SimplicialInstance, make_one_extra
-from .matrix_core import kron, trace_inner, vec_stack
+from .matrix_core import vec_stack
 
 __all__ = [
     "GapRecord",
@@ -50,7 +49,6 @@ __all__ = [
     "build_reduction",
     "gap_table",
     "objective_reduced",
-    "objective_reduced_dense",
     "one_extra_bound",
 ]
 
@@ -63,7 +61,7 @@ class Reduction:
     that 1 is the canonical choice; alpha and beta are the complementary
     0-based index arrays into the (n+1)-vertex arrays.  Only these O(n)
     arrays are stored: the dense d_beta, c1_alpha and cbar are built on
-    demand for the oracle and the tiny encodings.
+    demand for the tiny encodings and the tests' dense oracle.
     """
 
     inst: SimplicialInstance
@@ -180,14 +178,6 @@ def one_extra_bound(y: CertificateY) -> ReducedObjective:
     """
     inst = make_one_extra(y.g, y.per_group)
     return objective_reduced(y, build_reduction(inst, 1, 1))
-
-
-def objective_reduced_dense(y: CertificateY, red: Reduction) -> ReducedObjective:
-    """The same two terms by brute-force dense traces (oracle route)."""
-    y_dense = y.densify()
-    kron_term = trace_inner(kron(red.d_beta, 0.5 * red.c1_alpha), y_dense)
-    diag_term = float(red.cbar @ np.diag(y_dense))
-    return ReducedObjective(kron_term=kron_term, diag_term=diag_term)
 
 
 def bound_constants(g: int) -> tuple[float, float, float]:

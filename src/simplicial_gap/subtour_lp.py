@@ -308,12 +308,6 @@ class LpEdgeSolution:
     cuts_added: int
     status: str
 
-    def degree_residuals(self) -> np.ndarray:
-        return np.abs(self.weight_matrix().sum(axis=1) - 2.0)
-
-    def weight_matrix(self) -> np.ndarray:
-        return _weights(self.n, self.x)
-
 
 def _violated_cuts(n: int, x: np.ndarray) -> list[frozenset[int]]:
     """Subtour cuts the point x violates, each as the side without vertex 0.

@@ -1,0 +1,141 @@
+"""Test-side oracles: independent routes the tests compare the package against.
+
+Nothing in ``simplicial_gap`` reads these.  Each one restates a fact the
+package computes another way (a literal matrix, a brute-force loop, an
+expanded multiset) so that a test can hold the two side by side.  The
+methods of package classes appear here as functions of the instance.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from simplicial_gap.certificates import CertCoeffs, CertificateY, CertSpectrum
+from simplicial_gap.circulant import SymmetricCirculant, cosine_profile
+from simplicial_gap.instances import SimplicialInstance
+from simplicial_gap.matrix_core import kron, trace_inner
+from simplicial_gap.reduced_sdp import ReducedObjective, Reduction
+from simplicial_gap.subtour_lp import LpEdgeSolution, _weights
+
+
+def basis(m: int, i: int) -> SymmetricCirculant:
+    """The i-th basis circulant of dimension m (i = 1..m/2)."""
+    if m < 2 or m % 2 != 0:
+        raise ValueError(f"dimension must be even and >= 2, got {m}")
+    if not 1 <= i <= m // 2:
+        raise ValueError(f"offset must lie in 1..{m // 2}, got {i}")
+    coeffs = np.zeros(m // 2)
+    coeffs[i - 1] = 1.0
+    return SymmetricCirculant(m, coeffs)
+
+
+def circulant_spectrum(c: SymmetricCirculant) -> np.ndarray:
+    """All m eigenvalues, sorted ascending (closed form, no factorization)."""
+    return np.sort(2.0 * cosine_profile(c.coeffs, c.m))
+
+
+def is_metric(costs) -> bool:
+    """Exact symmetry + zero diagonal + all triangle inequalities.
+
+    Accepts an instance or a raw square cost matrix.
+    """
+    if isinstance(costs, SimplicialInstance):
+        d = costs.cost_matrix()
+    else:
+        d = np.asarray(costs, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"cost matrix must be square, got shape {d.shape}")
+    n = d.shape[0]
+    if not np.array_equal(d, d.T):
+        return False
+    if np.any(np.diag(d) != 0.0):
+        return False
+    for k in range(n):
+        if np.any(d > d[:, [k]] + d[[k], :]):
+            return False
+    return True
+
+
+def multiset(spectrum: CertSpectrum) -> np.ndarray:
+    """All n^2 eigenvalues of 2nY expanded by multiplicity, sorted."""
+    vals = np.concatenate(
+        [np.repeat(values, mult) for values, mult in spectrum.families()]
+    )
+    return np.sort(vals)
+
+
+def lower_bound_akk(coeffs: CertCoeffs) -> float:
+    """min over k >= 1 of the a-profile; never below -g/(n-g).
+
+    Raises if the structural floor -g/(n-g) (or the trivial ceiling 1) is
+    violated beyond roundoff, which would mean broken coefficients.
+    """
+    n, g = coeffs.n, coeffs.g
+    prof = coeffs.a_profile()[1:]
+    mn = float(prof.min())
+    mx = float(prof.max())
+    floor = -g / (n - g)
+    if mn < floor - 1e-10:
+        raise ArithmeticError(
+            f"a-profile minimum {mn} sits below its floor {floor}"
+        )
+    if mx > 1.0 + 1e-12:
+        raise ArithmeticError(f"a-profile maximum {mx} exceeds 1")
+    return mn
+
+
+def profile_identity_residuals(coeffs: CertCoeffs) -> dict[str, float]:
+    """Residuals of the profile-level facts behind the spectrum analysis.
+
+    Always reported: unit coefficient sums, the a/b profile coupling over
+    k >= 1, and the profile floor -g/(n-g).  At g = 2 the sharper profile
+    values ((d-2)/(n-2) at k = 1, -2/(n-2) for k = 2..d) and the leading
+    coefficient bound b_1 <= 4 pi^2/n^3 join in.
+    """
+    n, g = coeffs.n, coeffs.g
+    d = coeffs.d
+    ap = coeffs.a_profile()
+    bp = coeffs.b_profile()
+    out: dict[str, float] = {}
+    out["coefficient_sum_a"] = abs(float(coeffs.a.sum()) - 1.0)
+    out["coefficient_sum_b"] = abs(float(coeffs.b.sum()) - 1.0)
+    out["profile_at_zero"] = max(abs(float(ap[0]) - 1.0), abs(float(bp[0]) - 1.0))
+    coupling = bp[1:] + g / (n * (g - 1.0)) + ((n - g) / (n * (g - 1.0))) * ap[1:]
+    out["profile_coupling"] = float(np.abs(coupling).max())
+    out["profile_floor"] = max(0.0, -g / (n - g) - float(ap[1:].min()))
+    if g == 2:
+        out["two_group_profile_first"] = abs(float(ap[1]) - (d - 2.0) / (n - 2.0))
+        out["two_group_profile_tail"] = float(
+            np.abs(ap[2 : d + 1] + 2.0 / (n - 2.0)).max()
+        )
+        out["two_group_leading_bound"] = max(
+            0.0, float(coeffs.b[0]) - 4.0 * np.pi**2 / n**3
+        )
+    return out
+
+
+def objective_reduced_dense(y: CertificateY, red: Reduction) -> ReducedObjective:
+    """The reduced objective's two terms by brute-force dense traces."""
+    y_dense = y.densify()
+    kron_term = trace_inner(kron(red.d_beta, 0.5 * red.c1_alpha), y_dense)
+    diag_term = float(red.cbar @ np.diag(y_dense))
+    return ReducedObjective(kron_term=kron_term, diag_term=diag_term)
+
+
+def weight_matrix(sol: LpEdgeSolution) -> np.ndarray:
+    """The symmetric n x n edge-weight matrix of the LP point."""
+    return _weights(sol.n, sol.x)
+
+
+def degree_residuals(sol: LpEdgeSolution) -> np.ndarray:
+    """|weighted degree - 2| per vertex of the LP point."""
+    return np.abs(weight_matrix(sol).sum(axis=1) - 2.0)
+
+
+def row_column_map(n: int) -> np.ndarray:
+    """The 2n x n^2 map F whose rows read off block-row and block-column sums."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    eye = np.eye(n)
+    ones_row = np.ones((1, n))
+    return np.vstack([kron(ones_row, eye), kron(eye, ones_row)])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from simplicial_gap import anstreicher_sdp
 from simplicial_gap.anstreicher_sdp import (
     dense_shifted_spectrum,
-    row_column_map,
     shifted_spectrum,
     verify_anstreicher,
 )
@@ -14,8 +14,10 @@ from simplicial_gap.certificates import (
     dense_view,
     objective_povh_rendl,
 )
-from simplicial_gap.matrix_core import DENSE_CAP_ENV_VAR
+from simplicial_gap.matrix_core import DENSE_CAP_ENV_VAR, trace_inner
 from simplicial_gap.serialize import record_json
+
+from oracles import multiset, row_column_map
 
 
 def test_row_column_map_layout():
@@ -35,6 +37,19 @@ def test_gram_of_map_is_pair_pattern(n):
     jn = np.ones((n, n))
     want = np.kron(jn, np.eye(n)) + np.kron(np.eye(n), jn)
     assert np.array_equal(f.T @ f, want)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_dense_residual_f_is_the_literal_gram_trace(n):
+    # a random symmetric Y has none of a certificate's circulant structure,
+    # so an index-order slip in the block contractions shows here
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n * n, n * n))
+    y = m + m.T
+    f = row_column_map(n)
+    want = abs(trace_inner(f.T @ f, y) - 2.0 * n)
+    _, _, residual_f = anstreicher_sdp._dense_residuals(y, n)
+    assert abs(residual_f - want) <= 1e-12 * float(np.abs(y).sum())
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16)])
@@ -77,10 +92,10 @@ def test_auto_mode_follows_cap(monkeypatch):
 def test_shifted_spectrum_matches_dense(dense_cert):
     yd, _ = dense_cert(2, 8)
     spectrum = shifted_spectrum(assemble(coeffs_general(8, 2)).spectrum)
-    assert len(spectrum.multiset()) == 64
+    assert len(multiset(spectrum)) == 64
     assert spectrum.coupled[0] == 0.0
     eigs = np.linalg.eigvalsh(yd - np.full((64, 64), 1.0 / 64))
-    assert np.abs(spectrum.multiset() - eigs).max() < 1e-8
+    assert np.abs(multiset(spectrum) - eigs).max() < 1e-8
     assert spectrum.min_value() >= -1e-12
 
 

@@ -11,20 +11,22 @@ from simplicial_gap.certificates import (
     coeffs_general,
     coeffs_two_group,
     dense_view,
-    lower_bound_akk,
     objective_dense_trace,
     objective_povh_rendl,
-    profile_identity_residuals,
     verify_povh_rendl,
 )
-from simplicial_gap.instances import make_equal
+from simplicial_gap.circulant import ring_adjacency
+from simplicial_gap.instances import SimplicialInstance, make_equal
 from simplicial_gap.matrix_core import (
     DENSE_CAP_ENV_VAR,
     EIG_TOL,
     ConvergenceError,
     SizeLimitError,
+    trace_inner,
 )
 from simplicial_gap.serialize import record_json
+
+from oracles import lower_bound_akk, multiset, profile_identity_residuals
 
 # oracle values computed independently at 40-digit precision and frozen
 TWO_GROUP_8_A = (
@@ -57,6 +59,17 @@ def test_general_reduces_to_two_group():
         gen = coeffs_general(n, 2)
         assert np.allclose(gen.a, spectrum.a, atol=1e-15)
         assert np.allclose(gen.b, spectrum.b, atol=1e-15)
+
+
+def test_general_matches_two_group_to_roundoff():
+    # the same g = 2 formula in two evaluation orders: equal only up to a
+    # few ulps of the largest coefficient (1.8 eps at worst on this grid)
+    eps = np.finfo(float).eps
+    for n in range(6, 4001, 2):
+        two, gen = coeffs_two_group(n), coeffs_general(n, 2)
+        big = max(float(np.abs(v).max()) for v in (two.a, two.b, gen.a, gen.b))
+        assert float(np.abs(gen.a - two.a).max()) <= 4.0 * eps * big
+        assert float(np.abs(gen.b - two.b).max()) <= 4.0 * eps * big
 
 
 def test_smallest_general_case_is_exact():
@@ -196,6 +209,22 @@ def test_objective_double_route(g, n):
     assert closed == pytest.approx(dense, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "sizes", [(1, 2), (2, 3), (1, 2, 2), (4, 4), (3, 5), (2, 2, 2, 2)]
+)
+def test_objective_dense_trace_is_the_kronecker_inner_product(sizes):
+    # random symmetric Y and unequal layouts: the minor blocks are no
+    # circulants and D has no group symmetry, so an index-order slip shows
+    inst = SimplicialInstance(sizes)
+    n = inst.n_total
+    rng = np.random.default_rng(n * 10 + len(sizes))
+    m = rng.normal(size=(n * n, n * n))
+    y = m + m.T
+    want = 0.5 * trace_inner(np.kron(inst.cost_matrix(), ring_adjacency(n)), y)
+    got = objective_dense_trace(inst, y)
+    assert abs(got - want) <= 1e-12 * float(np.abs(y).sum())
+
+
 def test_objective_rejects_wrong_layout():
     y = assemble(coeffs_two_group(8))
     with pytest.raises(ValueError):
@@ -205,8 +234,8 @@ def test_objective_rejects_wrong_layout():
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16), (6, 36)])
 def test_spectrum_multiset_matches_dense(g, n, dense_cert):
     _, eigs = dense_cert(g, n)
-    multiset = closed_form_spectrum(coeffs_general(n, g)).multiset()
-    assert np.abs(multiset / (2.0 * n) - eigs).max() < 1e-8
+    closed = multiset(closed_form_spectrum(coeffs_general(n, g)))
+    assert np.abs(closed / (2.0 * n) - eigs).max() < 1e-8
 
 
 BLOCK_GRID = (
@@ -224,8 +253,8 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert):
     assert np.array_equal(view.matrix, yd)
     assert view.eigenvalues.shape == (n * n,)
     assert np.abs(view.eigenvalues - full).max() <= 1e-13
-    multiset = y.spectrum.multiset() / (2.0 * n)
-    assert np.abs(view.eigenvalues - multiset).max() <= 1e-13
+    closed = multiset(y.spectrum) / (2.0 * n)
+    assert np.abs(view.eigenvalues - closed).max() <= 1e-13
 
 
 def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
@@ -251,7 +280,7 @@ def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
 
 def test_spectrum_bookkeeping():
     spectrum = closed_form_spectrum(coeffs_two_group(8))
-    assert len(spectrum.multiset()) == 64
+    assert len(multiset(spectrum)) == 64
     assert spectrum.coupled[0] == pytest.approx(16.0, abs=1e-12)
     for value in spectrum.coupled[1:]:
         assert abs(value) <= 1e-12

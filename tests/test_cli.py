@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -55,7 +56,7 @@ def test_certify_json_round_trip(capsys):
 
 
 def test_certify_dense_densifies_and_factors_once(capsys, monkeypatch):
-    calls = {"densify": 0, "sym_eigs": 0, "eigh": 0}
+    calls = {"densify": 0, "sym_eigs": 0, "eigh": 0, "kron": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -67,20 +68,24 @@ def test_certify_dense_densifies_and_factors_once(capsys, monkeypatch):
     monkeypatch.setattr(
         CertificateY, "densify", counted("densify", CertificateY.densify)
     )
-    # every package namespace that binds sym_eigs, as a tracer would patch it
-    original = matrix_core.sym_eigs
-    wrapped = counted("sym_eigs", original)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "simplicial_gap":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapped)
+    # every package namespace that binds sym_eigs or kron, as a tracer
+    # would patch it
+    for key in ("sym_eigs", "kron"):
+        original = getattr(matrix_core, key)
+        wrapped = counted(key, original)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "simplicial_gap":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapped)
     for attr in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, attr, counted("eigh", getattr(np.linalg, attr)))
     code, out, _ = run(capsys, ["certify", "--g", "4", "--n", "16,32", "--dense"])
     assert code == 0
     assert len(json.loads(out)) == 2
-    assert calls == {"densify": 2, "sym_eigs": 2, "eigh": 2}
+    # densify's three two-factor Kronecker terms are the only n^2-side
+    # builds: 6 kron calls per certificate
+    assert calls == {"densify": 2, "sym_eigs": 2, "eigh": 2, "kron": 12}
 
 
 def test_certify_dense_flag_past_cap(capsys):
@@ -211,7 +216,7 @@ def test_solve_tiny_starved_run_reports_unconverged(capsys):
     report = json.loads(out)
     assert report["converged"] is False
     assert report["status"] == "iteration-limit"
-    assert code == 0  # the check is on the proven lower bound alone
+    assert code == 0  # the check is on the certificate and the proven bound
 
 
 def test_solve_tiny_five_vertex_within_bound(capsys):
@@ -222,6 +227,22 @@ def test_solve_tiny_five_vertex_within_bound(capsys):
     assert report["certificate_bound"] == "2.5"
     assert 1.999 <= float(report["lower_bound"]) <= 2.0
     assert report["upper_bound"] == "2"
+
+
+def test_solve_tiny_refuses_a_certificate_that_fails_its_check_per_group_2(
+    capsys, monkeypatch
+):
+    real = cli.verify_povh_rendl
+
+    def failing(y, view):
+        return dataclasses.replace(real(y, view), passed=False)
+
+    monkeypatch.setattr(cli, "verify_povh_rendl", failing)
+    code, out, _ = run(capsys, ["solve-tiny", "--per-group", "2", "--max-iters", "5"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["within_bound"] is False
+    assert float(report["lower_bound"]) <= float(report["certificate_bound"])
 
 
 def test_solve_tiny_encoding_obeys_the_dense_cap(capsys, monkeypatch):

@@ -9,11 +9,12 @@ from simplicial_gap.instances import (
     DP_MAX_VERTICES,
     SimplicialInstance,
     held_karp_cycle,
-    is_metric,
     make_equal,
     make_one_extra,
     tsp_optimum,
 )
+
+from oracles import is_metric
 
 
 def brute_force_cycle(dist):

@@ -11,9 +11,10 @@ from simplicial_gap.reduced_sdp import (
     build_reduction,
     gap_table,
     objective_reduced,
-    objective_reduced_dense,
 )
 from simplicial_gap.serialize import csv_table, record_json
+
+from oracles import objective_reduced_dense
 
 PI2 = np.pi * np.pi
 
