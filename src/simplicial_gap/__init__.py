@@ -19,7 +19,6 @@ from .certificates import (
     assemble,
     closed_form_spectrum,
     coeffs_general,
-    coeffs_two_group,
     dense_view,
     objective_dense_trace,
     objective_povh_rendl,
@@ -79,7 +78,6 @@ __all__ = [
     "build_reduction",
     "closed_form_spectrum",
     "coeffs_general",
-    "coeffs_two_group",
     "cosine_profile",
     "dense_cap",
     "dense_view",

@@ -9,9 +9,9 @@ feasible point built from two symmetric circulants:
                  + block-diagonal (x) (2I - A) ]
 
 where A and B are the circulants with half-offset coefficient vectors a and
-b.  This module generates those coefficients (two-group closed form and the
-general even-g form), assembles Y structurally, evaluates its objective, and
-verifies feasibility.  The closed forms always run; below the dense cap the
+b.  This module generates those coefficients (one closed form for every
+even g), assembles Y structurally, evaluates its objective, and verifies
+feasibility.  The closed forms always run; below the dense cap the
 dense oracle joins in.  ``dense_view`` is the one place that chooses the
 mode: in dense mode it densifies Y once, blocks it once into its n
 frequency blocks of side n, and factors those in one batched call; both
@@ -60,7 +60,6 @@ __all__ = [
     "assemble",
     "closed_form_spectrum",
     "coeffs_general",
-    "coeffs_two_group",
     "dense_view",
     "objective_dense_trace",
     "objective_povh_rendl",
@@ -118,42 +117,20 @@ class CertCoeffs:
         return cosine_profile(self.b, self.n)
 
 
-def coeffs_two_group(n: int) -> CertCoeffs:
-    """Closed-form coefficients for g = 2 (two groups of n/2).
-
-    a_i = (2/(n-2)) (cos(pi i / d) + 1);  b_i = (2/n)(1 - cos(pi i / d)) for
-    i < d and b_d = 2/n.  The leading b coefficient obeys b_1 <= 4 pi^2 / n^3.
-    """
-    if n < 6 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 6, got {n}")
-    d = n // 2
-    i = np.arange(1, d + 1)
-    c = np.cos(np.pi * i / d)
-    a = (2.0 / (n - 2)) * (c + 1.0)
-    b = (2.0 / n) * (1.0 - c)
-    b[d - 1] = 2.0 / n
-    return CertCoeffs(n=n, g=2, a=a, b=b)
-
-
 def coeffs_general(n: int, g: int) -> CertCoeffs:
     """Coefficients for any even g dividing n with n/g >= 2.
 
     a_i = (1/(n-g)) [2 + (4/g) sum_{j=1}^{g-1} (g-j) cos(pi i j / d)] for
     i < d, halved at i = d; then b_i is pinned by the linear coupling
     (n-g) a_i + n(g-1) b_i = 2g (i < d) resp. g (i = d).  At g = 2 this is
-    coeffs_two_group's formula evaluated in another order, so the two agree
-    only to roundoff: on every even n in 6..4000 they differ in some entry
-    (by at most 1.8 eps times the largest coefficient), and their b_1, which
-    prices the objective, matches bit for bit on 428 of those 1,998 n.
+    the two-group closed form a_i = (2/(n-2)) (cos(pi i / d) + 1) and
+    b_i = (2/n)(1 - cos(pi i / d)) for i < d, with a_d = 0 and b_d = 2/n; its
+    leading coefficient obeys b_1 <= 4 pi^2 / n^3.
     """
     if g < 2 or g % 2 != 0:
         raise ValueError(f"g must be even and >= 2, got {g}")
-    if n % 2 != 0:
-        raise ValueError(f"n must be even, got {n}")
     if n % g != 0 or n == g:
         raise ValueError(f"g = {g} must properly divide n = {n}")
-    if n // g < 2:
-        raise ValueError(f"need n/g >= 2, got n = {n}, g = {g}")
     d = n // 2
     i = np.arange(1, d + 1)[:, None]
     j = np.arange(1, g)[None, :]

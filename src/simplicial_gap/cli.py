@@ -43,7 +43,7 @@ from .sdp_numeric import (
     solve,
 )
 from .serialize import csv_table, fmt_float, json_canonical, record_json
-from .subtour_lp import solve_subtour
+from .subtour_lp import AGREE_TOL, solve_subtour
 
 __all__ = ["build_parser", "main"]
 
@@ -138,7 +138,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     lp = solve_subtour(inst)
     agree = (
         lp.status == "optimal"
-        and abs(lp.objective - analytic) <= 1e-6
+        and abs(lp.objective - analytic) <= AGREE_TOL
         and (dp_value is None or dp_value == analytic)
     )
     report = {
@@ -160,14 +160,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_solve_tiny(args: argparse.Namespace) -> int:
+    if args.large_n < 6 or args.large_n % 2 != 0:
+        return _usage_error(f"large-n must be even and >= 6, got {args.large_n}")
     if args.per_group == 1:
         report = nonmonotonicity_check(args.large_n, max_iters=args.max_iters)
         _emit(json_canonical(record_json(report)), args.out)
         return 0 if report.conclusive and report.non_monotonic else 1
-    # --large-n feeds only per-group 1, where coeffs_two_group checks it; a
-    # bad value is refused here too
-    if args.large_n < 6 or args.large_n % 2 != 0:
-        return _usage_error(f"large-n must be even and >= 6, got {args.large_n}")
     inst = make_one_extra(2, args.per_group)
     problem = encode_reduced(inst)
     sol = solve(problem, max_iters=args.max_iters)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import assemble, coeffs_two_group, verify_povh_rendl
+from .certificates import assemble, coeffs_general, verify_povh_rendl
 from .instances import SimplicialInstance, make_one_extra
 from .matrix_core import kron, trace_inner
 from .reduced_sdp import build_reduction, one_extra_bound
@@ -424,8 +424,8 @@ def nonmonotonicity_check(
     verification (otherwise its bound proves nothing) and the bracket
     [lower_bound, upper_bound] lies wholly on one side of that bound.
     """
-    # the bound first: coeffs_two_group rejects a bad large_n before the solve
-    y = assemble(coeffs_two_group(large_n))
+    # the bound first: coeffs_general rejects a bad large_n before the solve
+    y = assemble(coeffs_general(large_n, 2))
     bound = one_extra_bound(y).upper_bound
     verified = verify_povh_rendl(y, None).passed
     p = encode_reduced(make_one_extra(2, 1))

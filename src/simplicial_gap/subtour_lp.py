@@ -47,6 +47,8 @@ CUT_THRESHOLD = 2.0 - 1e-6
 MAX_PIVOTS = 10_000
 MAX_ROUNDS = 500
 DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes over
+PHASE1_TOL = 1e-7  # phase-1 artificial sum above this: the LP is infeasible
+AGREE_TOL = 1e-6  # LP objective against the analytic tour value
 _EPS = 1e-9
 _TIE = 1e-12
 
@@ -229,7 +231,7 @@ def simplex_solve(
     if not t.optimize():
         x = t.point(k)
         return x, float(c @ x), "iteration-limit", None
-    if -t.z[-1] > 1e-7:
+    if -t.z[-1] > PHASE1_TOL:
         raise ArithmeticError("LP infeasible, construction is broken")
     # any artificial still basic sits at zero: pivot it out or drop the row
     keep = np.ones(m, dtype=bool)

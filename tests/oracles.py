@@ -56,6 +56,23 @@ def is_metric(costs) -> bool:
     return True
 
 
+def coeffs_two_group(n: int) -> CertCoeffs:
+    """Closed-form coefficients for g = 2 (two groups of n/2).
+
+    a_i = (2/(n-2)) (cos(pi i / d) + 1);  b_i = (2/n)(1 - cos(pi i / d)) for
+    i < d and b_d = 2/n.  The leading b coefficient obeys b_1 <= 4 pi^2 / n^3.
+    """
+    if n < 6 or n % 2 != 0:
+        raise ValueError(f"n must be even and >= 6, got {n}")
+    d = n // 2
+    i = np.arange(1, d + 1)
+    c = np.cos(np.pi * i / d)
+    a = (2.0 / (n - 2)) * (c + 1.0)
+    b = (2.0 / n) * (1.0 - c)
+    b[d - 1] = 2.0 / n
+    return CertCoeffs(n=n, g=2, a=a, b=b)
+
+
 def multiset(spectrum: CertSpectrum) -> np.ndarray:
     """All n^2 eigenvalues of 2nY expanded by multiplicity, sorted."""
     vals = np.concatenate(

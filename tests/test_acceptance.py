@@ -16,7 +16,6 @@ from simplicial_gap.certificates import (
     assemble,
     closed_form_spectrum,
     coeffs_general,
-    coeffs_two_group,
     dense_view,
     objective_povh_rendl,
 )
@@ -119,7 +118,7 @@ def test_criterion_04_unbounded_gap_two_groups():
     ratio_at_512 = 0.0
     all_ok = True
     for n in (8, 16, 32, 64, 128, 256, 512):
-        y = assemble(coeffs_two_group(n))
+        y = assemble(coeffs_general(n, 2))
         obj = objective_povh_rendl(y)
         d = n // 2
         bound = 4.0 * np.pi**2 * d * d / n**3
@@ -165,7 +164,7 @@ def test_criterion_06_diag_term_exactness():
     max_general = 0.0
     for n in (8, 16, 32, 64):
         red = build_reduction(make_one_extra(2, n // 2))
-        obj = objective_reduced(assemble(coeffs_two_group(n)), red)
+        obj = objective_reduced(assemble(coeffs_general(n, 2)), red)
         worst_two = max(worst_two, abs(obj.diag_term - 1.0))
     for g, n in ((4, 16), (4, 32), (6, 36)):
         red = build_reduction(make_one_extra(g, n // g))
@@ -184,7 +183,7 @@ def test_criterion_07_anstreicher_agreement():
     all_ok = True
     worst = 0.0
     for n in (8, 16, 24):
-        y = assemble(coeffs_two_group(n))
+        y = assemble(coeffs_general(n, 2))
         rep = verify_anstreicher(y, dense_view(y, force=True))
         all_ok &= rep.passed
         ref = objective_povh_rendl(y)

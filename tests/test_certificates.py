@@ -9,7 +9,6 @@ from simplicial_gap.certificates import (
     assemble,
     closed_form_spectrum,
     coeffs_general,
-    coeffs_two_group,
     dense_view,
     objective_dense_trace,
     objective_povh_rendl,
@@ -26,7 +25,12 @@ from simplicial_gap.matrix_core import (
 )
 from simplicial_gap.serialize import record_json
 
-from oracles import lower_bound_akk, multiset, profile_identity_residuals
+from oracles import (
+    coeffs_two_group,
+    lower_bound_akk,
+    multiset,
+    profile_identity_residuals,
+)
 
 # oracle values computed independently at 40-digit precision and frozen
 TWO_GROUP_8_A = (
@@ -47,18 +51,10 @@ B1_16_2 = 0.0095150584360891555
 
 
 def test_two_group_coefficients_frozen_values():
-    c = coeffs_two_group(8)
-    assert np.allclose(c.a, TWO_GROUP_8_A, atol=1e-15)
-    assert np.allclose(c.b, TWO_GROUP_8_B, atol=1e-15)
-    assert coeffs_two_group(16).b[0] == pytest.approx(B1_16_2, rel=1e-13)
-
-
-def test_general_reduces_to_two_group():
-    for n in (6, 8, 16, 30):
-        spectrum = coeffs_two_group(n)
-        gen = coeffs_general(n, 2)
-        assert np.allclose(gen.a, spectrum.a, atol=1e-15)
-        assert np.allclose(gen.b, spectrum.b, atol=1e-15)
+    c = coeffs_general(8, 2)
+    assert np.allclose(c.a, TWO_GROUP_8_A, rtol=0, atol=1e-15)
+    assert np.allclose(c.b, TWO_GROUP_8_B, rtol=0, atol=1e-15)
+    assert coeffs_general(16, 2).b[0] == pytest.approx(B1_16_2, rel=1e-13)
 
 
 def test_general_matches_two_group_to_roundoff():
@@ -102,7 +98,7 @@ def test_coeffs_validation():
 
 
 def test_densify_block_structure():
-    y = assemble(coeffs_two_group(8))
+    y = assemble(coeffs_general(8, 2))
     yd = y.densify()
     amat, bmat = y.inner_matrices()
     assert np.array_equal(yd, yd.T)
@@ -117,7 +113,7 @@ def test_densify_block_structure():
 
 def test_densify_respects_cap(monkeypatch):
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "1024")
-    y = assemble(coeffs_two_group(64))
+    y = assemble(coeffs_general(64, 2))
     with pytest.raises(SizeLimitError):
         y.densify()
 
@@ -125,7 +121,7 @@ def test_densify_respects_cap(monkeypatch):
 def test_densify_follows_a_raised_cap(monkeypatch):
     # one cap bounds densify and the kron products inside it alike
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "4096")
-    yd = assemble(coeffs_two_group(60)).densify()
+    yd = assemble(coeffs_general(60, 2)).densify()
     assert yd.shape == (3600, 3600)
     assert np.all(np.diag(yd) == 1.0 / 60)
 
@@ -149,7 +145,7 @@ def test_verify_passes_dense_and_structured(g, n):
 
 
 def test_verify_structured_scales_far_past_dense_cap():
-    y = assemble(coeffs_two_group(512))
+    y = assemble(coeffs_general(512, 2))
     rep = verify_povh_rendl(y, None)
     assert rep.passed
     assert rep.min_eig_closed_form >= -1e-12
@@ -157,14 +153,14 @@ def test_verify_structured_scales_far_past_dense_cap():
 
 def test_verify_auto_mode_follows_cap(monkeypatch):
     monkeypatch.delenv(DENSE_CAP_ENV_VAR, raising=False)
-    y = assemble(coeffs_two_group(8))
+    y = assemble(coeffs_general(8, 2))
     assert verify_povh_rendl(y, dense_view(y)).dense_checked  # 64 <= default cap
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "32")
     assert not verify_povh_rendl(y, dense_view(y)).dense_checked
 
 
 def test_perturbed_total_sum_is_caught():
-    c = coeffs_two_group(8)
+    c = coeffs_general(8, 2)
     c.b[1] += 0.1  # 32 across-group cells gain 0.1 each
     y = assemble(c)
     rep = verify_povh_rendl(y, None)
@@ -175,7 +171,7 @@ def test_perturbed_total_sum_is_caught():
 
 
 def test_negative_coefficient_is_caught():
-    c = coeffs_two_group(8)
+    c = coeffs_general(8, 2)
     c.a[0] -= 0.6  # drives the within-group entries below zero
     y = assemble(c)
     rep = verify_povh_rendl(y, dense_view(y, force=True))
@@ -184,7 +180,7 @@ def test_negative_coefficient_is_caught():
 
 
 def test_report_serializes():
-    y = assemble(coeffs_two_group(8))
+    y = assemble(coeffs_general(8, 2))
     rep = verify_povh_rendl(y, dense_view(y))
     d = record_json(rep)
     assert d["passed"] is True
@@ -193,9 +189,9 @@ def test_report_serializes():
 
 
 def test_objective_frozen_values():
-    y8 = assemble(coeffs_two_group(8))
+    y8 = assemble(coeffs_general(8, 2))
     assert objective_povh_rendl(y8) == pytest.approx(OBJ_8_2, rel=1e-13)
-    y16 = assemble(coeffs_two_group(16))
+    y16 = assemble(coeffs_general(16, 2))
     assert objective_povh_rendl(y16) == pytest.approx(OBJ_16_2, rel=1e-13)
 
 
@@ -226,7 +222,7 @@ def test_objective_dense_trace_is_the_kronecker_inner_product(sizes):
 
 
 def test_objective_rejects_wrong_layout():
-    y = assemble(coeffs_two_group(8))
+    y = assemble(coeffs_general(8, 2))
     with pytest.raises(ValueError):
         objective_dense_trace(make_equal(2, 3), y.densify())
 
@@ -259,7 +255,7 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert):
 
 def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
     n, delta = 8, 1e-3
-    y = assemble(coeffs_two_group(n))
+    y = assemble(coeffs_general(n, 2))
     tilted = y.densify()
     # vertex 0 at position 1 against vertex 5 at position 2: the same
     # vertex pair at positions (2, 3) keeps its old value, so the minor
@@ -279,7 +275,7 @@ def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
 
 
 def test_spectrum_bookkeeping():
-    spectrum = closed_form_spectrum(coeffs_two_group(8))
+    spectrum = closed_form_spectrum(coeffs_general(8, 2))
     assert len(multiset(spectrum)) == 64
     assert spectrum.coupled[0] == pytest.approx(16.0, abs=1e-12)
     for value in spectrum.coupled[1:]:
@@ -297,7 +293,7 @@ def test_spectrum_is_computed_once_per_certificate(monkeypatch):
         return closed_form_spectrum(coeffs)
 
     monkeypatch.setattr(certificates, "closed_form_spectrum", counting)
-    y = assemble(coeffs_two_group(16))
+    y = assemble(coeffs_general(16, 2))
     view = dense_view(y, force=True)
     assert verify_povh_rendl(y, view).passed
     assert verify_anstreicher(y, view).passed
@@ -307,15 +303,15 @@ def test_spectrum_is_computed_once_per_certificate(monkeypatch):
 
 
 def test_lower_bound_akk_hits_floor_at_small_n():
-    assert lower_bound_akk(coeffs_two_group(8)) == pytest.approx(-1.0 / 3, abs=1e-14)
+    assert lower_bound_akk(coeffs_general(8, 2)) == pytest.approx(-1.0 / 3, abs=1e-14)
 
 
 def test_lower_bound_akk_rejects_broken_profiles():
-    c = coeffs_two_group(8)
+    c = coeffs_general(8, 2)
     c.a[0] = 2.0
     with pytest.raises(ArithmeticError):
         lower_bound_akk(c)
-    c2 = coeffs_two_group(8)
+    c2 = coeffs_general(8, 2)
     c2.a[0] = -1.0
     with pytest.raises(ArithmeticError):
         lower_bound_akk(c2)

@@ -189,13 +189,23 @@ def test_solve_tiny_default_is_conclusive(capsys):
 
 
 def test_solve_tiny_refuses_a_certificate_that_fails_its_check(capsys):
-    # coeffs_two_group(2546) misses the total-sum check by roundoff, so its
-    # bound proves nothing and the report cannot be conclusive
-    code, out, _ = run(capsys, ["solve-tiny", "--large-n", "2546"])
+    # coeffs_general(2902, 2), the first even n whose g = 2 certificate
+    # misses the total-sum check by roundoff: its bound proves nothing and
+    # the report cannot be conclusive
+    code, out, _ = run(capsys, ["solve-tiny", "--large-n", "2902"])
     assert code == 1
     report = json.loads(out)
     assert report["conclusive"] is False
     assert report["non_monotonic"] is False
+
+
+@pytest.mark.parametrize("n", [2546, 2902])
+def test_certify_and_solve_tiny_judge_one_certificate(n, capsys):
+    # both commands build the g = 2 certificate at n through coeffs_general,
+    # so its total-sum verdict, pass at 2546 and fail at 2902, is shared
+    certify_code = run(capsys, ["certify", "--g", "2", "--n", str(n)])[0]
+    tiny_code = run(capsys, ["solve-tiny", "--large-n", str(n)])[0]
+    assert certify_code == tiny_code
 
 
 def test_solve_tiny_three_vertex_converges_immediately(capsys):

@@ -28,26 +28,28 @@ def brute_force_cycle(dist):
 
 
 def held_karp_mask_loop(dist):
-    """Reference: the subset DP one mask and one end vertex at a time."""
+    """Reference: the subset DP one mask at a time, in numeric mask order.
+
+    Within a mask every end vertex j is filled at once from the rows of
+    mask without j, which precede mask numerically.
+    """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
     if n == 2:
         return float(2.0 * dist[0, 1])
     m = n - 1
     size = 1 << m
+    ends = np.arange(m)
+    bits = 1 << ends
+    members = (np.arange(size)[:, None] & bits) != 0  # [mask, end j]
+    step = dist[1:, 1:].T  # [end j, previous end k]
     dp = np.full((size, m), np.inf)
-    for j in range(m):
-        dp[1 << j, j] = dist[0, j + 1]
+    dp[bits, ends] = dist[0, 1:]
     for mask in range(3, size):
         if mask & (mask - 1) == 0:
             continue  # singleton rows are the seeds
-        row = dp[mask]
-        rem = mask
-        while rem:
-            bit = rem & -rem
-            rem ^= bit
-            j = bit.bit_length() - 1
-            row[j] = np.min(dp[mask ^ bit] + dist[1:, j + 1])
+        inside = members[mask]
+        dp[mask, inside] = np.min(dp[mask ^ bits[inside]] + step[inside], axis=1)
     return float(np.min(dp[size - 1] + dist[1:, 0]))
 
 
