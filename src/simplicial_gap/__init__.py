@@ -12,13 +12,11 @@ contrast.
 
 from .anstreicher_sdp import AnstreicherReport, shifted_spectrum, verify_anstreicher
 from .certificates import (
-    CertCoeffs,
     CertificateY,
     CertSpectrum,
     FeasibilityReport,
     assemble,
     closed_form_spectrum,
-    coeffs_general,
     dense_view,
     objective_dense_trace,
     objective_povh_rendl,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnstreicherReport",
-    "CertCoeffs",
     "CertSpectrum",
     "CertificateY",
     "ConvergenceError",
@@ -77,7 +74,6 @@ __all__ = [
     "bound_constants",
     "build_reduction",
     "closed_form_spectrum",
-    "coeffs_general",
     "cosine_profile",
     "dense_cap",
     "dense_view",

@@ -9,14 +9,15 @@ feasible point built from two symmetric circulants:
                  + block-diagonal (x) (2I - A) ]
 
 where A and B are the circulants with half-offset coefficient vectors a and
-b.  This module generates those coefficients (one closed form for every
-even g), assembles Y structurally, evaluates its objective, and verifies
-feasibility.  The closed forms always run; below the dense cap the
-dense oracle joins in.  ``dense_view`` is the one place that chooses the
-mode: in dense mode it densifies Y once, blocks it once into its n
-frequency blocks of side n, and factors those in one batched call; both
-relaxations' verifiers (this module's and ``anstreicher_sdp``'s) read that
-one matrix and that one spectrum.
+b.  ``assemble(n, g)`` computes a and b (one closed form for every even g)
+and returns them as a frozen ``CertificateY`` whose vectors are read-only,
+so the spectrum it caches cannot go stale.  This module also evaluates the
+certificate's objective and verifies feasibility.  The closed forms always
+run; below the dense cap the dense oracle joins in.  ``dense_view`` is the
+one place that chooses the mode: in dense mode it densifies Y once, blocks
+it once into its n frequency blocks of side n, and factors those in one
+batched call; both relaxations' verifiers (this module's and
+``anstreicher_sdp``'s) read that one matrix and that one spectrum.
 
 Index convention: Y rows/columns are pairs (vertex u, tour position s)
 ordered u-major, i.e. row u*n + s.  Minor block (u, v) is then B/2n when u
@@ -52,14 +53,12 @@ from .matrix_core import (
 )
 
 __all__ = [
-    "CertCoeffs",
     "CertSpectrum",
     "CertificateY",
     "DenseView",
     "FeasibilityReport",
     "assemble",
     "closed_form_spectrum",
-    "coeffs_general",
     "dense_view",
     "objective_dense_trace",
     "objective_povh_rendl",
@@ -73,13 +72,25 @@ PSD_TOL = 1e-8
 NN_TOL = 1e-15
 
 
-@dataclass
-class CertCoeffs:
-    """Half-offset coefficient vectors (a, b) for one (n, g) configuration.
+def _check_layout(n: int, g: int) -> None:
+    """Raise ValueError unless g is even, g >= 2 and g properly divides n."""
+    if g < 2 or g % 2 != 0:
+        raise ValueError(f"g must be even and >= 2, got {g}")
+    if n % g != 0 or n <= g:
+        raise ValueError(f"g = {g} must properly divide n = {n}")
 
-    Structural validity only is enforced here; the value-level invariants
-    (unit sums, nonnegativity, linear coupling) are checked by the verifier
-    so that deliberately broken coefficients remain constructible in tests.
+
+@dataclass(frozen=True, eq=False)
+class CertificateY:
+    """Structured feasible point: the half-offset coefficient vectors a, b.
+
+    Only the layout (n, g) and the vector lengths are checked here; the
+    value-level invariants (unit sums, nonnegativity, linear coupling) are
+    the verifier's, so broken coefficients stay constructible in tests
+    (``dataclasses.replace(y, a=...)``).  The constructor copies a and b
+    and makes the copies read-only, so the spectrum cached on first use
+    always belongs to them.  Densification is an explicit, size-capped act;
+    large-n verification goes entirely through the closed forms.
     """
 
     n: int
@@ -88,26 +99,18 @@ class CertCoeffs:
     b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"n must be even and >= 4, got {self.n}")
-        if self.g < 2 or self.g % 2 != 0:
-            raise ValueError(f"g must be even and >= 2, got {self.g}")
-        if self.n % self.g != 0 or self.n == self.g:
-            raise ValueError(f"g = {self.g} must properly divide n = {self.n}")
+        _check_layout(self.n, self.g)
         d = self.n // 2
-        a = np.asarray(self.a, dtype=float).copy()
-        b = np.asarray(self.b, dtype=float).copy()
-        if a.shape != (d,) or b.shape != (d,):
-            raise ValueError(
-                f"coefficient vectors must have length d = {d}, "
-                f"got {a.shape} and {b.shape}"
-            )
-        self.a = a
-        self.b = b
+        for name in ("a", "b"):
+            v = np.array(getattr(self, name), dtype=float)
+            if v.shape != (d,):
+                raise ValueError(f"{name} must have length d = {d}, got {v.shape}")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @property
-    def d(self) -> int:
-        return self.n // 2
+    def per_group(self) -> int:
+        return self.n // self.g
 
     def a_profile(self) -> np.ndarray:
         """Frequency profile of a: value at k is half the circulant eigenvalue."""
@@ -116,70 +119,10 @@ class CertCoeffs:
     def b_profile(self) -> np.ndarray:
         return cosine_profile(self.b, self.n)
 
-
-def coeffs_general(n: int, g: int) -> CertCoeffs:
-    """Coefficients for any even g dividing n with n/g >= 2.
-
-    a_i = (1/(n-g)) [2 + (4/g) sum_{j=1}^{g-1} (g-j) cos(pi i j / d)] for
-    i < d, halved at i = d; then b_i is pinned by the linear coupling
-    (n-g) a_i + n(g-1) b_i = 2g (i < d) resp. g (i = d).  At g = 2 this is
-    the two-group closed form a_i = (2/(n-2)) (cos(pi i / d) + 1) and
-    b_i = (2/n)(1 - cos(pi i / d)) for i < d, with a_d = 0 and b_d = 2/n; its
-    leading coefficient obeys b_1 <= 4 pi^2 / n^3.
-    """
-    if g < 2 or g % 2 != 0:
-        raise ValueError(f"g must be even and >= 2, got {g}")
-    if n % g != 0 or n == g:
-        raise ValueError(f"g = {g} must properly divide n = {n}")
-    d = n // 2
-    i = np.arange(1, d + 1)[:, None]
-    j = np.arange(1, g)[None, :]
-    w = (g - j).astype(float)
-    s = (w * np.cos(np.pi * i * j / d)).sum(axis=1)
-    a = (2.0 + (4.0 / g) * s) / (n - g)
-    a[d - 1] = (1.0 + (2.0 / g) * s[d - 1]) / (n - g)
-    b = (2.0 * g - (n - g) * a) / (n * (g - 1.0))
-    b[d - 1] = (g - (n - g) * a[d - 1]) / (n * (g - 1.0))
-    return CertCoeffs(n=n, g=g, a=a, b=b)
-
-
-@dataclass
-class CertificateY:
-    """Structured feasible point: stores only the coefficients.
-
-    Densification is an explicit, size-capped act; large-n verification goes
-    entirely through the closed forms.
-    """
-
-    coeffs: CertCoeffs
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.n
-
-    @property
-    def g(self) -> int:
-        return self.coeffs.g
-
-    @property
-    def per_group(self) -> int:
-        return self.n // self.g
-
-    def inner_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Densified (A, B), the two n x n circulant ingredients."""
-        a = SymmetricCirculant(self.n, self.coeffs.a).densify()
-        b = SymmetricCirculant(self.n, self.coeffs.b).densify()
-        return a, b
-
     @cached_property
     def spectrum(self) -> CertSpectrum:
-        """The closed-form spectrum of 2nY, computed on first use only.
-
-        Cached on the premise that the coefficients are final once
-        ``assemble`` wraps them: code that edits ``coeffs.a`` or ``coeffs.b``
-        does so before it assembles.
-        """
-        return closed_form_spectrum(self.coeffs)
+        """The closed-form spectrum of 2nY, computed on first use only."""
+        return closed_form_spectrum(self)
 
     def densify(self) -> np.ndarray:
         """Full n^2 x n^2 matrix; SizeLimitError beyond the dense cap."""
@@ -189,7 +132,8 @@ class CertificateY:
             raise SizeLimitError(
                 f"dense certificate side {n * n} exceeds cap {cap}"
             )
-        amat, bmat = self.inner_matrices()
+        amat = SymmetricCirculant(n, self.a).densify()
+        bmat = SymmetricCirculant(n, self.b).densify()
         jg, ig = np.ones((g, g)), np.eye(g)
         jp, ip = np.ones((p, p)), np.eye(p)
         y = kron(kron(jg - ig, jp), bmat)
@@ -198,9 +142,27 @@ class CertificateY:
         return y / (2.0 * n)
 
 
-def assemble(coeffs: CertCoeffs) -> CertificateY:
-    """Wrap coefficients as a structured certificate."""
-    return CertificateY(coeffs=coeffs)
+def assemble(n: int, g: int) -> CertificateY:
+    """The certificate for g groups of n/g, any even g properly dividing n.
+
+    a_i = (1/(n-g)) [2 + (4/g) sum_{j=1}^{g-1} (g-j) cos(pi i j / d)] for
+    i < d, halved at i = d; then b_i is pinned by the linear coupling
+    (n-g) a_i + n(g-1) b_i = 2g (i < d) resp. g (i = d).  At g = 2 this is
+    the two-group closed form a_i = (2/(n-2)) (cos(pi i / d) + 1) and
+    b_i = (2/n)(1 - cos(pi i / d)) for i < d, with a_d = 0 and b_d = 2/n; its
+    leading coefficient obeys b_1 <= 4 pi^2 / n^3.
+    """
+    _check_layout(n, g)
+    d = n // 2
+    i = np.arange(1, d + 1)[:, None]
+    j = np.arange(1, g)[None, :]
+    w = (g - j).astype(float)
+    s = (w * np.cos(np.pi * i * j / d)).sum(axis=1)
+    a = (2.0 + (4.0 / g) * s) / (n - g)
+    a[d - 1] = (1.0 + (2.0 / g) * s[d - 1]) / (n - g)
+    b = (2.0 * g - (n - g) * a) / (n * (g - 1.0))
+    b[d - 1] = (g - (n - g) * a[d - 1]) / (n * (g - 1.0))
+    return CertificateY(n=n, g=g, a=a, b=b)
 
 
 @dataclass
@@ -229,7 +191,7 @@ class CertSpectrum:
         return min(float(values.min()) for values, _ in self.families())
 
 
-def closed_form_spectrum(coeffs: CertCoeffs) -> CertSpectrum:
+def closed_form_spectrum(y: CertificateY) -> CertSpectrum:
     """Eigenvalues of 2nY in three families per frequency k.
 
     With ap/bp the frequency profiles of a and b, and with group-pattern
@@ -239,10 +201,9 @@ def closed_form_spectrum(coeffs: CertCoeffs) -> CertSpectrum:
     families give {2n, 0, 0}; for k >= 1 the first family collapses to 0 by
     the linear coupling of the two profiles.
     """
-    n, g = coeffs.n, coeffs.g
-    p = n // g
-    ap = coeffs.a_profile()
-    bp = coeffs.b_profile()
+    n, g, p = y.n, y.g, y.per_group
+    ap = y.a_profile()
+    bp = y.b_profile()
     plain = 2.0 - 2.0 * ap
     return CertSpectrum(
         n=n,
@@ -277,7 +238,7 @@ def _structured_residuals(y: CertificateY) -> tuple[float, float, float, float, 
     """Constraint residuals computed blockwise from the coefficients."""
     n, g = y.n, y.g
     p = y.per_group
-    a, b = y.coeffs.a, y.coeffs.b
+    a, b = y.a, y.b
     inv_n = 1.0 / n
 
     # both assignment families hit only diagonal entries, all exactly 1/n
@@ -464,7 +425,7 @@ def objective_povh_rendl(y: CertificateY) -> float:
     at g = 2.
     """
     n, g = y.n, y.g
-    return 0.5 * ((g - 1.0) / g) * n * n * float(y.coeffs.b[0])
+    return 0.5 * ((g - 1.0) / g) * n * n * float(y.b[0])
 
 
 def objective_dense_trace(inst: SimplicialInstance, y_dense: np.ndarray) -> float:

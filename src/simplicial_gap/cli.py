@@ -23,7 +23,6 @@ from .certificates import (
     EQ_TOL,
     PSD_TOL,
     assemble,
-    coeffs_general,
     dense_view,
     verify_povh_rendl,
 )
@@ -87,7 +86,7 @@ _CERTIFY_CSV_FIELDS = (
 
 def cmd_certify(args: argparse.Namespace) -> int:
     # every configuration is checked before the first densify
-    certs = [assemble(coeffs_general(n, args.g)) for n in sorted(args.n)]
+    certs = [assemble(n, args.g) for n in sorted(args.n)]
     rows = []
     reports = []
     all_passed = True
@@ -169,7 +168,7 @@ def cmd_solve_tiny(args: argparse.Namespace) -> int:
     inst = make_one_extra(2, args.per_group)
     problem = encode_reduced(inst)
     sol = solve(problem, max_iters=args.max_iters)
-    y = assemble(coeffs_general(2 * args.per_group, 2))
+    y = assemble(2 * args.per_group, 2)
     bound = one_extra_bound(y).upper_bound
     # the quoted certificate must pass its own verification, and the proven
     # lower bound, not the iterate's value, is compared with its bound

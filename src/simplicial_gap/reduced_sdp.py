@@ -33,7 +33,6 @@ import numpy as np
 from .certificates import (
     CertificateY,
     assemble,
-    coeffs_general,
     verify_povh_rendl,
 )
 from .circulant import ring_adjacency
@@ -161,8 +160,8 @@ def objective_reduced(y: CertificateY, red: Reduction) -> ReducedObjective:
     ones_within = int((table.sum(axis=1) ** 2).sum() - (table**2).sum())
     # pairs in different instance groups, minus those counted within
     ones_across = n * n - int((table.sum(axis=0) ** 2).sum()) - ones_within
-    a1 = float(y.coeffs.a[0])
-    b1 = float(y.coeffs.b[0])
+    a1 = float(y.a[0])
+    b1 = float(y.b[0])
     kron_term = (n - 1.0) / (2.0 * n) * (a1 * ones_within + b1 * ones_across)
     diag_term = red.ones_in_cbar() / n
     return ReducedObjective(kron_term=kron_term, diag_term=diag_term)
@@ -222,12 +221,12 @@ def gap_table(z: int, n_values: list[int]) -> list[GapRecord]:
 
     Each record's certificate is re-verified (structured mode) before the
     record is emitted; a failing certificate aborts the table.  Bad z or n
-    raise ValueError from ``coeffs_general``.
+    raise ValueError from ``assemble``.
     """
     g = 2 * z
     records = []
     for n in sorted(n_values):
-        y = assemble(coeffs_general(n, g))
+        y = assemble(n, g)
         if not verify_povh_rendl(y, None).passed:
             raise ArithmeticError(
                 f"certificate for (g={g}, n={n}) failed verification"

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import assemble, coeffs_general, verify_povh_rendl
+from .certificates import assemble, verify_povh_rendl
 from .instances import SimplicialInstance, make_one_extra
 from .matrix_core import kron, trace_inner
 from .reduced_sdp import build_reduction, one_extra_bound
@@ -68,6 +68,9 @@ STALL_STEP = 1e-3
 STALL_ITERS = 3
 # fraction of the longest step to the cone boundary that is taken
 STEP_FRACTION = 0.95
+# largest residual at which the constraints' least-squares fit of I counts
+# as exact, so that it bounds tr Y
+TRACE_FIT_TOL = 1e-12
 
 
 @dataclass
@@ -221,7 +224,7 @@ def _trace_bound(p: SdpProblem) -> float:
     eye = np.eye(m).reshape(-1)
     coef = np.linalg.lstsq(amat.T, eye, rcond=None)[0]
     bounds = [math.inf] + [rhs for a, rhs in p.constraints if (a == 1.0).all()]
-    if np.abs(amat.T @ coef - eye).max() <= 1e-12:
+    if np.abs(amat.T @ coef - eye).max() <= TRACE_FIT_TOL:
         bounds.append(float(coef @ b))
     return min(bounds)
 
@@ -424,8 +427,8 @@ def nonmonotonicity_check(
     verification (otherwise its bound proves nothing) and the bracket
     [lower_bound, upper_bound] lies wholly on one side of that bound.
     """
-    # the bound first: coeffs_general rejects a bad large_n before the solve
-    y = assemble(coeffs_general(large_n, 2))
+    # the bound first: assemble rejects a bad large_n before the solve
+    y = assemble(large_n, 2)
     bound = one_extra_bound(y).upper_bound
     verified = verify_povh_rendl(y, None).passed
     p = encode_reduced(make_one_extra(2, 1))

@@ -49,6 +49,7 @@ MAX_ROUNDS = 500
 DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes over
 PHASE1_TOL = 1e-7  # phase-1 artificial sum above this: the LP is infeasible
 AGREE_TOL = 1e-6  # LP objective against the analytic tour value
+WEIGHT_TOL = 1e-12  # asymmetry and negativity min_cut forgives in its input
 _EPS = 1e-9
 _TIE = 1e-12
 
@@ -261,9 +262,9 @@ def min_cut(weights: np.ndarray) -> tuple[float, frozenset[int]]:
     n = w.shape[0]
     if w.shape != (n, n) or n < 2:
         raise ValueError(f"need a square matrix on >= 2 vertices, got {w.shape}")
-    if np.abs(w - w.T).max() > 1e-12:
+    if np.abs(w - w.T).max() > WEIGHT_TOL:
         raise ValueError("weights must be symmetric")
-    if w.min() < -1e-12:
+    if w.min() < -WEIGHT_TOL:
         raise ValueError("weights must be nonnegative")
     w = np.maximum(w, 0.0)
     np.fill_diagonal(w, 0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplicial_gap.certificates import assemble, coeffs_general
+from simplicial_gap.certificates import assemble
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +16,7 @@ def dense_cert():
     def get(g: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         key = (g, n)
         if key not in store:
-            y = assemble(coeffs_general(n, g)).densify()
+            y = assemble(n, g).densify()
             store[key] = (y, np.linalg.eigvalsh(y))
         return store[key]
 

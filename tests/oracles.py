@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from simplicial_gap.certificates import CertCoeffs, CertificateY, CertSpectrum
+from simplicial_gap.certificates import CertificateY, CertSpectrum
 from simplicial_gap.circulant import SymmetricCirculant, cosine_profile
 from simplicial_gap.instances import SimplicialInstance
 from simplicial_gap.matrix_core import kron, trace_inner
@@ -56,8 +56,8 @@ def is_metric(costs) -> bool:
     return True
 
 
-def coeffs_two_group(n: int) -> CertCoeffs:
-    """Closed-form coefficients for g = 2 (two groups of n/2).
+def coeffs_two_group(n: int) -> CertificateY:
+    """The g = 2 certificate (two groups of n/2) from its own closed form.
 
     a_i = (2/(n-2)) (cos(pi i / d) + 1);  b_i = (2/n)(1 - cos(pi i / d)) for
     i < d and b_d = 2/n.  The leading b coefficient obeys b_1 <= 4 pi^2 / n^3.
@@ -70,7 +70,7 @@ def coeffs_two_group(n: int) -> CertCoeffs:
     a = (2.0 / (n - 2)) * (c + 1.0)
     b = (2.0 / n) * (1.0 - c)
     b[d - 1] = 2.0 / n
-    return CertCoeffs(n=n, g=2, a=a, b=b)
+    return CertificateY(n=n, g=2, a=a, b=b)
 
 
 def multiset(spectrum: CertSpectrum) -> np.ndarray:
@@ -81,14 +81,14 @@ def multiset(spectrum: CertSpectrum) -> np.ndarray:
     return np.sort(vals)
 
 
-def lower_bound_akk(coeffs: CertCoeffs) -> float:
+def lower_bound_akk(y: CertificateY) -> float:
     """min over k >= 1 of the a-profile; never below -g/(n-g).
 
     Raises if the structural floor -g/(n-g) (or the trivial ceiling 1) is
     violated beyond roundoff, which would mean broken coefficients.
     """
-    n, g = coeffs.n, coeffs.g
-    prof = coeffs.a_profile()[1:]
+    n, g = y.n, y.g
+    prof = y.a_profile()[1:]
     mn = float(prof.min())
     mx = float(prof.max())
     floor = -g / (n - g)
@@ -101,7 +101,7 @@ def lower_bound_akk(coeffs: CertCoeffs) -> float:
     return mn
 
 
-def profile_identity_residuals(coeffs: CertCoeffs) -> dict[str, float]:
+def profile_identity_residuals(y: CertificateY) -> dict[str, float]:
     """Residuals of the profile-level facts behind the spectrum analysis.
 
     Always reported: unit coefficient sums, the a/b profile coupling over
@@ -109,13 +109,13 @@ def profile_identity_residuals(coeffs: CertCoeffs) -> dict[str, float]:
     values ((d-2)/(n-2) at k = 1, -2/(n-2) for k = 2..d) and the leading
     coefficient bound b_1 <= 4 pi^2/n^3 join in.
     """
-    n, g = coeffs.n, coeffs.g
-    d = coeffs.d
-    ap = coeffs.a_profile()
-    bp = coeffs.b_profile()
+    n, g = y.n, y.g
+    d = n // 2
+    ap = y.a_profile()
+    bp = y.b_profile()
     out: dict[str, float] = {}
-    out["coefficient_sum_a"] = abs(float(coeffs.a.sum()) - 1.0)
-    out["coefficient_sum_b"] = abs(float(coeffs.b.sum()) - 1.0)
+    out["coefficient_sum_a"] = abs(float(y.a.sum()) - 1.0)
+    out["coefficient_sum_b"] = abs(float(y.b.sum()) - 1.0)
     out["profile_at_zero"] = max(abs(float(ap[0]) - 1.0), abs(float(bp[0]) - 1.0))
     coupling = bp[1:] + g / (n * (g - 1.0)) + ((n - g) / (n * (g - 1.0))) * ap[1:]
     out["profile_coupling"] = float(np.abs(coupling).max())
@@ -126,7 +126,7 @@ def profile_identity_residuals(coeffs: CertCoeffs) -> dict[str, float]:
             np.abs(ap[2 : d + 1] + 2.0 / (n - 2.0)).max()
         )
         out["two_group_leading_bound"] = max(
-            0.0, float(coeffs.b[0]) - 4.0 * np.pi**2 / n**3
+            0.0, float(y.b[0]) - 4.0 * np.pi**2 / n**3
         )
     return out
 

@@ -15,7 +15,6 @@ from simplicial_gap.anstreicher_sdp import verify_anstreicher
 from simplicial_gap.certificates import (
     assemble,
     closed_form_spectrum,
-    coeffs_general,
     dense_view,
     objective_povh_rendl,
 )
@@ -86,7 +85,7 @@ def test_criterion_02_spectrum_oracle_equivalence(dense_cert):
     worst = 0.0
     for g, n in CERT_CASES:
         _, eigs = dense_cert(g, n)
-        closed = multiset(closed_form_spectrum(coeffs_general(n, g)))
+        closed = multiset(closed_form_spectrum(assemble(n, g)))
         worst = max(worst, float(np.abs(closed / (2.0 * n) - eigs).max()))
     ok = worst <= 1e-8
     report(2, ok, f"closed-form vs dense spectra on 6 cases, worst gap {worst:.2e} (tol 1e-8)")
@@ -102,7 +101,7 @@ def test_criterion_03_identity_suites():
             worst = max(worst, max(abs(v) for v in res.values()))
             suites += 1
             if n % g == 0 and n // g >= 2:
-                prof = profile_identity_residuals(coeffs_general(n, g))
+                prof = profile_identity_residuals(assemble(n, g))
                 worst = max(worst, max(abs(v) for v in prof.values()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed <= 30
@@ -118,7 +117,7 @@ def test_criterion_04_unbounded_gap_two_groups():
     ratio_at_512 = 0.0
     all_ok = True
     for n in (8, 16, 32, 64, 128, 256, 512):
-        y = assemble(coeffs_general(n, 2))
+        y = assemble(n, 2)
         obj = objective_povh_rendl(y)
         d = n // 2
         bound = 4.0 * np.pi**2 * d * d / n**3
@@ -164,11 +163,11 @@ def test_criterion_06_diag_term_exactness():
     max_general = 0.0
     for n in (8, 16, 32, 64):
         red = build_reduction(make_one_extra(2, n // 2))
-        obj = objective_reduced(assemble(coeffs_general(n, 2)), red)
+        obj = objective_reduced(assemble(n, 2), red)
         worst_two = max(worst_two, abs(obj.diag_term - 1.0))
     for g, n in ((4, 16), (4, 32), (6, 36)):
         red = build_reduction(make_one_extra(g, n // g))
-        obj = objective_reduced(assemble(coeffs_general(n, g)), red)
+        obj = objective_reduced(assemble(n, g), red)
         max_general = max(max_general, obj.diag_term)
     ok = worst_two <= 1e-12 and max_general <= 2.0 + 1e-12
     report(
@@ -183,7 +182,7 @@ def test_criterion_07_anstreicher_agreement():
     all_ok = True
     worst = 0.0
     for n in (8, 16, 24):
-        y = assemble(coeffs_general(n, 2))
+        y = assemble(n, 2)
         rep = verify_anstreicher(y, dense_view(y, force=True))
         all_ok &= rep.passed
         ref = objective_povh_rendl(y)

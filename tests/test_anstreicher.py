@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from simplicial_gap.anstreicher_sdp import (
 from simplicial_gap.certificates import (
     DenseView,
     assemble,
-    coeffs_general,
     dense_view,
     objective_povh_rendl,
 )
@@ -54,7 +55,7 @@ def test_dense_residual_f_is_the_literal_gram_trace(n):
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16)])
 def test_structured_verification_passes(g, n):
-    y = assemble(coeffs_general(n, g))
+    y = assemble(n, g)
     rep = verify_anstreicher(y, None)
     assert rep.passed
     assert not rep.dense_checked
@@ -68,7 +69,7 @@ def test_structured_verification_passes(g, n):
 
 
 def test_dense_verification_and_objective_agreement():
-    y = assemble(coeffs_general(16, 2))
+    y = assemble(16, 2)
     rep = verify_anstreicher(y, dense_view(y, force=True))
     assert rep.passed and rep.dense_checked
     assert rep.residual_block_sum <= 1e-9
@@ -81,7 +82,7 @@ def test_dense_verification_and_objective_agreement():
 
 def test_auto_mode_follows_cap(monkeypatch):
     monkeypatch.delenv(DENSE_CAP_ENV_VAR, raising=False)
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     assert verify_anstreicher(y, dense_view(y)).dense_checked
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "32")
     rep = verify_anstreicher(y, dense_view(y))
@@ -91,7 +92,7 @@ def test_auto_mode_follows_cap(monkeypatch):
 
 def test_shifted_spectrum_matches_dense(dense_cert):
     yd, _ = dense_cert(2, 8)
-    spectrum = shifted_spectrum(assemble(coeffs_general(8, 2)).spectrum)
+    spectrum = shifted_spectrum(assemble(8, 2).spectrum)
     assert len(multiset(spectrum)) == 64
     assert spectrum.coupled[0] == 0.0
     eigs = np.linalg.eigvalsh(yd - np.full((64, 64), 1.0 / 64))
@@ -100,9 +101,10 @@ def test_shifted_spectrum_matches_dense(dense_cert):
 
 
 def test_perturbed_certificate_fails_shifted_psd():
-    c = coeffs_general(8, 2)
-    c.a[0] -= 0.6
-    y = assemble(c)
+    y = assemble(8, 2)
+    a = y.a.copy()
+    a[0] -= 0.6
+    y = replace(y, a=a)
     rep = verify_anstreicher(y, dense_view(y, force=True))
     assert not rep.passed
     assert rep.min_shifted_eigenvalue < -1e-8
@@ -113,7 +115,7 @@ def test_perturbed_certificate_fails_shifted_psd():
 
 
 def test_report_serializes():
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     rep = verify_anstreicher(y, dense_view(y))
     d = record_json(rep)
     assert d["passed"] is True
@@ -136,26 +138,26 @@ def test_swapped_spectrum_matches_shifted_eigvalsh(g, n, dense_cert):
     _check_swapped_spectrum(yd, eigs)
 
 
-def _perturb(c, name):
+def _perturb(y, name):
+    a, b = y.a.copy(), y.b.copy()
     if name == "a0-minus":
-        c.a[0] -= 0.6
+        a[0] -= 0.6
     elif name == "b1-plus":
-        c.b[1] += 0.1
+        b[1] += 0.1
     elif name == "a-scaled":
-        c.a *= 0.9
+        a *= 0.9
     elif name == "b-halved":
-        c.b *= 0.5
+        b *= 0.5
     else:
         rng = np.random.default_rng(7)
-        c.a += rng.normal(0.0, 0.01, c.a.size)
-        c.b += rng.normal(0.0, 0.01, c.b.size)
+        a += rng.normal(0.0, 0.01, a.size)
+        b += rng.normal(0.0, 0.01, b.size)
+    return replace(y, a=a, b=b)
 
 
 @pytest.mark.parametrize("name", ["a0-minus", "b1-plus", "a-scaled", "b-halved", "noise"])
 def test_swapped_spectrum_on_perturbed_coefficients(name):
-    c = coeffs_general(16, 4)
-    _perturb(c, name)
-    yd = assemble(c).densify()
+    yd = _perturb(assemble(16, 4), name).densify()
     eigs = np.linalg.eigvalsh(yd)
     shifted = _check_swapped_spectrum(yd, eigs)
     if name == "b-halved":
@@ -165,7 +167,7 @@ def test_swapped_spectrum_on_perturbed_coefficients(name):
 
 
 def test_row_sum_spread_fails_the_report():
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     view = dense_view(y, force=True)
     assert verify_anstreicher(y, view).passed
     # entry (u=0, s=0; v=4, t=1): off the block diagonal and off the trace

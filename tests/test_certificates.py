@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,16 +7,15 @@ import pytest
 from simplicial_gap import certificates
 from simplicial_gap.anstreicher_sdp import verify_anstreicher
 from simplicial_gap.certificates import (
-    CertCoeffs,
+    CertificateY,
     assemble,
     closed_form_spectrum,
-    coeffs_general,
     dense_view,
     objective_dense_trace,
     objective_povh_rendl,
     verify_povh_rendl,
 )
-from simplicial_gap.circulant import ring_adjacency
+from simplicial_gap.circulant import SymmetricCirculant, ring_adjacency
 from simplicial_gap.instances import SimplicialInstance, make_equal
 from simplicial_gap.matrix_core import (
     DENSE_CAP_ENV_VAR,
@@ -51,10 +52,10 @@ B1_16_2 = 0.0095150584360891555
 
 
 def test_two_group_coefficients_frozen_values():
-    c = coeffs_general(8, 2)
+    c = assemble(8, 2)
     assert np.allclose(c.a, TWO_GROUP_8_A, rtol=0, atol=1e-15)
     assert np.allclose(c.b, TWO_GROUP_8_B, rtol=0, atol=1e-15)
-    assert coeffs_general(16, 2).b[0] == pytest.approx(B1_16_2, rel=1e-13)
+    assert assemble(16, 2).b[0] == pytest.approx(B1_16_2, rel=1e-13)
 
 
 def test_general_matches_two_group_to_roundoff():
@@ -62,45 +63,56 @@ def test_general_matches_two_group_to_roundoff():
     # few ulps of the largest coefficient (1.8 eps at worst on this grid)
     eps = np.finfo(float).eps
     for n in range(6, 4001, 2):
-        two, gen = coeffs_two_group(n), coeffs_general(n, 2)
+        two, gen = coeffs_two_group(n), assemble(n, 2)
         big = max(float(np.abs(v).max()) for v in (two.a, two.b, gen.a, gen.b))
         assert float(np.abs(gen.a - two.a).max()) <= 4.0 * eps * big
         assert float(np.abs(gen.b - two.b).max()) <= 4.0 * eps * big
 
 
 def test_smallest_general_case_is_exact():
-    c = coeffs_general(4, 2)
+    c = assemble(4, 2)
     assert tuple(c.a) == (1.0, 0.0)
     assert tuple(c.b) == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 14), (4, 16), (6, 36), (8, 64)])
 def test_coefficient_sums_and_coupling(g, n):
-    c = coeffs_general(n, g)
+    c = assemble(n, g)
     assert c.a.sum() == pytest.approx(1.0, abs=1e-12)
     assert c.b.sum() == pytest.approx(1.0, abs=1e-12)
     assert c.a.min() >= -1e-15 and c.b.min() >= -1e-15
     lhs = (n - g) * c.a + n * (g - 1.0) * c.b
-    want = np.full(c.d, 2.0 * g)
+    want = np.full(n // 2, 2.0 * g)
     want[-1] = float(g)
     assert np.abs(lhs - want).max() < 1e-12
 
 
-def test_coeffs_validation():
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the layout was checked")
+
+
+def test_coeffs_validation(monkeypatch):
+    d = np.zeros(4)
     with pytest.raises(ValueError):
-        coeffs_general(9, 2)
+        CertificateY(n=8, g=2, a=np.zeros(3), b=d)
     with pytest.raises(ValueError):
-        coeffs_general(12, 3)
+        CertificateY(n=8, g=2, a=d, b=np.zeros(5))
     with pytest.raises(ValueError):
-        coeffs_general(4, 4)  # one vertex per group
-    with pytest.raises(ValueError):
-        CertCoeffs(n=8, g=2, a=np.zeros(3), b=np.zeros(4))
+        CertificateY(n=12, g=3, a=np.zeros(6), b=np.zeros(6))  # odd g
+    # assemble refuses every bad layout before any arithmetic: numpy is cut off
+    monkeypatch.setattr(certificates, "np", _NoNumpy())
+    bad = [(9, 2), (12, 3), (4, 4), (8, 0), (8, -2), (6, 6), (0, 2), (-4, 2)]
+    for n, g in bad:  # (4, 4) and (6, 6): one vertex per group
+        with pytest.raises(ValueError):
+            assemble(n, g)
 
 
 def test_densify_block_structure():
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     yd = y.densify()
-    amat, bmat = y.inner_matrices()
+    amat = SymmetricCirculant(8, y.a).densify()
+    bmat = SymmetricCirculant(8, y.b).densify()
     assert np.array_equal(yd, yd.T)
     assert np.array_equal(np.diag(yd), np.full(64, 1.0 / 8))
     blocks = yd.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3)
@@ -113,7 +125,7 @@ def test_densify_block_structure():
 
 def test_densify_respects_cap(monkeypatch):
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "1024")
-    y = assemble(coeffs_general(64, 2))
+    y = assemble(64, 2)
     with pytest.raises(SizeLimitError):
         y.densify()
 
@@ -121,14 +133,14 @@ def test_densify_respects_cap(monkeypatch):
 def test_densify_follows_a_raised_cap(monkeypatch):
     # one cap bounds densify and the kron products inside it alike
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "4096")
-    yd = assemble(coeffs_general(60, 2)).densify()
+    yd = assemble(60, 2).densify()
     assert yd.shape == (3600, 3600)
     assert np.all(np.diag(yd) == 1.0 / 60)
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16)])
 def test_verify_passes_dense_and_structured(g, n):
-    y = assemble(coeffs_general(n, g))
+    y = assemble(n, g)
     dense = verify_povh_rendl(y, dense_view(y, force=True))
     structured = verify_povh_rendl(y, None)
     for rep in (dense, structured):
@@ -145,7 +157,7 @@ def test_verify_passes_dense_and_structured(g, n):
 
 
 def test_verify_structured_scales_far_past_dense_cap():
-    y = assemble(coeffs_general(512, 2))
+    y = assemble(512, 2)
     rep = verify_povh_rendl(y, None)
     assert rep.passed
     assert rep.min_eig_closed_form >= -1e-12
@@ -153,16 +165,17 @@ def test_verify_structured_scales_far_past_dense_cap():
 
 def test_verify_auto_mode_follows_cap(monkeypatch):
     monkeypatch.delenv(DENSE_CAP_ENV_VAR, raising=False)
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     assert verify_povh_rendl(y, dense_view(y)).dense_checked  # 64 <= default cap
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "32")
     assert not verify_povh_rendl(y, dense_view(y)).dense_checked
 
 
 def test_perturbed_total_sum_is_caught():
-    c = coeffs_general(8, 2)
-    c.b[1] += 0.1  # 32 across-group cells gain 0.1 each
-    y = assemble(c)
+    y = assemble(8, 2)
+    b = y.b.copy()
+    b[1] += 0.1  # 32 across-group cells gain 0.1 each
+    y = replace(y, b=b)
     rep = verify_povh_rendl(y, None)
     assert not rep.passed
     assert rep.residual_total_sum == pytest.approx(3.2, abs=1e-12)
@@ -171,16 +184,17 @@ def test_perturbed_total_sum_is_caught():
 
 
 def test_negative_coefficient_is_caught():
-    c = coeffs_general(8, 2)
-    c.a[0] -= 0.6  # drives the within-group entries below zero
-    y = assemble(c)
+    y = assemble(8, 2)
+    a = y.a.copy()
+    a[0] -= 0.6  # drives the within-group entries below zero
+    y = replace(y, a=a)
     rep = verify_povh_rendl(y, dense_view(y, force=True))
     assert not rep.passed
     assert rep.min_entry < -1e-9
 
 
 def test_report_serializes():
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     rep = verify_povh_rendl(y, dense_view(y))
     d = record_json(rep)
     assert d["passed"] is True
@@ -189,9 +203,9 @@ def test_report_serializes():
 
 
 def test_objective_frozen_values():
-    y8 = assemble(coeffs_general(8, 2))
+    y8 = assemble(8, 2)
     assert objective_povh_rendl(y8) == pytest.approx(OBJ_8_2, rel=1e-13)
-    y16 = assemble(coeffs_general(16, 2))
+    y16 = assemble(16, 2)
     assert objective_povh_rendl(y16) == pytest.approx(OBJ_16_2, rel=1e-13)
 
 
@@ -199,7 +213,7 @@ def test_objective_frozen_values():
 def test_objective_double_route(g, n):
     # closed form against the brute-force dense trace
     inst = make_equal(g, n // g)
-    y = assemble(coeffs_general(n, g))
+    y = assemble(n, g)
     closed = objective_povh_rendl(y)
     dense = objective_dense_trace(inst, y.densify())
     assert closed == pytest.approx(dense, abs=1e-12)
@@ -222,7 +236,7 @@ def test_objective_dense_trace_is_the_kronecker_inner_product(sizes):
 
 
 def test_objective_rejects_wrong_layout():
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     with pytest.raises(ValueError):
         objective_dense_trace(make_equal(2, 3), y.densify())
 
@@ -230,7 +244,7 @@ def test_objective_rejects_wrong_layout():
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16), (6, 36)])
 def test_spectrum_multiset_matches_dense(g, n, dense_cert):
     _, eigs = dense_cert(g, n)
-    closed = multiset(closed_form_spectrum(coeffs_general(n, g)))
+    closed = multiset(closed_form_spectrum(assemble(n, g)))
     assert np.abs(closed / (2.0 * n) - eigs).max() < 1e-8
 
 
@@ -243,7 +257,7 @@ BLOCK_GRID = (
 def test_block_spectrum_matches_full_factorization(g, n, dense_cert):
     # the oracle of the oracle: dense_view's frequency-block spectrum against
     # one eigvalsh of the whole n^2 x n^2 matrix and against the closed form
-    y = assemble(coeffs_general(n, g))
+    y = assemble(n, g)
     view = dense_view(y, force=True)
     yd, full = dense_cert(g, n)
     assert np.array_equal(view.matrix, yd)
@@ -255,7 +269,7 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert):
 
 def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
     n, delta = 8, 1e-3
-    y = assemble(coeffs_general(n, 2))
+    y = assemble(n, 2)
     tilted = y.densify()
     # vertex 0 at position 1 against vertex 5 at position 2: the same
     # vertex pair at positions (2, 3) keeps its old value, so the minor
@@ -275,7 +289,7 @@ def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
 
 
 def test_spectrum_bookkeeping():
-    spectrum = closed_form_spectrum(coeffs_general(8, 2))
+    spectrum = closed_form_spectrum(assemble(8, 2))
     assert len(multiset(spectrum)) == 64
     assert spectrum.coupled[0] == pytest.approx(16.0, abs=1e-12)
     for value in spectrum.coupled[1:]:
@@ -288,12 +302,12 @@ def test_spectrum_bookkeeping():
 def test_spectrum_is_computed_once_per_certificate(monkeypatch):
     calls = []
 
-    def counting(coeffs):
-        calls.append(coeffs.n)
-        return closed_form_spectrum(coeffs)
+    def counting(y):
+        calls.append(y.n)
+        return closed_form_spectrum(y)
 
     monkeypatch.setattr(certificates, "closed_form_spectrum", counting)
-    y = assemble(coeffs_general(16, 2))
+    y = assemble(16, 2)
     view = dense_view(y, force=True)
     assert verify_povh_rendl(y, view).passed
     assert verify_anstreicher(y, view).passed
@@ -302,19 +316,36 @@ def test_spectrum_is_computed_once_per_certificate(monkeypatch):
     assert y.spectrum is y.spectrum
 
 
+def test_verified_certificate_cannot_be_edited_into_a_stale_spectrum():
+    y = assemble(8, 2)
+    assert verify_povh_rendl(y, None).passed  # caches the spectrum
+    with pytest.raises(ValueError):
+        y.a[0] -= 0.4
+    with pytest.raises(FrozenInstanceError):
+        y.a = np.zeros(4)
+    a = y.a.copy()
+    a[0] -= 0.4
+    a[1] += 0.4
+    shifted = replace(y, a=a)
+    a[:] = 0.0  # the certificate holds its own copy
+    assert shifted.a[0] == y.a[0] - 0.4
+    rep = verify_povh_rendl(shifted, None)
+    assert not rep.passed
+    assert rep.min_eig_closed_form == pytest.approx(-0.15, abs=1e-12)
+    assert verify_povh_rendl(y, None).passed
+
+
 def test_lower_bound_akk_hits_floor_at_small_n():
-    assert lower_bound_akk(coeffs_general(8, 2)) == pytest.approx(-1.0 / 3, abs=1e-14)
+    assert lower_bound_akk(assemble(8, 2)) == pytest.approx(-1.0 / 3, abs=1e-14)
 
 
 def test_lower_bound_akk_rejects_broken_profiles():
-    c = coeffs_general(8, 2)
-    c.a[0] = 2.0
-    with pytest.raises(ArithmeticError):
-        lower_bound_akk(c)
-    c2 = coeffs_general(8, 2)
-    c2.a[0] = -1.0
-    with pytest.raises(ArithmeticError):
-        lower_bound_akk(c2)
+    y = assemble(8, 2)
+    for a0 in (2.0, -1.0):
+        a = y.a.copy()
+        a[0] = a0
+        with pytest.raises(ArithmeticError):
+            lower_bound_akk(replace(y, a=a))
 
 
 @pytest.mark.parametrize("g", [2, 4, 6, 8, 10])
@@ -322,7 +353,7 @@ def test_profile_identities_on_grid(g):
     for n in range(2 * g, 201, 2 * g):
         if n // g < 2:
             continue
-        res = profile_identity_residuals(coeffs_general(n, g))
+        res = profile_identity_residuals(assemble(n, g))
         worst = max(abs(v) for v in res.values())
         assert worst <= 1e-9, (g, n, res)
 
@@ -331,21 +362,21 @@ def test_profile_identities_on_grid(g):
 def test_profile_checks_at_a_million(n, g):
     # the FFT profile keeps the floor -g/(n-g) and every identity at the
     # size where lower_bound_akk's margin is smallest
-    coeffs = coeffs_general(n, g)
-    assert lower_bound_akk(coeffs) >= -g / (n - g) - 1e-10
-    res = profile_identity_residuals(coeffs)
+    y = assemble(n, g)
+    assert lower_bound_akk(y) >= -g / (n - g) - 1e-10
+    res = profile_identity_residuals(y)
     worst = max(abs(v) for v in res.values())
     assert worst <= 1e-9, (g, n, res)
 
 
 def test_a_profile_against_50_digit_sum():
     n = 2**16
-    coeffs = coeffs_general(n, 2)
-    prof = coeffs.a_profile()
+    y = assemble(n, 2)
+    prof = y.a_profile()
     with mpmath.workdps(50):
         for k in (1, 2, n // 2):
             exact = mpmath.fsum(
                 mpmath.mpf(float(a)) * mpmath.cospi(mpmath.mpf(2 * i * k) / n)
-                for i, a in enumerate(coeffs.a, start=1)
+                for i, a in enumerate(y.a, start=1)
             )
             assert abs(float(exact) - prof[k]) <= 1e-14, k

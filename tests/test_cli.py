@@ -149,9 +149,11 @@ def test_gap_csv_and_json_agree(capsys):
 
 
 def test_gap_rejects_bad_n(capsys):
-    code, _, err = run(capsys, ["gap", "--z", "1", "--n", "7"])
-    assert code == 2
-    assert "error:" in err
+    # n <= g is refused by the layout check too, never by an IndexError
+    for n in ("7", "0", "-4"):
+        code, _, err = run(capsys, ["gap", "--z", "1", "--n", n])
+        assert code == 2
+        assert "error:" in err
 
 
 def test_baseline_even_and_odd_groups(capsys):
@@ -189,7 +191,7 @@ def test_solve_tiny_default_is_conclusive(capsys):
 
 
 def test_solve_tiny_refuses_a_certificate_that_fails_its_check(capsys):
-    # coeffs_general(2902, 2), the first even n whose g = 2 certificate
+    # n = 2902 is the first even n whose g = 2 certificate, assemble(n, 2),
     # misses the total-sum check by roundoff: its bound proves nothing and
     # the report cannot be conclusive
     code, out, _ = run(capsys, ["solve-tiny", "--large-n", "2902"])
@@ -201,7 +203,7 @@ def test_solve_tiny_refuses_a_certificate_that_fails_its_check(capsys):
 
 @pytest.mark.parametrize("n", [2546, 2902])
 def test_certify_and_solve_tiny_judge_one_certificate(n, capsys):
-    # both commands build the g = 2 certificate at n through coeffs_general,
+    # both commands build the g = 2 certificate at n through assemble,
     # so its total-sum verdict, pass at 2546 and fail at 2902, is shared
     certify_code = run(capsys, ["certify", "--g", "2", "--n", str(n)])[0]
     tiny_code = run(capsys, ["solve-tiny", "--large-n", str(n)])[0]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplicial_gap.certificates import assemble, coeffs_general, objective_povh_rendl
+from simplicial_gap.certificates import assemble, objective_povh_rendl
 from simplicial_gap.instances import SimplicialInstance, make_equal, make_one_extra
 from simplicial_gap.reduced_sdp import (
     asymptote_value,
@@ -62,7 +62,7 @@ def test_reduction_validation():
 def test_structured_objective_matches_dense(r, s):
     inst = make_one_extra(2, 4)
     red = build_reduction(inst, r=r, s=s)
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     fast = objective_reduced(y, red)
     slow = objective_reduced_dense(y, red)
     assert fast.kron_term == pytest.approx(slow.kron_term, abs=1e-12)
@@ -90,7 +90,7 @@ def test_structured_counts_match_dense_on_random_layouts(case):
     inst, r, s, g = case
     red = build_reduction(inst, r=r, s=s)
     assert red.ones_in_cbar() == int(red.cbar.sum())
-    y = assemble(coeffs_general(red.n, g))
+    y = assemble(red.n, g)
     fast = objective_reduced(y, red)
     slow = objective_reduced_dense(y, red)
     assert fast.kron_term == pytest.approx(slow.kron_term, abs=1e-12)
@@ -99,7 +99,7 @@ def test_structured_counts_match_dense_on_random_layouts(case):
 
 def test_objective_invariant_in_dropped_position():
     inst = make_one_extra(2, 4)
-    y = assemble(coeffs_general(8, 2))
+    y = assemble(8, 2)
     base = objective_reduced(y, build_reduction(inst, r=1))
     for r in (2, 5, 9):
         obj = objective_reduced(y, build_reduction(inst, r=r))
@@ -110,7 +110,7 @@ def test_objective_invariant_in_dropped_position():
 def test_diag_term_is_one_on_matching_two_group_layout():
     for p in (3, 4, 8):
         red = build_reduction(make_one_extra(2, p))
-        y = assemble(coeffs_general(2 * p, 2))
+        y = assemble(2 * p, 2)
         assert objective_reduced(y, red).diag_term == pytest.approx(1.0, abs=1e-12)
 
 
@@ -118,7 +118,7 @@ def test_diag_term_is_one_on_matching_two_group_layout():
 def test_kron_term_tracks_full_objective(g, n):
     # deleting one vertex scales the coupling part by (n-1)/n
     red = build_reduction(make_one_extra(g, n // g))
-    y = assemble(coeffs_general(n, g))
+    y = assemble(n, g)
     obj = objective_reduced(y, red)
     full = objective_povh_rendl(y)
     assert obj.kron_term == pytest.approx((n - 1.0) / n * full, abs=1e-12)

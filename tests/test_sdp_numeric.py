@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplicial_gap import sdp_numeric
-from simplicial_gap.certificates import assemble, coeffs_general
+from simplicial_gap.certificates import assemble
 from simplicial_gap.instances import make_one_extra
 from simplicial_gap.matrix_core import trace_inner
 from simplicial_gap.reduced_sdp import build_reduction, objective_reduced
@@ -168,7 +168,7 @@ def test_encode_objective_agrees_with_certificate_route():
     inst = make_one_extra(2, 2)
     red = build_reduction(inst)
     p = encode_reduced(inst)
-    y = assemble(coeffs_general(4, 2))
+    y = assemble(4, 2)
     obj = objective_reduced(y, red)
     assert trace_inner(p.objective, y.densify()) == pytest.approx(
         obj.upper_bound, abs=1e-12
@@ -178,7 +178,7 @@ def test_encode_objective_agrees_with_certificate_route():
 def test_certificate_is_feasible_for_encoding():
     inst = make_one_extra(2, 2)
     p = encode_reduced(inst)
-    yd = assemble(coeffs_general(4, 2)).densify()
+    yd = assemble(4, 2).densify()
     for a, b in p.constraints:
         assert trace_inner(a, yd) == pytest.approx(b, abs=1e-12)
 
