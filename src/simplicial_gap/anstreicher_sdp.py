@@ -16,24 +16,13 @@ I/n and their off-diagonal blocks circulants with zero diagonal (hence
 traceless).  Both relaxations share the same objective matrix, so the bound
 value carries over unchanged.
 
-The shifted spectrum needs no factorization of its own.  Every block of a
-certificate (I/n, A/2n, B/2n) has a constant row sum, so the all-ones
-vector is an eigenvector: Y 1 = c 1 with c = 1^T Y 1 / n^2, for any
-coefficients, feasible or not.  J/n^2 = e e^T with the unit vector
-e = 1/n, so Y - J/n^2 keeps Y's eigenvectors and its spectrum is Y's with
-one copy of c replaced by c - 1; every other eigenvalue stays.  The closed
-form (``shifted_spectrum``) drops the coupled k = 0 value from 1 to 0;
-the dense oracle (``dense_shifted_spectrum``) swaps the eigenvalue nearest
-c in the one spectrum that ``certificates.dense_view`` computed, after
-measuring the row-sum spread max|Y 1 - c| that the swap rests on.
-
-That spectrum comes from Y's frequency blocks, not from Y itself, and the
-swap still holds on it: the all-ones vector is constant over tour
-positions, so the Fourier basis maps it into the frequency-0 block, where
-c is the eigenvalue of the all-ones vertex vector.  The block spectrum is
-Y's to within the mass the blocking discards (at most ``EIG_TOL`` max|Y|,
-or ``dense_view`` raises), so its eigenvalue nearest c is the one that the
-shift moves.
+The shifted spectrum needs no factorization of its own.  The closed form
+(``shifted_spectrum``) drops the coupled k = 0 value of the unit-scale
+spectrum from 1 to 0.  The dense oracle reads the view's
+``shifted_eigenvalues``: J/n^2 is block-circulant with symbol J_n/n at
+frequency 0 and zero elsewhere, so ``certificates.dense_view`` factors
+Y - J/n^2 as Y's frequency blocks with the frequency-0 block shifted, in
+the same batched call that factors Y.
 """
 
 from __future__ import annotations
@@ -55,7 +44,6 @@ from .instances import make_equal
 
 __all__ = [
     "AnstreicherReport",
-    "dense_shifted_spectrum",
     "shifted_spectrum",
     "verify_anstreicher",
 ]
@@ -78,21 +66,6 @@ def shifted_spectrum(base: CertSpectrum) -> CertSpectrum:
         middle=base.middle * scale,
         plain=base.plain * scale,
     )
-
-
-def dense_shifted_spectrum(view: DenseView) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues of Y - J/n^2 from Y's, and the row-sum spread.
-
-    With c the mean row sum of Y, one copy of c (the eigenvalue nearest it)
-    becomes c - 1.  That swap is the exact shifted spectrum when Y 1 = c 1;
-    the returned spread max|Y 1 - c| says how far that premise is off.
-    """
-    rows = view.matrix.sum(axis=1)
-    c = float(rows.sum()) / rows.size
-    spread = float(np.abs(rows - c).max())
-    values = view.eigenvalues.copy()
-    values[np.argmin(np.abs(values - c))] = c - 1.0
-    return np.sort(values), spread
 
 
 @dataclass
@@ -152,8 +125,7 @@ def verify_anstreicher(
     With ``view`` None (structured mode, see ``certificates.dense_view``)
     the checks use the blockwise closed forms.  With a dense view the
     residuals come off the dense matrix, the shifted spectrum from the
-    view's eigenvalues (failing the report if the row-sum spread exceeds
-    eq_tol), and the objective by contraction over the dense matrix, so
+    view, and the objective by contraction over the dense matrix, so
     that equality of the two relaxations' bound values is checked on actual
     matrices, not just by construction.  The dense objective runs on the
     certificate's own equal layout.
@@ -165,12 +137,10 @@ def verify_anstreicher(
     if view is None:
         block_sum, trace_pattern, residual_f = _structured_residuals(y)
         min_numeric = None
-        row_sum_spread = None
         objective_dense = None
     else:
         block_sum, trace_pattern, residual_f = _dense_residuals(view.matrix, n)
-        shifted, row_sum_spread = dense_shifted_spectrum(view)
-        min_numeric = float(shifted[0])
+        min_numeric = float(view.shifted_eigenvalues[0])
         objective_dense = objective_dense_trace(
             make_equal(y.g, y.per_group), view.matrix
         )
@@ -181,7 +151,6 @@ def verify_anstreicher(
         and residual_f <= eq_tol
         and min_shifted >= -psd_tol
         and (min_numeric is None or min_numeric >= -psd_tol)
-        and (row_sum_spread is None or row_sum_spread <= eq_tol)
     )
     return AnstreicherReport(
         n=n,

@@ -3,26 +3,24 @@
 On a simplicial instance with g equal groups of n/g vertices the relaxation
 (over n^2 x n^2 matrices Y, doubly-assignment constraints, a forbidden-entry
 zero pattern, total sum n^2, Y >= 0 entrywise and Y PSD) admits an explicit
-feasible point built from two symmetric circulants:
+feasible point built from the symmetric circulants A and B with half-offset
+coefficient vectors a and b.  Y rows/columns are pairs (vertex u, tour
+position s) ordered u-major, i.e. row u*n + s, and every minor block Y^(uv)
+is one of three circulants:
 
-    Y = (1/2n) [ cross-group pattern (x) B  +  same-group pattern (x) A
-                 + block-diagonal (x) (2I - A) ]
+    Y^(uv) = I/n  (u = v),   A/2n  (same group),   B/2n  (across groups),
 
-where A and B are the circulants with half-offset coefficient vectors a and
-b.  ``assemble(n, g)`` computes a and b (one closed form for every even g)
-and returns them as a frozen ``CertificateY`` whose vectors are read-only,
-so the spectrum it caches cannot go stale.  This module also evaluates the
-certificate's objective and verifies feasibility.  The closed forms always
-run; below the dense cap the dense oracle joins in.  ``dense_view`` is the
-one place that chooses the mode: in dense mode it densifies Y once, blocks
-it once into its n frequency blocks of side n, and factors those in one
-batched call; both relaxations' verifiers (this module's and
-``anstreicher_sdp``'s) read that one matrix and that one spectrum.
-
-Index convention: Y rows/columns are pairs (vertex u, tour position s)
-ordered u-major, i.e. row u*n + s.  Minor block (u, v) is then B/2n when u
-and v lie in different groups, A/2n within a group off the diagonal, and
-I/n on the block diagonal; every diagonal entry of Y is exactly 1/n.
+so every diagonal entry of Y is exactly 1/n.  ``assemble(n, g)`` computes
+a and b (one closed form for every even g) and returns them as a frozen
+``CertificateY`` whose vectors are read-only, so the spectrum it caches
+cannot go stale.  This module also evaluates the certificate's objective
+and verifies feasibility.  The closed forms always run; below the dense cap
+the dense oracle joins in.  ``dense_view`` is the one place that chooses
+the mode: in dense mode it densifies Y once, blocks it once into its n
+frequency blocks of side n, and factors those, with the frequency-0 block
+shifted by -J_n/n for Y - J/n^2, in one batched call; both relaxations'
+verifiers (this module's and ``anstreicher_sdp``'s) read that one matrix
+and its two spectra.
 
 The spectrum of 2nY comes in three closed-form families per frequency k:
 
@@ -125,21 +123,30 @@ class CertificateY:
         return closed_form_spectrum(self)
 
     def densify(self) -> np.ndarray:
-        """Full n^2 x n^2 matrix; SizeLimitError beyond the dense cap."""
+        """Full n^2 x n^2 matrix; SizeLimitError beyond the dense cap.
+
+        Minor block (u, v) is the circulant whose first row is row[kind]:
+        kind 0 (u = v) reads 2I/2n, kind 1 (same group) A/2n and kind 2
+        (across groups) B/2n, so Y[(u, s), (v, t)] = row[kind(u, v)][t - s].
+        """
         n, g, p = self.n, self.g, self.per_group
         cap = dense_cap()
         if n * n > cap:
             raise SizeLimitError(
                 f"dense certificate side {n * n} exceeds cap {cap}"
             )
-        amat = SymmetricCirculant(n, self.a).densify()
-        bmat = SymmetricCirculant(n, self.b).densify()
-        jg, ig = np.ones((g, g)), np.eye(g)
-        jp, ip = np.ones((p, p)), np.eye(p)
-        y = kron(kron(jg - ig, jp), bmat)
-        y += kron(kron(ig, jp), amat)
-        y += kron(kron(ig, ip), 2.0 * np.eye(n) - amat)
-        return y / (2.0 * n)
+        row = np.stack(
+            [
+                2.0 * np.eye(n)[0],
+                SymmetricCirculant(n, self.a).first_row(),
+                SymmetricCirculant(n, self.b).first_row(),
+            ]
+        ) / (2.0 * n)
+        same_group = kron(np.eye(g), np.ones((p, p))).astype(int)
+        kind = 2 - same_group - np.eye(n, dtype=int)
+        offset = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        y4 = row[kind[:, None, :, None], offset[None, :, None, :]]  # [u, s, v, t]
+        return y4.reshape(n * n, n * n)
 
 
 def assemble(n: int, g: int) -> CertificateY:
@@ -287,14 +294,16 @@ def _dense_residuals(
 class DenseView:
     """One certificate densified once, blocked once, factored in one batch.
 
-    ``matrix`` is the n^2 x n^2 matrix Y and ``eigenvalues`` its ascending
-    spectrum: the n frequency blocks of Y (see ``dense_view``) go to a
-    single batched ``sym_eigs`` call.  Every dense check of both
-    relaxations reads these two arrays.
+    ``matrix`` is the n^2 x n^2 matrix Y, ``eigenvalues`` its ascending
+    spectrum and ``shifted_eigenvalues`` that of Y - J/n^2: the n frequency
+    blocks of Y plus the shifted frequency-0 block (see ``dense_view``) go
+    to a single batched ``sym_eigs`` call.  Every dense check of both
+    relaxations reads these three arrays.
     """
 
     matrix: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
+    shifted_eigenvalues: np.ndarray = field(repr=False)
 
 
 def _real_fourier_basis(n: int) -> np.ndarray:
@@ -355,15 +364,24 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     (closed forms and blockwise residuals only) past it; ``force`` insists
     on the dense oracle and raises SizeLimitError past the cap.  Callers
     that want the structured checks below the cap pass view None directly.
-    The dense Y is built once and split into its n frequency blocks of
+    The dense Y is built once and split into its n frequency blocks M_k of
     side n, whose spectra are, to within the mass the split discards, the
-    spectrum of Y; one batched ``sym_eigs`` call factors them all.
+    spectrum of Y.  J/n^2 is block-circulant too, with symbol J_n/n at
+    frequency 0 and zero elsewhere, so Y - J/n^2 has the blocks of Y with
+    M_0 replaced by M_0 - J_n/n.  One batched ``sym_eigs`` call factors
+    the n blocks and that one extra block.
     """
     if not force and y.n * y.n > dense_cap():
         return None
+    n = y.n
     matrix = y.densify()
-    blocks = _frequency_blocks(matrix, y.n)
-    return DenseView(matrix=matrix, eigenvalues=sym_eigs(blocks))
+    blocks = _frequency_blocks(matrix, n)
+    values = sym_eigs(np.concatenate([blocks, blocks[:1] - 1.0 / n]))
+    return DenseView(
+        matrix=matrix,
+        eigenvalues=np.sort(values[:n], axis=None),
+        shifted_eigenvalues=np.sort(values[1:], axis=None),
+    )
 
 
 def verify_povh_rendl(

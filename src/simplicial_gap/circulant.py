@@ -11,8 +11,8 @@ vector c at frequency k is 2 * sum_i c_i cos(2 pi i k / m).  A circulant is
 diagonalised by the discrete Fourier transform, so ``cosine_profile``
 evaluates all m frequencies with one real FFT in O(m log m) time and O(m)
 memory; this is what the structured certify/gap path runs on at any size.
-``densify`` and ``sym_eigs`` on the dense matrix are the oracle-only
-cross-check, exercised in the tests below the dense cap.
+``first_row`` is the circulant's first row, from which the dense oracle
+(``CertificateY.densify``) reads every row by a cyclic shift.
 
 ``identity_suite`` evaluates, numerically and against their closed forms, the
 handful of trigonometric identities that the certificate analysis rests on,
@@ -67,11 +67,6 @@ class SymmetricCirculant:
             row[self.m - i] += self.coeffs[i - 1]
         row[d] += 2.0 * self.coeffs[d - 1]
         return row
-
-    def densify(self) -> np.ndarray:
-        row = self.first_row()
-        offsets = (np.arange(self.m)[None, :] - np.arange(self.m)[:, None]) % self.m
-        return row[offsets]
 
 
 def cosine_profile(coeffs: np.ndarray, n: int) -> np.ndarray:

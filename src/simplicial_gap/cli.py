@@ -61,11 +61,13 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(args: argparse.Namespace, payload, rows: list[dict]) -> None:
+    """Write payload as canonical JSON, or rows as CSV, to --out or stdout."""
+    text = csv_table(rows) if args.format == "csv" else json_canonical(payload)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -108,19 +110,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 "spectrum_min": spectrum_min,
             }
         )
-    if args.format == "csv":
-        _emit(csv_table(rows), args.out)
-    else:
-        _emit(json_canonical(reports), args.out)
+    _emit(args, reports, rows)
     return 0 if all_passed else 1
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
     rows = [record_json(rec) for rec in gap_table(args.z, sorted(args.n))]
-    if args.format == "csv":
-        _emit(csv_table(rows), args.out)
-    else:
-        _emit(json_canonical(rows), args.out)
+    _emit(args, rows, rows)
     return 0
 
 
@@ -151,10 +147,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         "cuts_added": lp.cuts_added,
         "agree": agree,
     }
-    if args.format == "csv":
-        _emit(csv_table([report]), args.out)
-    else:
-        _emit(json_canonical(report), args.out)
+    _emit(args, report, [report])
     return 0 if agree else 1
 
 
@@ -163,7 +156,8 @@ def cmd_solve_tiny(args: argparse.Namespace) -> int:
         return _usage_error(f"large-n must be even and >= 6, got {args.large_n}")
     if args.per_group == 1:
         report = nonmonotonicity_check(args.large_n, max_iters=args.max_iters)
-        _emit(json_canonical(record_json(report)), args.out)
+        record = record_json(report)
+        _emit(args, record, [record])
         return 0 if report.conclusive and report.non_monotonic else 1
     inst = make_one_extra(2, args.per_group)
     problem = encode_reduced(inst)
@@ -187,7 +181,7 @@ def cmd_solve_tiny(args: argparse.Namespace) -> int:
         "certificate_bound": fmt_float(bound),
         "within_bound": ok,
     }
-    _emit(json_canonical(payload), args.out)
+    _emit(args, payload, [payload])
     return 0 if ok else 1
 
 
@@ -203,11 +197,8 @@ def cmd_identities(args: argparse.Namespace) -> int:
         }
         for n, suite in suites
     ]
-    if args.format == "csv":
-        rows = [{"g": p["g"], "n": p["n"], **p["residuals"]} for p in payload]
-        _emit(csv_table(rows), args.out)
-    else:
-        _emit(json_canonical(payload), args.out)
+    rows = [{"g": p["g"], "n": p["n"], **p["residuals"]} for p in payload]
+    _emit(args, payload, rows)
     return 0 if worst <= args.tol_eq else 1
 
 
@@ -271,8 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # bad sizes or a malformed cap variable land here, not as tracebacks
+    except (ValueError, OSError) as exc:
+        # bad sizes, a malformed cap variable or an --out path that cannot
+        # be written land here, not as tracebacks
         return _usage_error(str(exc))
 
 

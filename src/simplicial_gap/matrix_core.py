@@ -5,9 +5,9 @@ Small wrappers around numpy that the rest of the package builds on:
 * ``kron``        -- Kronecker product, size-capped like every dense matrix
 * ``trace_inner`` -- trace inner product <a, b> = trace(a @ b) for symmetric a
 * ``vec_stack``   -- column-major vectorization
-* ``sym_eigs``    -- full spectrum of a symmetric matrix or of a stack of
-                     symmetric blocks, sorted ascending, from one batched
-                     ``eigh`` with an always-on per-block residual check
+* ``sym_eigs``    -- full spectrum of a symmetric matrix, or of each block
+                     of a stack, ascending, from one batched ``eigh`` with
+                     an always-on per-block residual check
 
 Matrices are plain ``numpy.ndarray`` objects built symmetrically by
 construction; ``sym_eigs`` enforces exact (tolerance-zero) symmetry at the
@@ -117,12 +117,12 @@ def vec_stack(m: np.ndarray) -> np.ndarray:
 
 
 def sym_eigs(m: np.ndarray) -> np.ndarray:
-    """Full spectrum of a symmetric matrix, or of a stack of them, ascending.
+    """Full spectrum of a symmetric matrix, or of each matrix in a stack.
 
     ``m`` is one matrix (m, m) or a stack (k, m, m) of k blocks; a matrix is
     a stack of one on the same path.  All blocks go to one batched ``eigh``
-    call, and the k*m eigenvalues come back as one sorted flat array (the
-    spectrum of the block-diagonal matrix the stack describes).
+    call and, as from ``eigh``, each block's spectrum comes back ascending:
+    shape (k, m) for a stack, (m,) for a matrix.
 
     Every block must be exactly symmetric (the package builds its matrices
     symmetrically, so equality is checked with zero tolerance).  Accuracy
@@ -132,7 +132,8 @@ def sym_eigs(m: np.ndarray) -> np.ndarray:
     dense cap raises SizeLimitError.
     """
     stack = np.asarray(m, dtype=float)
-    if stack.ndim == 2:
+    single = stack.ndim == 2
+    if single:
         stack = stack[None]
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(
@@ -165,4 +166,4 @@ def sym_eigs(m: np.ndarray) -> np.ndarray:
             dim,
         )
 
-    return np.sort(vals, axis=None)
+    return vals[0] if single else vals

@@ -21,3 +21,18 @@ def dense_cert():
         return store[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def dense_shifted(dense_cert):
+    """Session cache of eigvalsh(Y - J/n^2) for the certificates by (g, n)."""
+    store: dict[tuple[int, int], np.ndarray] = {}
+
+    def get(g: int, n: int) -> np.ndarray:
+        key = (g, n)
+        if key not in store:
+            yd, _ = dense_cert(g, n)
+            store[key] = np.linalg.eigvalsh(yd - 1.0 / (n * n))
+        return store[key]
+
+    return get

@@ -13,7 +13,7 @@ import numpy as np
 from simplicial_gap.certificates import CertificateY, CertSpectrum
 from simplicial_gap.circulant import SymmetricCirculant, cosine_profile
 from simplicial_gap.instances import SimplicialInstance
-from simplicial_gap.matrix_core import kron, trace_inner
+from simplicial_gap.matrix_core import SizeLimitError, dense_cap, kron, trace_inner
 from simplicial_gap.reduced_sdp import ReducedObjective, Reduction
 from simplicial_gap.subtour_lp import LpEdgeSolution, _weights
 
@@ -27,6 +27,35 @@ def basis(m: int, i: int) -> SymmetricCirculant:
     coeffs = np.zeros(m // 2)
     coeffs[i - 1] = 1.0
     return SymmetricCirculant(m, coeffs)
+
+
+def circulant_dense(c: SymmetricCirculant) -> np.ndarray:
+    """The full m x m circulant: every row a cyclic shift of the first."""
+    row = c.first_row()
+    offsets = (np.arange(c.m)[None, :] - np.arange(c.m)[:, None]) % c.m
+    return row[offsets]
+
+
+def densify_kron(y: CertificateY) -> np.ndarray:
+    """The certificate's dense Y as a sum of three Kronecker products.
+
+    (1/2n) [cross-group pattern (x) B + same-group pattern (x) A
+    + block-diagonal (x) (2I - A)]; SizeLimitError beyond the dense cap.
+    """
+    n, g, p = y.n, y.g, y.per_group
+    cap = dense_cap()
+    if n * n > cap:
+        raise SizeLimitError(
+            f"dense certificate side {n * n} exceeds cap {cap}"
+        )
+    amat = circulant_dense(SymmetricCirculant(n, y.a))
+    bmat = circulant_dense(SymmetricCirculant(n, y.b))
+    jg, ig = np.ones((g, g)), np.eye(g)
+    jp, ip = np.ones((p, p)), np.eye(p)
+    out = kron(kron(jg - ig, jp), bmat)
+    out += kron(kron(ig, jp), amat)
+    out += kron(kron(ig, ip), 2.0 * np.eye(n) - amat)
+    return out / (2.0 * n)
 
 
 def circulant_spectrum(c: SymmetricCirculant) -> np.ndarray:

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from simplicial_gap import anstreicher_sdp
-from simplicial_gap.anstreicher_sdp import (
-    dense_shifted_spectrum,
-    shifted_spectrum,
-    verify_anstreicher,
-)
+from simplicial_gap.anstreicher_sdp import shifted_spectrum, verify_anstreicher
 from simplicial_gap.certificates import (
-    DenseView,
     assemble,
     dense_view,
     objective_povh_rendl,
@@ -18,7 +13,7 @@ from simplicial_gap.certificates import (
 from simplicial_gap.matrix_core import DENSE_CAP_ENV_VAR, trace_inner
 from simplicial_gap.serialize import record_json
 
-from oracles import multiset, row_column_map
+from oracles import densify_kron, multiset, row_column_map
 
 
 def test_row_column_map_layout():
@@ -114,6 +109,39 @@ def test_perturbed_certificate_fails_shifted_psd():
     assert rep.residual_trace_pattern <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "check", ["block_sum", "trace_pattern", "residual_f", "closed_form", "numeric"]
+)
+def test_each_check_alone_fails_the_report(check, monkeypatch):
+    # the verdict needs every check: one failing value among passing ones
+    # fails the report
+    y = assemble(8, 2)
+    view = dense_view(y, force=True)
+    assert verify_anstreicher(y, view).passed
+    if check == "numeric":
+        # only the shifted spectrum drops: Y's own spectrum stays PSD
+        view = replace(view, shifted_eigenvalues=view.shifted_eigenvalues - 1.0)
+    elif check == "closed_form":
+        real_spectrum = anstreicher_sdp.shifted_spectrum
+
+        def lowered(base):
+            spectrum = real_spectrum(base)
+            return replace(spectrum, plain=spectrum.plain - 1.0)
+
+        monkeypatch.setattr(anstreicher_sdp, "shifted_spectrum", lowered)
+    else:
+        real = anstreicher_sdp._dense_residuals
+        i = ["block_sum", "trace_pattern", "residual_f"].index(check)
+
+        def one_failing(*args):
+            values = list(real(*args))
+            values[i] = 1.0
+            return tuple(values)
+
+        monkeypatch.setattr(anstreicher_sdp, "_dense_residuals", one_failing)
+    assert not verify_anstreicher(y, view).passed
+
+
 def test_report_serializes():
     y = assemble(8, 2)
     rep = verify_anstreicher(y, dense_view(y))
@@ -123,19 +151,19 @@ def test_report_serializes():
     assert isinstance(d["objective_closed_form"], str)
 
 
-def _check_swapped_spectrum(yd, eigs):
-    n2 = yd.shape[0]
-    shifted, spread = dense_shifted_spectrum(DenseView(matrix=yd, eigenvalues=eigs))
-    assert spread <= 1e-12
-    want = np.linalg.eigvalsh(yd - np.full((n2, n2), 1.0 / n2))
-    assert np.abs(shifted - want).max() <= 1e-12
-    return shifted
+def _check_shifted_spectrum(y, want=None):
+    # the view's shifted spectrum against one eigvalsh of Y - J/n^2
+    view = dense_view(y, force=True)
+    if want is None:
+        n2 = view.matrix.shape[0]
+        want = np.linalg.eigvalsh(view.matrix - np.full((n2, n2), 1.0 / n2))
+    assert np.abs(view.shifted_eigenvalues - want).max() <= 1e-12
+    return view
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (4, 16), (6, 36)])
-def test_swapped_spectrum_matches_shifted_eigvalsh(g, n, dense_cert):
-    yd, eigs = dense_cert(g, n)
-    _check_swapped_spectrum(yd, eigs)
+def test_swapped_spectrum_matches_shifted_eigvalsh(g, n, dense_shifted):
+    _check_shifted_spectrum(assemble(n, g), dense_shifted(g, n))
 
 
 def _perturb(y, name):
@@ -157,27 +185,37 @@ def _perturb(y, name):
 
 @pytest.mark.parametrize("name", ["a0-minus", "b1-plus", "a-scaled", "b-halved", "noise"])
 def test_swapped_spectrum_on_perturbed_coefficients(name):
-    yd = _perturb(assemble(16, 4), name).densify()
-    eigs = np.linalg.eigvalsh(yd)
-    shifted = _check_swapped_spectrum(yd, eigs)
+    y = _perturb(assemble(16, 4), name)
+    assert np.array_equal(y.densify(), densify_kron(y))
+    view = _check_shifted_spectrum(y)
     if name == "b-halved":
-        # Y stays PSD, the shifted matrix does not: the swap must see that
-        assert eigs[0] >= -1e-12
-        assert shifted[0] == pytest.approx(-0.375, abs=1e-12)
+        # Y stays PSD, the shifted matrix does not: the shifted block must
+        # see that
+        assert view.eigenvalues[0] >= -1e-12
+        assert view.shifted_eigenvalues[0] == pytest.approx(-0.375, abs=1e-12)
 
 
-def test_row_sum_spread_fails_the_report():
-    y = assemble(8, 2)
-    view = dense_view(y, force=True)
-    assert verify_anstreicher(y, view).passed
-    # entry (u=0, s=0; v=4, t=1): off the block diagonal and off the trace
-    # pattern, so only the row sums of rows 0 and 33 move
-    tilted = view.matrix.copy()
-    tilted[0, 33] += 1e-6
-    tilted[33, 0] += 1e-6
-    bad = DenseView(matrix=tilted, eigenvalues=np.linalg.eigvalsh(tilted))
-    assert dense_shifted_spectrum(bad)[1] > 1e-9
-    rep = verify_anstreicher(y, bad, psd_tol=1e-3)
-    assert max(rep.residual_block_sum, rep.residual_trace_pattern, rep.residual_f) <= 1e-9
-    assert rep.min_shifted_numeric >= -1e-3
-    assert not rep.passed
+def test_shifted_spectrum_holds_without_equal_row_sums(monkeypatch):
+    # scaling the minor blocks between vertices 0 and 1 keeps every minor
+    # block a symmetric circulant, so dense_view accepts Y, but vertices 0
+    # and 1 now have other row sums than the rest: the all-ones vector is no
+    # eigenvector of Y, and swapping the eigenvalue nearest the mean row sum
+    # c for c - 1 no longer gives the spectrum of Y - J/n^2
+    n = 8
+    y = assemble(n, 2)
+    tilted = y.densify()
+    tilted[0:n, n : 2 * n] *= 3.0
+    tilted[n : 2 * n, 0:n] *= 3.0
+    monkeypatch.setattr(type(y), "densify", lambda self: tilted)
+    want = np.linalg.eigvalsh(tilted - 1.0 / (n * n))
+
+    rows = tilted.sum(axis=1)
+    assert np.ptp(rows) > 0.1
+    c = float(rows.mean())
+    swapped = np.linalg.eigvalsh(tilted)
+    swapped[np.argmin(np.abs(swapped - c))] = c - 1.0
+    assert np.abs(np.sort(swapped) - want).max() > 1e-3
+
+    view = _check_shifted_spectrum(y, want)
+    rep = verify_anstreicher(y, view)
+    assert abs(rep.min_shifted_numeric - want[0]) <= 1e-12

@@ -27,7 +27,9 @@ from simplicial_gap.matrix_core import (
 from simplicial_gap.serialize import record_json
 
 from oracles import (
+    circulant_dense,
     coeffs_two_group,
+    densify_kron,
     lower_bound_akk,
     multiset,
     profile_identity_residuals,
@@ -111,8 +113,8 @@ def test_coeffs_validation(monkeypatch):
 def test_densify_block_structure():
     y = assemble(8, 2)
     yd = y.densify()
-    amat = SymmetricCirculant(8, y.a).densify()
-    bmat = SymmetricCirculant(8, y.b).densify()
+    amat = circulant_dense(SymmetricCirculant(8, y.a))
+    bmat = circulant_dense(SymmetricCirculant(8, y.b))
     assert np.array_equal(yd, yd.T)
     assert np.array_equal(np.diag(yd), np.full(64, 1.0 / 8))
     blocks = yd.reshape(8, 8, 8, 8).transpose(0, 2, 1, 3)
@@ -193,6 +195,62 @@ def test_negative_coefficient_is_caught():
     assert rep.min_entry < -1e-9
 
 
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_negative_coefficient_sets_min_entry_in_both_modes(name):
+    y = assemble(8, 2)
+    v = getattr(y, name).copy()
+    v[1] = -0.1
+    y = replace(y, **{name: v})
+    for view in (None, dense_view(y, force=True)):
+        assert verify_povh_rendl(y, view).min_entry == pytest.approx(-0.1 / 16, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dense_residuals_read_the_literal_constraints(n):
+    # a random symmetric Y with no circulant structure: every residual is
+    # read off by looping over the constraints one entry at a time
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n * n, n * n))
+    y_dense = m + m.T
+    pairs = [(u, s) for u in range(n) for s in range(n)]
+    diag = {(u, s): y_dense[u * n + s, u * n + s] for u, s in pairs}
+    row = max(abs(sum(diag[u, s] for u in range(n)) - 1.0) for s in range(n))
+    col = max(abs(sum(diag[u, s] for s in range(n)) - 1.0) for u in range(n))
+    forbidden = sum(
+        y_dense[u * n + s, v * n + t]
+        for u, s in pairs
+        for v, t in pairs
+        if (u == v) != (s == t)
+    )
+    want = (row, col, abs(forbidden), abs(y_dense.sum() - n * n), y_dense.min())
+    got = certificates._dense_residuals(y_dense, n)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "check", ["row", "col", "gangster", "total_sum", "min_entry", "min_eig_numeric"]
+)
+def test_each_check_alone_fails_the_report(check, monkeypatch):
+    # the verdict needs every check: one failing value among passing ones
+    # fails the report
+    y = assemble(8, 2)
+    view = dense_view(y, force=True)
+    assert verify_povh_rendl(y, view).passed
+    if check == "min_eig_numeric":
+        view = replace(view, eigenvalues=view.eigenvalues - 1.0)
+    else:
+        real = certificates._dense_residuals
+        i = ["row", "col", "gangster", "total_sum", "min_entry"].index(check)
+
+        def one_failing(*args):
+            values = list(real(*args))
+            values[i] = -1.0 if check == "min_entry" else 1.0
+            return tuple(values)
+
+        monkeypatch.setattr(certificates, "_dense_residuals", one_failing)
+    assert not verify_povh_rendl(y, view).passed
+
+
 def test_report_serializes():
     y = assemble(8, 2)
     rep = verify_povh_rendl(y, dense_view(y))
@@ -254,9 +312,16 @@ BLOCK_GRID = (
 
 
 @pytest.mark.parametrize("g,n", BLOCK_GRID)
-def test_block_spectrum_matches_full_factorization(g, n, dense_cert):
-    # the oracle of the oracle: dense_view's frequency-block spectrum against
-    # one eigvalsh of the whole n^2 x n^2 matrix and against the closed form
+def test_densify_matches_the_kronecker_oracle(g, n):
+    y = assemble(n, g)
+    assert np.array_equal(y.densify(), densify_kron(y))
+
+
+@pytest.mark.parametrize("g,n", BLOCK_GRID)
+def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shifted):
+    # the oracle of the oracle: dense_view's frequency-block spectra against
+    # one eigvalsh of the whole n^2 x n^2 matrix (of Y and of Y - J/n^2) and
+    # against the closed form
     y = assemble(n, g)
     view = dense_view(y, force=True)
     yd, full = dense_cert(g, n)
@@ -265,6 +330,8 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert):
     assert np.abs(view.eigenvalues - full).max() <= 1e-13
     closed = multiset(y.spectrum) / (2.0 * n)
     assert np.abs(view.eigenvalues - closed).max() <= 1e-13
+    assert view.shifted_eigenvalues.shape == (n * n,)
+    assert np.abs(view.shifted_eigenvalues - dense_shifted(g, n)).max() <= 1e-12
 
 
 def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):

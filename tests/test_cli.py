@@ -12,7 +12,7 @@ import pytest
 from simplicial_gap import cli, matrix_core, reduced_sdp, sdp_numeric, subtour_lp
 from simplicial_gap.certificates import CertificateY
 from simplicial_gap.cli import main
-from simplicial_gap.serialize import fmt_float, json_canonical
+from simplicial_gap.serialize import csv_cell, fmt_float, json_canonical
 
 CERT_HEADER = (
     "g,n,dense_checked,passed,residual_row_assign,residual_col_assign,"
@@ -83,9 +83,9 @@ def test_certify_dense_densifies_and_factors_once(capsys, monkeypatch):
     code, out, _ = run(capsys, ["certify", "--g", "4", "--n", "16,32", "--dense"])
     assert code == 0
     assert len(json.loads(out)) == 2
-    # densify's three two-factor Kronecker terms are the only n^2-side
-    # builds: 6 kron calls per certificate
-    assert calls == {"densify": 2, "sym_eigs": 2, "eigh": 2, "kron": 12}
+    # densify reads Y off its n x n group pattern, the one kron call per
+    # certificate; nothing builds an n^2-side product
+    assert calls == {"densify": 2, "sym_eigs": 2, "eigh": 2, "kron": 2}
 
 
 def test_certify_dense_flag_past_cap(capsys):
@@ -257,6 +257,19 @@ def test_solve_tiny_refuses_a_certificate_that_fails_its_check_per_group_2(
     assert float(report["lower_bound"]) <= float(report["certificate_bound"])
 
 
+@pytest.mark.parametrize("per_group", ["1", "2"])
+def test_solve_tiny_csv_renders_the_json_record(per_group, capsys):
+    argv = ["solve-tiny", "--per-group", per_group, "--max-iters", "5"]
+    code, json_out, _ = run(capsys, argv)
+    csv_code, csv_out, _ = run(capsys, [*argv, "--format", "csv"])
+    assert csv_code == code
+    header, row, end = csv_out.split("\n")
+    assert end == ""
+    record = json.loads(json_out)
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells == {key: csv_cell(value) for key, value in record.items()}
+
+
 def test_solve_tiny_encoding_obeys_the_dense_cap(capsys, monkeypatch):
     # the 7-vertex encoding builds 36 x 36 matrices
     monkeypatch.setenv("SIMPLICIAL_GAP_MAX_DENSE", "16")
@@ -332,6 +345,15 @@ def test_out_file_written(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("z,g,n,")
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_out_is_usage_error(target, tmp_path, capsys):
+    out_path = tmp_path / target
+    code, out, err = run(capsys, ["gap", "--z", "1", "--n", "8", "--out", str(out_path)])
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_n_list_is_parse_error(capsys):

@@ -160,6 +160,8 @@ def test_sym_eigs_backend_failure_is_convergence_error(monkeypatch):
 
 
 def test_sym_eigs_stack_is_the_spectrum_of_the_block_diagonal():
+    # one ascending spectrum per block, which together make up the
+    # spectrum of the block-diagonal matrix the stack describes
     rng = np.random.default_rng(4)
     stack = rng.normal(size=(3, 5, 5))
     stack = stack + stack.transpose(0, 2, 1)
@@ -167,9 +169,11 @@ def test_sym_eigs_stack_is_the_spectrum_of_the_block_diagonal():
     full = np.zeros((15, 15))
     for i, block in enumerate(stack):
         full[5 * i : 5 * i + 5, 5 * i : 5 * i + 5] = block
-    assert vals.shape == (15,)
-    assert np.all(np.diff(vals) >= 0)
-    assert np.abs(vals - np.linalg.eigvalsh(full)).max() <= 1e-13
+    assert vals.shape == (3, 5)
+    assert np.all(np.diff(vals, axis=1) >= 0)
+    for block, block_vals in zip(stack, vals):
+        assert np.abs(block_vals - np.linalg.eigvalsh(block)).max() <= 1e-13
+    assert np.abs(np.sort(vals, axis=None) - np.linalg.eigvalsh(full)).max() <= 1e-13
 
 
 def test_sym_eigs_stack_contract_is_per_block(monkeypatch):
@@ -201,7 +205,7 @@ def test_sym_eigs_stack_cap_bounds_the_block_side(monkeypatch):
     with pytest.raises(SizeLimitError):
         sym_eigs(np.stack([np.eye(10), np.eye(10)]))
     # the cap bounds each block, not the side of the block-diagonal whole
-    assert np.array_equal(sym_eigs(np.stack([np.eye(4)] * 100)), np.ones(400))
+    assert np.array_equal(sym_eigs(np.stack([np.eye(4)] * 100)), np.ones((100, 4)))
 
 
 def test_sym_eigs_rejects_non_square_stacks():

@@ -1,0 +1,193 @@
+"""Mutation check of the verifiers and the dense oracle.
+
+Each mutant below is one textual edit of the package: a dropped clause of a
+verifier's ``passed`` expression, a wrong residual formula, a wrong shift or
+block slice in ``certificates.dense_view``.  For every mutant the script
+copies ``src``, ``tests`` and ``pyproject.toml`` into a fresh temporary
+directory, applies the edit there (the working tree is never written) and
+runs the certificate, trace-pattern and CLI tests on the copy.  A mutant
+that every test still passes is a survivor: a fault those tests would not
+see.  Run from the repository root:
+
+    python3 tools/mutants.py [--workdir DIR]
+
+It prints one line per mutant and then the survivors; the exit code is 0
+when the unmutated copy passes and every mutant applies, else 2.  Standard
+library only; pytest runs in a child process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+TESTS = ("tests/test_certificates.py", "tests/test_anstreicher.py", "tests/test_cli.py")
+CERT = "src/simplicial_gap/certificates.py"
+ANST = "src/simplicial_gap/anstreicher_sdp.py"
+
+# (name, file, text, replacement): the text must occur exactly once
+MUTANTS = [
+    # verify_povh_rendl's verdict, one clause at a time
+    ("povh-passed-row", CERT, "        row <= eq_tol\n", "        True\n"),
+    ("povh-passed-col", CERT, "        and col <= eq_tol\n", ""),
+    ("povh-passed-gangster", CERT, "        and gang <= eq_tol\n", ""),
+    ("povh-passed-total", CERT, "        and total <= eq_tol\n", ""),
+    ("povh-passed-min-entry", CERT, "        and min_entry >= -NN_TOL\n", ""),
+    ("povh-passed-closed-psd", CERT, "        and min_eig_closed >= -psd_tol\n", ""),
+    (
+        "povh-passed-numeric-psd",
+        CERT,
+        "        and (min_eig_numeric is None or min_eig_numeric >= -psd_tol)\n",
+        "",
+    ),
+    # verify_anstreicher's verdict
+    ("anst-passed-block-sum", ANST, "        block_sum <= eq_tol\n", "        True\n"),
+    ("anst-passed-trace-pattern", ANST, "        and trace_pattern <= eq_tol\n", ""),
+    ("anst-passed-f", ANST, "        and residual_f <= eq_tol\n", ""),
+    ("anst-passed-closed-psd", ANST, "        and min_shifted >= -psd_tol\n", ""),
+    (
+        "anst-passed-numeric-psd",
+        ANST,
+        "        and (min_numeric is None or min_numeric >= -psd_tol)\n",
+        "",
+    ),
+    # residual formulas
+    ("povh-dense-row-axis", CERT, "diag.sum(axis=0) - 1.0", "diag.sum(axis=1) - 1.0"),
+    (
+        "povh-dense-total",
+        CERT,
+        "abs(float(y_dense.sum()) - float(n * n))",
+        "abs(float(y_dense.sum()) - float(n))",
+    ),
+    (
+        "povh-dense-gangster-sign",
+        CERT,
+        "abs(same_vertex_offdiag + cross_vertex_diag)",
+        "abs(same_vertex_offdiag - cross_vertex_diag)",
+    ),
+    (
+        "povh-structured-total-swap",
+        CERT,
+        "count_within * sum_a + count_across * sum_b",
+        "count_within * sum_b + count_across * sum_a",
+    ),
+    (
+        "povh-structured-min-entry",
+        CERT,
+        "float(b.min()) / (2.0 * n)",
+        "float(a.min()) / (2.0 * n)",
+    ),
+    (
+        "anst-dense-f-doubles-block-sum",
+        ANST,
+        "block_sum.sum() + trace_pattern.sum()",
+        "block_sum.sum() + block_sum.sum()",
+    ),
+    (
+        "anst-dense-block-sum-all-blocks",
+        ANST,
+        'np.einsum("usut->st", y4)',
+        'np.einsum("usvt->st", y4)',
+    ),
+    (
+        "anst-dense-trace-pattern-block-sums",
+        ANST,
+        'np.einsum("usvs->uv", y4)',
+        'np.einsum("usvt->uv", y4)',
+    ),
+    (
+        "anst-structured-f",
+        ANST,
+        "abs(2.0 * n * tr_diag_block - 2.0 * n)",
+        "abs(2.0 * n * tr_diag_block - n)",
+    ),
+    # the -J_n/n shift and the block slicing in dense_view
+    ("shift-dropped", CERT, "blocks[:1] - 1.0 / n", "blocks[:1]"),
+    ("shift-scale", CERT, "blocks[:1] - 1.0 / n", "blocks[:1] - 1.0 / (n * n)"),
+    ("shift-wrong-block", CERT, "blocks[:1] - 1.0 / n", "blocks[1:2] - 1.0 / n"),
+    ("slice-eigenvalues", CERT, "np.sort(values[:n], axis=None)", "np.sort(values[1:], axis=None)"),
+    ("slice-shifted", CERT, "np.sort(values[1:], axis=None)", "np.sort(values[:n], axis=None)"),
+    (
+        "anst-reads-unshifted",
+        ANST,
+        "float(view.shifted_eigenvalues[0])",
+        "float(view.eigenvalues[0])",
+    ),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(
+                source, dest / name, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def _run_tests(tree: Path) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return done.returncode == 0
+
+
+def _apply(tree: Path, path: str, text: str, replacement: str) -> bool:
+    target = tree / path
+    source = target.read_text(encoding="utf-8")
+    if source.count(text) != 1:
+        return False
+    target.write_text(source.replace(text, replacement), encoding="utf-8")
+    return True
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workdir", default=None, help="parent of the temporary copies")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        base = Path(tmp) / "unmutated"
+        _copy_tree(base)
+        if not _run_tests(base):
+            print("the unmutated copy fails its tests; no mutant was run")
+            return 2
+        survivors, stale = [], []
+        for name, path, text, replacement in MUTANTS:
+            tree = Path(tmp) / name
+            _copy_tree(tree)
+            start = time.perf_counter()
+            if not _apply(tree, path, text, replacement):
+                stale.append(name)
+                print(f"{name:40s} STALE (text not found exactly once in {path})")
+                continue
+            passed = _run_tests(tree)
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{name:40s} {verdict:8s} {time.perf_counter() - start:6.1f} s", flush=True)
+            if passed:
+                survivors.append(name)
+            shutil.rmtree(tree)
+
+    print(f"survivors ({len(survivors)} of {len(MUTANTS) - len(stale)}):")
+    for name in survivors:
+        print(f"  {name}")
+    return 2 if stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
