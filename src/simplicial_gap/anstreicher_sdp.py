@@ -7,9 +7,11 @@ satisfy trace(Y F^T F) = 2n where F stacks the row- and column-sum maps, so
 that F^T F = J (x) I + I (x) J.  Positive semidefiniteness is demanded of
 the shifted matrix Y - J/n^2 rather than of Y itself.
 
-The dense check builds no F: trace(Y (I (x) J)) is the entry sum of the
-diagonal blocks and trace(Y (J (x) I)) the sum of the block traces, the two
-n x n contractions the matrix constraints already read off Y.
+The dense check builds no F and never holds Y whole: trace(Y (I (x) J)) is
+the entry sum of the diagonal blocks and trace(Y (J (x) I)) the sum of the
+block traces, the two n x n contractions the matrix constraints already
+read.  ``certificates.dense_view`` collects both in its one pass over Y's
+vertex rows, with the objective's <C1, Y^(uv)>.
 
 The certificates satisfy all of this exactly: their diagonal blocks are
 I/n and their off-diagonal blocks circulants with zero diagonal (hence
@@ -99,11 +101,10 @@ def _structured_residuals(y: CertificateY) -> tuple[float, float, float]:
     return dev, dev, residual_f
 
 
-def _dense_residuals(y_dense: np.ndarray, n: int) -> tuple[float, float, float]:
-    y4 = y_dense.reshape(n, n, n, n)
+def _dense_residuals(view: DenseView, n: int) -> tuple[float, float, float]:
     eye = np.eye(n)
-    block_sum = np.einsum("usut->st", y4)
-    trace_pattern = np.einsum("usvs->uv", y4)
+    block_sum = view.diagonal_block_sum
+    trace_pattern = view.block_traces
     # trace(Y F^T F) = trace(Y (I (x) J)) + trace(Y (J (x) I)): the entry sum
     # of the diagonal blocks plus the sum of the block traces
     residual_f = abs(float(block_sum.sum() + trace_pattern.sum()) - 2.0 * n)
@@ -124,11 +125,11 @@ def verify_anstreicher(
 
     With ``view`` None (structured mode, see ``certificates.dense_view``)
     the checks use the blockwise closed forms.  With a dense view the
-    residuals come off the dense matrix, the shifted spectrum from the
-    view, and the objective by contraction over the dense matrix, so
-    that equality of the two relaxations' bound values is checked on actual
-    matrices, not just by construction.  The dense objective runs on the
-    certificate's own equal layout.
+    residuals, the shifted spectrum and the objective all come from the
+    view's contractions and spectra of the dense Y, so that equality of
+    the two relaxations' bound values is checked on actual matrices, not
+    just by construction.  The dense objective runs on the certificate's
+    own equal layout.
     """
     n = y.n
     min_shifted = shifted_spectrum(y.spectrum).min_value()
@@ -139,10 +140,10 @@ def verify_anstreicher(
         min_numeric = None
         objective_dense = None
     else:
-        block_sum, trace_pattern, residual_f = _dense_residuals(view.matrix, n)
+        block_sum, trace_pattern, residual_f = _dense_residuals(view, n)
         min_numeric = float(view.shifted_eigenvalues[0])
         objective_dense = objective_dense_trace(
-            make_equal(y.g, y.per_group), view.matrix
+            make_equal(y.g, y.per_group), view
         )
 
     passed = (

@@ -16,11 +16,13 @@ a and b (one closed form for every even g) and returns them as a frozen
 cannot go stale.  This module also evaluates the certificate's objective
 and verifies feasibility.  The closed forms always run; below the dense cap
 the dense oracle joins in.  ``dense_view`` is the one place that chooses
-the mode: in dense mode it densifies Y once, blocks it once into its n
-frequency blocks of side n, and factors those, with the frequency-0 block
-shifted by -J_n/n for Y - J/n^2, in one batched call; both relaxations'
-verifiers (this module's and ``anstreicher_sdp``'s) read that one matrix
-and its two spectra.
+the mode: in dense mode it densifies Y once, one vertex row (n x n^2) at a
+time, and reads each row once: into its share of Y's n frequency blocks of
+side n and of every contraction the dense checks read.  It then factors the
+blocks, with the frequency-0 block shifted by -J_n/n for Y - J/n^2, in one
+batched call.  The oracle holds O(n^3) numbers at once and never Y whole;
+both relaxations' verifiers (this module's and ``anstreicher_sdp``'s) read
+the resulting ``DenseView``: those contractions and the two spectra.
 
 The spectrum of 2nY comes in three closed-form families per frequency k:
 
@@ -34,6 +36,7 @@ Only even g is supported here; odd group counts never carry certificates.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -122,12 +125,16 @@ class CertificateY:
         """The closed-form spectrum of 2nY, computed on first use only."""
         return closed_form_spectrum(self)
 
-    def densify(self) -> np.ndarray:
-        """Full n^2 x n^2 matrix; SizeLimitError beyond the dense cap.
+    def densify(self) -> Iterator[np.ndarray]:
+        """Y's n vertex rows, one at a time; SizeLimitError beyond the dense cap.
 
-        Minor block (u, v) is the circulant whose first row is row[kind]:
-        kind 0 (u = v) reads 2I/2n, kind 1 (same group) A/2n and kind 2
-        (across groups) B/2n, so Y[(u, s), (v, t)] = row[kind(u, v)][t - s].
+        Row u is the n x n^2 slab Y[(u, s), (v, t)], s down and (v, t)
+        across; Y is never held whole.  The cap is checked at the call,
+        before the first row.  Minor block (u, v) is circulant kind(u, v):
+        kind 0 (u = v) is 2I/2n, kind 1 (same group) A/2n and kind 2
+        (across groups) B/2n, so Y[(u, s), (v, t)] = circ[s, kind(u, v), t]
+        with circ[s, kind, t] the first row of that circulant read at
+        offset t - s.  Each row is one lookup of n kinds into circ.
         """
         n, g, p = self.n, self.g, self.per_group
         cap = dense_cap()
@@ -145,8 +152,8 @@ class CertificateY:
         same_group = kron(np.eye(g), np.ones((p, p))).astype(int)
         kind = 2 - same_group - np.eye(n, dtype=int)
         offset = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        y4 = row[kind[:, None, :, None], offset[None, :, None, :]]  # [u, s, v, t]
-        return y4.reshape(n * n, n * n)
+        circ = np.ascontiguousarray(row[:, offset].transpose(1, 0, 2))
+        return (np.take(circ, kind[u], axis=1).reshape(n, n * n) for u in range(n))
 
 
 def assemble(n: int, g: int) -> CertificateY:
@@ -268,42 +275,50 @@ def _structured_residuals(y: CertificateY) -> tuple[float, float, float, float, 
     return row_assign, col_assign, gangster, total_sum, min_entry
 
 
+@dataclass
+class DenseView:
+    """Every contraction of Y the dense checks read, and Y's two spectra.
+
+    All (n, n) arrays, indexed by vertices u, v or positions s, t:
+    ``diagonal[u, s]`` = Y[(u, s), (u, s)], ``block_traces[u, v]`` =
+    tr Y^(uv), ``block_sums[u, v]`` the entry sum of Y^(uv),
+    ``diagonal_block_sum`` = sum_u Y^(uu) and ``c1_inner[u, v]`` =
+    <C1, Y^(uv)>.  ``entry_sum`` is the sum of Y's entries, pairwise
+    within each vertex row, and ``min_entry``/``max_entry`` bound them.
+    ``eigenvalues`` is Y's ascending spectrum and ``shifted_eigenvalues``
+    that of Y - J/n^2, from one batched ``sym_eigs`` call (see
+    ``dense_view``).  Y itself is not kept: the view holds O(n^2) numbers.
+    """
+
+    diagonal: np.ndarray = field(repr=False)
+    block_traces: np.ndarray = field(repr=False)
+    block_sums: np.ndarray = field(repr=False)
+    diagonal_block_sum: np.ndarray = field(repr=False)
+    c1_inner: np.ndarray = field(repr=False)
+    entry_sum: float
+    min_entry: float
+    max_entry: float
+    eigenvalues: np.ndarray = field(repr=False)
+    shifted_eigenvalues: np.ndarray = field(repr=False)
+
+
 def _dense_residuals(
-    y_dense: np.ndarray, n: int
+    view: DenseView, n: int
 ) -> tuple[float, float, float, float, float]:
-    """Brute-force constraint residuals straight off the dense matrix."""
-    diag = np.diag(y_dense).reshape(n, n)  # (vertex u, position s)
+    """Brute-force constraint residuals from the dense view's contractions."""
+    diag = view.diagonal  # (vertex u, position s)
     row_assign = float(np.abs(diag.sum(axis=0) - 1.0).max())
     col_assign = float(np.abs(diag.sum(axis=1) - 1.0).max())
 
-    y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
-    block_traces = np.einsum("usvs->uv", y4)
-    block_sums = y4.sum(axis=(1, 3))
+    block_traces = view.block_traces
     same_vertex_offdiag = float(
-        np.einsum("ii->", block_sums) - np.einsum("ii->", block_traces)
+        np.einsum("ii->", view.block_sums) - np.einsum("ii->", block_traces)
     )
     cross_vertex_diag = float(block_traces.sum() - np.einsum("ii->", block_traces))
     gangster = abs(same_vertex_offdiag + cross_vertex_diag)
 
-    total_sum = abs(float(y_dense.sum()) - float(n * n))
-    min_entry = float(y_dense.min())
-    return row_assign, col_assign, gangster, total_sum, min_entry
-
-
-@dataclass
-class DenseView:
-    """One certificate densified once, blocked once, factored in one batch.
-
-    ``matrix`` is the n^2 x n^2 matrix Y, ``eigenvalues`` its ascending
-    spectrum and ``shifted_eigenvalues`` that of Y - J/n^2: the n frequency
-    blocks of Y plus the shifted frequency-0 block (see ``dense_view``) go
-    to a single batched ``sym_eigs`` call.  Every dense check of both
-    relaxations reads these three arrays.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    eigenvalues: np.ndarray = field(repr=False)
-    shifted_eigenvalues: np.ndarray = field(repr=False)
+    total_sum = abs(view.entry_sum - float(n * n))
+    return row_assign, col_assign, gangster, total_sum, view.min_entry
 
 
 def _real_fourier_basis(n: int) -> np.ndarray:
@@ -321,40 +336,63 @@ def _real_fourier_basis(n: int) -> np.ndarray:
     return q
 
 
-def _frequency_blocks(y_dense: np.ndarray, n: int) -> np.ndarray:
-    """The n symmetric vertex blocks of Y in the Fourier basis of positions.
+def _row_pass(
+    rows: Iterable[np.ndarray], n: int
+) -> tuple[dict[str, np.ndarray | float], np.ndarray, float]:
+    """One pass over Y's n vertex rows (each n x n^2): contractions and blocks.
 
-    Conjugating Y by I (x) Q leaves entry [(u, k), (v, l)] = (Q^T Y^(uv) Q)_kl,
-    so Y splits into blocks M_k[u, v] = (Q^T Y^(uv) Q)_kk when every minor
-    block Y^(uv) is a symmetric circulant.  This reads the dense matrix one
-    vertex row at a time and keeps the frequency diagonal, symmetrised; the
-    Frobenius mass it discards (off the frequency diagonal, plus the
-    antisymmetric part) bounds by Weyl's inequality how far any eigenvalue
-    of Y lies from the block spectrum.  More than ``EIG_TOL * max|Y|`` of it
-    raises ConvergenceError carrying that mass.
+    While row u is at hand this conjugates each of its n minor blocks by Q,
+    the real Fourier basis, into one reused workspace: entry [(u, k),
+    (v, l)] of (I (x) Q)^T Y (I (x) Q) is (Q^T Y^(uv) Q)_kl, so Y splits
+    into blocks M_k[u, v] = (Q^T Y^(uv) Q)_kk when every minor block
+    Y^(uv) is a symmetric circulant.  The pass keeps block row u of every M_k and adds
+    up the Frobenius mass off the frequency diagonal; it also collects the
+    ``DenseView`` contractions from the row.  It returns those contractions
+    by field name, the symmetrised blocks (n, n, n) and the discarded mass:
+    the off-diagonal mass plus the blocks' antisymmetric part.  Nothing
+    here assumes circulant structure, so it reads the rows of any matrix.
     """
     q = _real_fourier_basis(n)
-    y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
+    c1 = ring_adjacency(n)
     diag = np.arange(n)
+    left = np.empty((n, n * n))
+    right = np.empty((n * n, n))
     blocks = np.empty((n, n, n))
+    diagonal = np.empty((n, n))
+    block_traces = np.empty((n, n))
+    block_sums = np.empty((n, n))
+    diagonal_block_sum = np.zeros((n, n))
+    c1_inner = np.empty((n, n))
+    total, low, high = 0.0, np.inf, -np.inf
     off = 0.0
-    for u in range(n):
-        z = (q.T @ y4[u].reshape(n, n * n)).reshape(n * n, n) @ q
-        z = z.reshape(n, n, n)  # [k, v, l]
+    for u, row in enumerate(rows):
+        y3 = row.reshape(n, n, n)  # [s, v, t]
+        diagonal[u] = y3[:, u, :].diagonal()
+        block_traces[u] = np.einsum("svs->v", y3)
+        block_sums[u] = y3.sum(axis=(0, 2))
+        diagonal_block_sum += y3[:, u, :]
+        c1_inner[u] = np.einsum("svt,st->v", y3, c1)
+        total += float(row.sum())
+        low, high = min(low, float(row.min())), max(high, float(row.max()))
+        np.matmul(q.T, row, out=left)
+        np.matmul(left.reshape(n * n, n), q, out=right)
+        z = right.reshape(n, n, n)  # [k, v, l]
         blocks[:, u, :] = z[diag, :, diag]
         z[diag, :, diag] = 0.0
         off += float(np.vdot(z, z))
     anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
     discarded = float(np.sqrt(off + np.vdot(anti, anti)))
-    scale = max(float(y_dense.max()), -float(y_dense.min()))
-    if discarded > EIG_TOL * scale:
-        raise ConvergenceError(
-            f"Y is not block-diagonal over position frequencies: discarded "
-            f"mass {discarded:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}",
-            discarded,
-            n * n,
-        )
-    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    sums = {
+        "diagonal": diagonal,
+        "block_traces": block_traces,
+        "block_sums": block_sums,
+        "diagonal_block_sum": diagonal_block_sum,
+        "c1_inner": c1_inner,
+        "entry_sum": total,
+        "min_entry": low,
+        "max_entry": high,
+    }
+    return sums, 0.5 * (blocks + blocks.transpose(0, 2, 1)), discarded
 
 
 def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
@@ -364,21 +402,32 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     (closed forms and blockwise residuals only) past it; ``force`` insists
     on the dense oracle and raises SizeLimitError past the cap.  Callers
     that want the structured checks below the cap pass view None directly.
-    The dense Y is built once and split into its n frequency blocks M_k of
-    side n, whose spectra are, to within the mass the split discards, the
-    spectrum of Y.  J/n^2 is block-circulant too, with symbol J_n/n at
-    frequency 0 and zero elsewhere, so Y - J/n^2 has the blocks of Y with
-    M_0 replaced by M_0 - J_n/n.  One batched ``sym_eigs`` call factors
-    the n blocks and that one extra block.
+    Y is densified once, one vertex row at a time, and read in one pass
+    (``_row_pass``) that keeps its n frequency blocks M_k of side n and
+    every contraction the checks read, so at most O(n^3) numbers are held
+    at once and never the n^2 x n^2 matrix.  By Weyl's inequality every
+    eigenvalue of Y lies within the Frobenius mass the split discards of
+    the block spectrum; more than ``EIG_TOL * max|Y|`` of it raises
+    ConvergenceError carrying that mass.  J/n^2 is block-circulant too,
+    with symbol J_n/n at frequency 0 and zero elsewhere, so Y - J/n^2 has
+    the blocks of Y with M_0 replaced by M_0 - J_n/n.  One batched
+    ``sym_eigs`` call factors the n blocks and that one extra block.
     """
     if not force and y.n * y.n > dense_cap():
         return None
     n = y.n
-    matrix = y.densify()
-    blocks = _frequency_blocks(matrix, n)
+    sums, blocks, discarded = _row_pass(y.densify(), n)
+    scale = max(sums["max_entry"], -sums["min_entry"])
+    if discarded > EIG_TOL * scale:
+        raise ConvergenceError(
+            f"Y is not block-diagonal over position frequencies: discarded "
+            f"mass {discarded:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}",
+            discarded,
+            n * n,
+        )
     values = sym_eigs(np.concatenate([blocks, blocks[:1] - 1.0 / n]))
     return DenseView(
-        matrix=matrix,
+        **sums,
         eigenvalues=np.sort(values[:n], axis=None),
         shifted_eigenvalues=np.sort(values[1:], axis=None),
     )
@@ -394,9 +443,10 @@ def verify_povh_rendl(
 
     The closed-form PSD check always runs.  With ``view`` None (structured
     mode, see ``dense_view``) the residuals come blockwise from the
-    coefficients; with a dense view they are read off the dense matrix and
-    its smallest eigenvalue joins the PSD check.  Tolerance violations
-    yield a failing report, never an exception.
+    coefficients; with a dense view they are read off the view's
+    contractions of the dense Y and its smallest eigenvalue joins the PSD
+    check.  Tolerance violations yield a failing report, never an
+    exception.
     """
     n = y.n
     min_eig_closed = y.spectrum.min_value() / (2.0 * n)
@@ -405,7 +455,7 @@ def verify_povh_rendl(
         row, col, gang, total, min_entry = _structured_residuals(y)
         min_eig_numeric = None
     else:
-        row, col, gang, total, min_entry = _dense_residuals(view.matrix, n)
+        row, col, gang, total, min_entry = _dense_residuals(view, n)
         min_eig_numeric = float(view.eigenvalues[0])
 
     passed = (
@@ -446,20 +496,16 @@ def objective_povh_rendl(y: CertificateY) -> float:
     return 0.5 * ((g - 1.0) / g) * n * n * float(y.b[0])
 
 
-def objective_dense_trace(inst: SimplicialInstance, y_dense: np.ndarray) -> float:
-    """The same objective read off the dense Y (oracle route).
+def objective_dense_trace(inst: SimplicialInstance, view: DenseView) -> float:
+    """The same objective read off the dense view (oracle route).
 
-    (1/2) <D (x) C1, Y> = (1/2) sum_uv D[u, v] <C1, Y^(uv)>: one contraction
-    of Y's (n, n, n, n) view with C1 gives <C1, Y^(uv)> for every minor
-    block at once, so D (x) C1 is never built.
+    (1/2) <D (x) C1, Y> = (1/2) sum_uv D[u, v] <C1, Y^(uv)>: the view holds
+    <C1, Y^(uv)> for every minor block, so D (x) C1 is never built.
     """
     n = inst.n_total
-    if y_dense.shape != (n * n, n * n):
+    m = view.c1_inner.shape[0]
+    if m != n:
         raise ValueError(
-            f"instance has {n} vertices, dense certificate has side "
-            f"{y_dense.shape[0]}"
+            f"instance has {n} vertices, dense certificate has side {m * m}"
         )
-    d = inst.cost_matrix()
-    c1 = ring_adjacency(n)
-    y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
-    return 0.5 * float((d * np.einsum("usvt,st->uv", y4, c1)).sum())
+    return 0.5 * float((inst.cost_matrix() * view.c1_inner).sum())

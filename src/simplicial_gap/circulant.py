@@ -12,7 +12,8 @@ diagonalised by the discrete Fourier transform, so ``cosine_profile``
 evaluates all m frequencies with one real FFT in O(m log m) time and O(m)
 memory; this is what the structured certify/gap path runs on at any size.
 ``first_row`` is the circulant's first row, from which the dense oracle
-(``CertificateY.densify``) reads every row by a cyclic shift.
+(``CertificateY.densify``) reads every row by a cyclic shift, one vertex
+row of the certificate at a time.
 
 ``identity_suite`` evaluates, numerically and against their closed forms, the
 handful of trigonometric identities that the certificate analysis rests on,

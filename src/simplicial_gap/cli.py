@@ -16,6 +16,7 @@ passed, 1 a verification failed, 2 bad usage or configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .anstreicher_sdp import verify_anstreicher
@@ -55,6 +56,21 @@ def _n_list(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError("empty n list")
     return values
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance flag's value: a finite float >= 0, else a parse error."""
+    try:
+        value = float(text)
+        ok = math.isfinite(value) and value >= 0.0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -220,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--g", type=int, required=True)
     p_cert.add_argument("--n", type=_n_list, required=True, help="comma list of n")
     p_cert.add_argument("--dense", action="store_true", help="force the dense oracle")
-    p_cert.add_argument("--tol-eq", type=float, default=EQ_TOL)
-    p_cert.add_argument("--tol-psd", type=float, default=PSD_TOL)
+    p_cert.add_argument("--tol-eq", type=_tolerance, default=EQ_TOL)
+    p_cert.add_argument("--tol-psd", type=_tolerance, default=PSD_TOL)
     add_common(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 
@@ -251,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identities", help="trigonometric residual suites")
     p_id.add_argument("--g", type=int, required=True)
     p_id.add_argument("--n", type=_n_list, required=True, help="comma list of n")
-    p_id.add_argument("--tol-eq", type=float, default=EQ_TOL)
+    p_id.add_argument("--tol-eq", type=_tolerance, default=EQ_TOL)
     add_common(p_id)
     p_id.set_defaults(func=cmd_identities)
 

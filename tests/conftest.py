@@ -3,6 +3,8 @@ import pytest
 
 from simplicial_gap.certificates import assemble
 
+from oracles import stacked
+
 
 @pytest.fixture(scope="session")
 def dense_cert():
@@ -16,7 +18,7 @@ def dense_cert():
     def get(g: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         key = (g, n)
         if key not in store:
-            y = assemble(n, g).densify()
+            y = stacked(assemble(n, g))
             store[key] = (y, np.linalg.eigvalsh(y))
         return store[key]
 

@@ -4,13 +4,16 @@ Nothing in ``simplicial_gap`` reads these.  Each one restates a fact the
 package computes another way (a literal matrix, a brute-force loop, an
 expanded multiset) so that a test can hold the two side by side.  The
 methods of package classes appear here as functions of the instance.
+``stacked`` and ``row_view`` are adapters: they hold Y whole from its
+streamed rows, or feed any matrix's rows through the package's row pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from simplicial_gap.certificates import CertificateY, CertSpectrum
+from simplicial_gap import certificates
+from simplicial_gap.certificates import CertificateY, CertSpectrum, DenseView
 from simplicial_gap.circulant import SymmetricCirculant, cosine_profile
 from simplicial_gap.instances import SimplicialInstance
 from simplicial_gap.matrix_core import SizeLimitError, dense_cap, kron, trace_inner
@@ -56,6 +59,42 @@ def densify_kron(y: CertificateY) -> np.ndarray:
     out += kron(kron(ig, jp), amat)
     out += kron(kron(ig, ip), 2.0 * np.eye(n) - amat)
     return out / (2.0 * n)
+
+
+def stacked(y: CertificateY) -> np.ndarray:
+    """Y whole, n^2 x n^2: the vertex rows of ``y.densify()`` stacked."""
+    return np.concatenate(list(y.densify()))
+
+
+def row_view(y_dense: np.ndarray) -> DenseView:
+    """The dense view's contractions of any n^2-side matrix, spectra empty.
+
+    Feeds the matrix's n vertex rows through the same one-pass reader that
+    ``dense_view`` runs on a certificate, so residual and objective tests
+    on a random Y check the contractions the verifiers read.
+    """
+    n = round(y_dense.shape[0] ** 0.5)
+    sums, _, _ = certificates._row_pass(y_dense.reshape(n, n, n * n), n)
+    return DenseView(**sums, eigenvalues=np.empty(0), shifted_eigenvalues=np.empty(0))
+
+
+def frequency_blocks_whole(y_dense: np.ndarray) -> np.ndarray:
+    """Y's n frequency blocks M_k[u, v] = (Q^T Y^(uv) Q)_kk, symmetrised.
+
+    The whole-matrix route: every vertex row is sliced out of Y held whole
+    and its minor blocks are conjugated by Q with the same products that
+    ``dense_view`` applies to each streamed row, so the two routes agree
+    bit for bit.
+    """
+    n = round(y_dense.shape[0] ** 0.5)
+    q = certificates._real_fourier_basis(n)
+    y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
+    diag = np.arange(n)
+    blocks = np.empty((n, n, n))
+    for u in range(n):
+        z = (q.T @ y4[u].reshape(n, n * n)).reshape(n * n, n) @ q
+        blocks[:, u, :] = z.reshape(n, n, n)[diag, :, diag]
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
 
 def circulant_spectrum(c: SymmetricCirculant) -> np.ndarray:
@@ -162,7 +201,7 @@ def profile_identity_residuals(y: CertificateY) -> dict[str, float]:
 
 def objective_reduced_dense(y: CertificateY, red: Reduction) -> ReducedObjective:
     """The reduced objective's two terms by brute-force dense traces."""
-    y_dense = y.densify()
+    y_dense = stacked(y)
     kron_term = trace_inner(kron(red.d_beta, 0.5 * red.c1_alpha), y_dense)
     diag_term = float(red.cbar @ np.diag(y_dense))
     return ReducedObjective(kron_term=kron_term, diag_term=diag_term)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import mpmath
@@ -30,9 +31,12 @@ from oracles import (
     circulant_dense,
     coeffs_two_group,
     densify_kron,
+    frequency_blocks_whole,
     lower_bound_akk,
     multiset,
     profile_identity_residuals,
+    row_view,
+    stacked,
 )
 
 # oracle values computed independently at 40-digit precision and frozen
@@ -112,7 +116,7 @@ def test_coeffs_validation(monkeypatch):
 
 def test_densify_block_structure():
     y = assemble(8, 2)
-    yd = y.densify()
+    yd = stacked(y)
     amat = circulant_dense(SymmetricCirculant(8, y.a))
     bmat = circulant_dense(SymmetricCirculant(8, y.b))
     assert np.array_equal(yd, yd.T)
@@ -135,9 +139,12 @@ def test_densify_respects_cap(monkeypatch):
 def test_densify_follows_a_raised_cap(monkeypatch):
     # one cap bounds densify and the kron products inside it alike
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "4096")
-    yd = assemble(60, 2).densify()
-    assert yd.shape == (3600, 3600)
-    assert np.all(np.diag(yd) == 1.0 / 60)
+    n = 60
+    rows = list(assemble(n, 2).densify())
+    assert len(rows) == n
+    for u, row in enumerate(rows):
+        assert row.shape == (n, n * n)
+        assert np.all(row.reshape(n, n, n)[:, u, :].diagonal() == 1.0 / n)
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16)])
@@ -223,7 +230,7 @@ def test_dense_residuals_read_the_literal_constraints(n):
         if (u == v) != (s == t)
     )
     want = (row, col, abs(forbidden), abs(y_dense.sum() - n * n), y_dense.min())
-    got = certificates._dense_residuals(y_dense, n)
+    got = certificates._dense_residuals(row_view(y_dense), n)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
@@ -273,7 +280,7 @@ def test_objective_double_route(g, n):
     inst = make_equal(g, n // g)
     y = assemble(n, g)
     closed = objective_povh_rendl(y)
-    dense = objective_dense_trace(inst, y.densify())
+    dense = objective_dense_trace(inst, dense_view(y, force=True))
     assert closed == pytest.approx(dense, abs=1e-12)
 
 
@@ -289,14 +296,14 @@ def test_objective_dense_trace_is_the_kronecker_inner_product(sizes):
     m = rng.normal(size=(n * n, n * n))
     y = m + m.T
     want = 0.5 * trace_inner(np.kron(inst.cost_matrix(), ring_adjacency(n)), y)
-    got = objective_dense_trace(inst, y)
+    got = objective_dense_trace(inst, row_view(y))
     assert abs(got - want) <= 1e-12 * float(np.abs(y).sum())
 
 
 def test_objective_rejects_wrong_layout():
     y = assemble(8, 2)
     with pytest.raises(ValueError):
-        objective_dense_trace(make_equal(2, 3), y.densify())
+        objective_dense_trace(make_equal(2, 3), dense_view(y, force=True))
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16), (6, 36)])
@@ -314,18 +321,35 @@ BLOCK_GRID = (
 @pytest.mark.parametrize("g,n", BLOCK_GRID)
 def test_densify_matches_the_kronecker_oracle(g, n):
     y = assemble(n, g)
-    assert np.array_equal(y.densify(), densify_kron(y))
+    assert np.array_equal(stacked(y), densify_kron(y))
 
 
 @pytest.mark.parametrize("g,n", BLOCK_GRID)
 def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shifted):
-    # the oracle of the oracle: dense_view's frequency-block spectra against
-    # one eigvalsh of the whole n^2 x n^2 matrix (of Y and of Y - J/n^2) and
-    # against the closed form
+    # the oracle of the oracle: dense_view's streamed row pass against Y
+    # held whole.  Each contraction equals the same contraction of the
+    # Kronecker-sum Y, the spectra equal bit for bit those of the frequency
+    # blocks cut from Y whole, and they match one eigvalsh of the whole
+    # n^2 x n^2 matrix (of Y and of Y - J/n^2) and the closed form
     y = assemble(n, g)
     view = dense_view(y, force=True)
-    yd, full = dense_cert(g, n)
-    assert np.array_equal(view.matrix, yd)
+    yd = densify_kron(y)
+    y4 = yd.reshape(n, n, n, n)  # [u, s, v, t]
+    assert np.array_equal(view.diagonal, np.diag(yd).reshape(n, n))
+    assert np.array_equal(view.block_traces, np.einsum("usvs->uv", y4))
+    assert np.array_equal(view.block_sums, y4.sum(axis=(1, 3)))
+    assert np.array_equal(view.diagonal_block_sum, np.einsum("usut->st", y4))
+    c1_inner = np.einsum("usvt,st->uv", y4, ring_adjacency(n))
+    assert np.array_equal(view.c1_inner, c1_inner)
+    assert (view.min_entry, view.max_entry) == (yd.min(), yd.max())
+    # the same sum in another order: pairwise per vertex row, then row by row
+    eps = np.finfo(float).eps
+    assert abs(view.entry_sum - yd.sum()) <= 4.0 * n * eps * np.abs(yd).sum()
+    blocks = frequency_blocks_whole(yd)
+    values = np.linalg.eigh(np.concatenate([blocks, blocks[:1] - 1.0 / n]))[0]
+    assert np.array_equal(view.eigenvalues, np.sort(values[:n], axis=None))
+    assert np.array_equal(view.shifted_eigenvalues, np.sort(values[1:], axis=None))
+    _, full = dense_cert(g, n)
     assert view.eigenvalues.shape == (n * n,)
     assert np.abs(view.eigenvalues - full).max() <= 1e-13
     closed = multiset(y.spectrum) / (2.0 * n)
@@ -334,17 +358,32 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shift
     assert np.abs(view.shifted_eigenvalues - dense_shifted(g, n)).max() <= 1e-12
 
 
+def test_dense_view_memory_stays_small():
+    # the pass holds one vertex row (n x n^2) and the n frequency blocks at
+    # a time; Y held whole, n^4 floats, is 28.6 MiB at n = 44
+    y = assemble(44, 2)
+    tracemalloc.start()
+    try:
+        dense_view(y, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
     n, delta = 8, 1e-3
     y = assemble(n, 2)
-    tilted = y.densify()
+    tilted = stacked(y)
     # vertex 0 at position 1 against vertex 5 at position 2: the same
     # vertex pair at positions (2, 3) keeps its old value, so the minor
     # block is no longer circulant
     i, j = 0 * n + 1, 5 * n + 2
     tilted[i, j] += delta
     tilted[j, i] += delta
-    monkeypatch.setattr(type(y), "densify", lambda self: tilted)
+    monkeypatch.setattr(
+        type(y), "densify", lambda self: iter(tilted.reshape(n, n, n * n))
+    )
     with pytest.raises(ConvergenceError) as exc:
         dense_view(y, force=True)
     # the moved pair has Frobenius mass sqrt(2) delta; at most a 2/n share

@@ -364,6 +364,35 @@ def test_bad_n_list_is_parse_error(capsys):
         main(["certify", "--g", "2", "--n", ","])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--g", "2", "--n", "8", "--tol-psd", "nan"],
+        ["certify", "--g", "2", "--n", "8", "--tol-eq", "-1"],
+        ["identities", "--g", "2", "--n", "8", "--tol-eq", "-1"],
+        ["certify", "--g", "2", "--n", "8", "--tol-eq", "inf"],
+        ["certify", "--g", "2", "--n", "8", "--tol-psd", "-inf"],
+        ["identities", "--g", "2", "--n", "8", "--tol-eq", "inf"],
+        ["identities", "--g", "2", "--n", "8", "--tol-eq", "tight"],
+    ],
+    ids=" ".join,
+)
+def test_tolerance_must_be_finite_and_nonnegative(argv, capsys):
+    # a negative or NaN tolerance would fail every certificate and an
+    # infinite one pass anything: each is a usage error, not a verdict
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --tol-" in captured.err and captured.out == ""
+
+
+def test_zero_and_exponent_tolerances_parse():
+    argv = ["certify", "--g", "2", "--n", "8", "--tol-eq", "0", "--tol-psd", "1e-30"]
+    args = cli.build_parser().parse_args(argv)
+    assert (args.tol_eq, args.tol_psd) == (0.0, 1e-30)
+
+
 def test_unknown_command_is_parse_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -21,6 +21,8 @@ from simplicial_gap.sdp_numeric import (
 )
 from simplicial_gap.serialize import record_json
 
+from oracles import stacked
+
 TINY_BOUND_16 = 1.5709035061653493
 
 
@@ -170,7 +172,7 @@ def test_encode_objective_agrees_with_certificate_route():
     p = encode_reduced(inst)
     y = assemble(4, 2)
     obj = objective_reduced(y, red)
-    assert trace_inner(p.objective, y.densify()) == pytest.approx(
+    assert trace_inner(p.objective, stacked(y)) == pytest.approx(
         obj.upper_bound, abs=1e-12
     )
 
@@ -178,7 +180,7 @@ def test_encode_objective_agrees_with_certificate_route():
 def test_certificate_is_feasible_for_encoding():
     inst = make_one_extra(2, 2)
     p = encode_reduced(inst)
-    yd = assemble(4, 2).densify()
+    yd = stacked(assemble(4, 2))
     for a, b in p.constraints:
         assert trace_inner(a, yd) == pytest.approx(b, abs=1e-12)
 

@@ -1,13 +1,14 @@
 """Mutation check of the verifiers and the dense oracle.
 
 Each mutant below is one textual edit of the package: a dropped clause of a
-verifier's ``passed`` expression, a wrong residual formula, a wrong shift or
-block slice in ``certificates.dense_view``.  For every mutant the script
-copies ``src``, ``tests`` and ``pyproject.toml`` into a fresh temporary
-directory, applies the edit there (the working tree is never written) and
-runs the certificate, trace-pattern and CLI tests on the copy.  A mutant
-that every test still passes is a survivor: a fault those tests would not
-see.  Run from the repository root:
+verifier's ``passed`` expression, a wrong residual formula, a wrong
+contraction or mass sum in the row pass behind ``certificates.dense_view``,
+a wrong shift or block slice in ``dense_view`` itself.  For every mutant
+the script copies ``src``, ``tests`` and ``pyproject.toml`` into a fresh
+temporary directory, applies the edit there (the working tree is never
+written) and runs the certificate, trace-pattern and CLI tests on the copy.
+A mutant that every test still passes is a survivor: a fault those tests
+would not see.  Run from the repository root:
 
     python3 tools/mutants.py [--workdir DIR]
 
@@ -64,8 +65,8 @@ MUTANTS = [
     (
         "povh-dense-total",
         CERT,
-        "abs(float(y_dense.sum()) - float(n * n))",
-        "abs(float(y_dense.sum()) - float(n))",
+        "abs(view.entry_sum - float(n * n))",
+        "abs(view.entry_sum - float(n))",
     ),
     (
         "povh-dense-gangster-sign",
@@ -93,21 +94,35 @@ MUTANTS = [
     ),
     (
         "anst-dense-block-sum-all-blocks",
-        ANST,
-        'np.einsum("usut->st", y4)',
-        'np.einsum("usvt->st", y4)',
+        CERT,
+        "diagonal_block_sum += y3[:, u, :]",
+        "diagonal_block_sum += y3.sum(axis=1)",
     ),
     (
         "anst-dense-trace-pattern-block-sums",
         ANST,
-        'np.einsum("usvs->uv", y4)',
-        'np.einsum("usvt->uv", y4)',
+        "trace_pattern = view.block_traces",
+        "trace_pattern = view.block_sums",
     ),
     (
         "anst-structured-f",
         ANST,
         "abs(2.0 * n * tr_diag_block - 2.0 * n)",
         "abs(2.0 * n * tr_diag_block - n)",
+    ),
+    # the one pass over Y's vertex rows
+    ("pass-drops-discarded-mass", CERT, "        off += float(np.vdot(z, z))\n", ""),
+    (
+        "pass-min-max-one-row",
+        CERT,
+        "low, high = min(low, float(row.min())), max(high, float(row.max()))",
+        "low, high = float(row.min()), float(row.max())",
+    ),
+    (
+        "pass-diagonal-block-wrong-column",
+        CERT,
+        "diagonal_block_sum += y3[:, u, :]",
+        "diagonal_block_sum += y3[:, (u + 1) % n, :]",
     ),
     # the -J_n/n shift and the block slicing in dense_view
     ("shift-dropped", CERT, "blocks[:1] - 1.0 / n", "blocks[:1]"),
