@@ -22,13 +22,12 @@ from .certificates import (
     objective_povh_rendl,
     verify_povh_rendl,
 )
-from .circulant import SymmetricCirculant, cosine_profile, identity_suite
+from .circulant import cosine_profile, identity_suite
 from .instances import (
     SimplicialInstance,
     held_karp_cycle,
     make_equal,
     make_one_extra,
-    tsp_optimum,
 )
 from .matrix_core import ConvergenceError, SizeLimitError, dense_cap, sym_eigs
 from .reduced_sdp import (
@@ -68,7 +67,6 @@ __all__ = [
     "SdpSolution",
     "SimplicialInstance",
     "SizeLimitError",
-    "SymmetricCirculant",
     "assemble",
     "asymptote_value",
     "bound_constants",
@@ -94,7 +92,6 @@ __all__ = [
     "solve_sdp",
     "solve_subtour",
     "sym_eigs",
-    "tsp_optimum",
     "verify_anstreicher",
     "verify_povh_rendl",
 ]

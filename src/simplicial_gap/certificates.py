@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circulant import SymmetricCirculant, cosine_profile, ring_adjacency
+from .circulant import cosine_profile, first_row, ring_adjacency
 from .instances import SimplicialInstance
 from .matrix_core import (
     EIG_TOL,
@@ -143,11 +143,7 @@ class CertificateY:
                 f"dense certificate side {n * n} exceeds cap {cap}"
             )
         row = np.stack(
-            [
-                2.0 * np.eye(n)[0],
-                SymmetricCirculant(n, self.a).first_row(),
-                SymmetricCirculant(n, self.b).first_row(),
-            ]
+            [2.0 * np.eye(n)[0], first_row(self.a, n), first_row(self.b, n)]
         ) / (2.0 * n)
         same_group = kron(np.eye(g), np.ones((p, p))).astype(int)
         kind = 2 - same_group - np.eye(n, dtype=int)

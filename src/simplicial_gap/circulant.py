@@ -11,9 +11,11 @@ vector c at frequency k is 2 * sum_i c_i cos(2 pi i k / m).  A circulant is
 diagonalised by the discrete Fourier transform, so ``cosine_profile``
 evaluates all m frequencies with one real FFT in O(m log m) time and O(m)
 memory; this is what the structured certify/gap path runs on at any size.
-``first_row`` is the circulant's first row, from which the dense oracle
-(``CertificateY.densify``) reads every row by a cyclic shift, one vertex
-row of the certificate at a time.
+``first_row`` lays the coefficients out as the circulant's first row, by
+slicing, behind the same input check as ``cosine_profile``, so the
+half-offset layout is known in this module alone.  The dense oracle
+(``CertificateY.densify``) reads every row of a circulant off its first row
+by a cyclic shift, one vertex row of the certificate at a time.
 
 ``identity_suite`` evaluates, numerically and against their closed forms, the
 handful of trigonometric identities that the certificate analysis rests on,
@@ -22,52 +24,40 @@ returning one max-residual per named identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "SymmetricCirculant",
     "cosine_profile",
+    "first_row",
     "identity_suite",
     "lagrange_cosine_sum",
     "ring_adjacency",
 ]
 
 
-@dataclass
-class SymmetricCirculant:
-    """Even-dimension symmetric circulant given by half-offset coefficients.
+def _half_offsets(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """coeffs as floats, after checking n is even >= 2 and len(coeffs) = n/2."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"dimension must be even and >= 2, got {n}")
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (n // 2,):
+        raise ValueError(f"need {n // 2} coefficients, got shape {c.shape}")
+    return c
 
-    ``coeffs[i-1]`` multiplies the basis element at offset i, i = 1..m/2.
+
+def first_row(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """First row of the n x n circulant with half-offset coefficients coeffs.
+
+    Offset i < n/2 carries coeffs[i-1] at columns i and n-i; offset n/2
+    carries 2 * coeffs[-1] at column n/2; column 0 is empty.
     """
-
-    m: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.m < 2 or self.m % 2 != 0:
-            raise ValueError(f"dimension must be even and >= 2, got {self.m}")
-        c = np.asarray(self.coeffs, dtype=float).copy()
-        if c.shape != (self.m // 2,):
-            raise ValueError(
-                f"need {self.m // 2} coefficients for dimension {self.m}, "
-                f"got shape {c.shape}"
-            )
-        self.coeffs = c
-
-    @property
-    def half(self) -> int:
-        return self.m // 2
-
-    def first_row(self) -> np.ndarray:
-        row = np.zeros(self.m)
-        d = self.half
-        for i in range(1, d):
-            row[i] += self.coeffs[i - 1]
-            row[self.m - i] += self.coeffs[i - 1]
-        row[d] += 2.0 * self.coeffs[d - 1]
-        return row
+    c = _half_offsets(coeffs, n)
+    d = n // 2
+    row = np.zeros(n)
+    row[1:d] = c[:-1]
+    row[d] = 2.0 * c[-1]
+    row[d + 1 :] = c[-2::-1]
+    return row
 
 
 def cosine_profile(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -76,11 +66,7 @@ def cosine_profile(coeffs: np.ndarray, n: int) -> np.ndarray:
     The profile at k is half the circulant eigenvalue at frequency k.  One
     real FFT of length n gives it in O(n log n) time and O(n) memory.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"dimension must be even and >= 2, got {n}")
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (n // 2,):
-        raise ValueError(f"need {n // 2} coefficients, got shape {c.shape}")
+    c = _half_offsets(coeffs, n)
     # the profile is the real part of the DFT of the circulant's half row
     # (offset i at index i, offset 0 empty); evaluate frequencies 0..n/2
     # and mirror, so profile[k] == profile[n-k] holds bit for bit
@@ -91,19 +77,18 @@ def cosine_profile(coeffs: np.ndarray, n: int) -> np.ndarray:
     return half[folded]
 
 
-def lagrange_cosine_sum(n: int, k: int | np.ndarray) -> float | np.ndarray:
-    """Closed form of sum_{j=1}^{n/2} cos(pi j k / (n/2)) for integer k = 0..n.
+def lagrange_cosine_sum(n: int, k: np.ndarray) -> np.ndarray:
+    """Closed form of sum_{j=1}^{n/2} cos(pi j k / (n/2)) for integers k in 0..n.
 
     Equals n/2 at k in {0, n}; otherwise -1 for odd k and 0 for even k.
-    An integer array k gives an array of its shape, a scalar k a float.
+    The result has the shape of the integer array k.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
     k = np.asarray(k)
     if np.any((k < 0) | (k > n)):
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    out = np.where((k == 0) | (k == n), float(n // 2), (-1.0 + (-1.0) ** k) / 2.0)
-    return float(out) if out.ndim == 0 else out
+    return np.where((k == 0) | (k == n), float(n // 2), (-1.0 + (-1.0) ** k) / 2.0)
 
 
 def ring_adjacency(m: int) -> np.ndarray:

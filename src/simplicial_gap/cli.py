@@ -31,8 +31,8 @@ from .circulant import identity_suite
 from .instances import (
     DP_MAX_VERTICES,
     SimplicialInstance,
+    held_karp_cycle,
     make_one_extra,
-    tsp_optimum,
 )
 from .reduced_sdp import gap_table, one_extra_bound
 from .sdp_numeric import (
@@ -69,6 +69,18 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite number >= 0, got {text!r}"
         )
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """A count flag's value: an integer >= 1, else a parse error."""
+    try:
+        value = int(text)
+        ok = value >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -142,9 +154,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if args.per_group < 2:
         return _usage_error(f"per-group must be >= 2, got {args.per_group}")
     inst = SimplicialInstance((args.per_group,) * args.g)
-    analytic = tsp_optimum(inst)
+    analytic = float(inst.g)
     dp_value = (
-        tsp_optimum(inst, method="dp") if inst.n_total <= DP_MAX_VERTICES else None
+        held_karp_cycle(inst.cost_matrix())
+        if inst.n_total <= DP_MAX_VERTICES
+        else None
     )
     lp = solve_subtour(inst)
     agree = (
@@ -259,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tiny.add_argument("--per-group", type=int, default=1, dest="per_group")
     p_tiny.add_argument("--large-n", type=int, default=16, dest="large_n")
     p_tiny.add_argument(
-        "--max-iters", type=int, default=DEFAULT_MAX_ITERS, help="Newton steps"
+        "--max-iters",
+        type=_positive_int,
+        default=DEFAULT_MAX_ITERS,
+        help="Newton steps",
     )
     add_common(p_tiny)
     p_tiny.set_defaults(func=cmd_solve_tiny)

@@ -7,8 +7,8 @@ Two layouts are exposed and never inferred from each other:
 
 Costs are the 0/1 cut semi-metric (0 within a group, 1 across), which is
 metric by construction (the tests check every triangle inequality).  The
-exact tour optimum is available analytically (it equals the number of groups)
-and through an independent Held-Karp subset-DP oracle.
+exact tour optimum is the group count ``g``; ``held_karp_cycle``, a
+Held-Karp subset DP over any cost matrix, confirms it on small instances.
 
 Vertex labels are group-contiguous -- group i occupies a consecutive index
 range -- and everything downstream (certificate block layouts in particular)
@@ -29,7 +29,6 @@ __all__ = [
     "held_karp_cycle",
     "make_equal",
     "make_one_extra",
-    "tsp_optimum",
 ]
 
 DP_MAX_VERTICES = 18
@@ -103,8 +102,6 @@ def held_karp_cycle(dist: np.ndarray) -> float:
         raise ValueError(f"DP oracle capped at {DP_MAX_VERTICES} vertices, got {n}")
     if n < 2:
         raise ValueError(f"a cycle needs at least 2 vertices, got {n}")
-    if n == 2:
-        return float(2.0 * dist[0, 1])
     m = n - 1
     masks = np.arange(1 << m, dtype=np.int32)
     popcount = np.zeros(1 << m, dtype=np.int8)
@@ -127,12 +124,3 @@ def held_karp_cycle(dist: np.ndarray) -> float:
         row_of[members] = np.arange(members.size)
         below = cost
     return float(np.min(below[0] + dist[1:, 0]))
-
-
-def tsp_optimum(inst: SimplicialInstance, method: str = "analytic") -> float:
-    """Exact tour optimum: 'analytic' returns the group count, 'dp' runs Held-Karp."""
-    if method == "analytic":
-        return float(inst.g)
-    if method == "dp":
-        return held_karp_cycle(inst.cost_matrix())
-    raise ValueError(f"method must be 'analytic' or 'dp', got {method!r}")

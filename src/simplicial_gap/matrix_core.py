@@ -1,13 +1,11 @@
 """Dense symmetric-matrix kernel.
 
-Small wrappers around numpy that the rest of the package builds on:
+Two size-capped numpy calls that the rest of the package builds on:
 
-* ``kron``        -- Kronecker product, size-capped like every dense matrix
-* ``trace_inner`` -- trace inner product <a, b> = trace(a @ b) for symmetric a
-* ``vec_stack``   -- column-major vectorization
-* ``sym_eigs``    -- full spectrum of a symmetric matrix, or of each block
-                     of a stack, ascending, from one batched ``eigh`` with
-                     an always-on per-block residual check
+* ``kron``     -- Kronecker product
+* ``sym_eigs`` -- the spectrum of each symmetric block of a stack,
+                  ascending, from one batched ``eigh`` with an always-on
+                  per-block residual check
 
 Matrices are plain ``numpy.ndarray`` objects built symmetrically by
 construction; ``sym_eigs`` enforces exact (tolerance-zero) symmetry at the
@@ -35,8 +33,6 @@ __all__ = [
     "dense_cap",
     "kron",
     "sym_eigs",
-    "trace_inner",
-    "vec_stack",
 ]
 
 DEFAULT_DENSE_CAP = 2048
@@ -97,34 +93,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> = trace(a^T b) = sum_ij a_ij b_ij.
+def sym_eigs(stack: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of each symmetric block of a stack (k, m, m).
 
-    For the symmetric matrices used throughout this equals trace(a @ b),
-    but is computed entrywise (no matrix product).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
-def vec_stack(m: np.ndarray) -> np.ndarray:
-    """Stack the columns of m into one long vector (column-major vec)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("vec_stack expects a matrix")
-    return m.reshape(-1, order="F").copy()
-
-
-def sym_eigs(m: np.ndarray) -> np.ndarray:
-    """Full spectrum of a symmetric matrix, or of each matrix in a stack.
-
-    ``m`` is one matrix (m, m) or a stack (k, m, m) of k blocks; a matrix is
-    a stack of one on the same path.  All blocks go to one batched ``eigh``
-    call and, as from ``eigh``, each block's spectrum comes back ascending:
-    shape (k, m) for a stack, (m,) for a matrix.
+    All k blocks go to one batched ``eigh`` call; the result has shape
+    (k, m), each row ascending as ``eigh`` returns it.
 
     Every block must be exactly symmetric (the package builds its matrices
     symmetrically, so equality is checked with zero tolerance).  Accuracy
@@ -133,14 +106,9 @@ def sym_eigs(m: np.ndarray) -> np.ndarray:
     ConvergenceError with ``dim`` the block side.  A block side above the
     dense cap raises SizeLimitError.
     """
-    stack = np.asarray(m, dtype=float)
-    single = stack.ndim == 2
-    if single:
-        stack = stack[None]
+    stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(
-            f"m must be a square matrix or a stack of them, got shape {np.shape(m)}"
-        )
+        raise ValueError(f"need a stack of square matrices, got shape {stack.shape}")
     dim = stack.shape[1]
     cap = dense_cap()
     if dim > cap:
@@ -167,5 +135,4 @@ def sym_eigs(m: np.ndarray) -> np.ndarray:
             float(residual[i]),
             dim,
         )
-
-    return vals[0] if single else vals
+    return vals

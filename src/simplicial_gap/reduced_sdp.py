@@ -37,7 +37,6 @@ from .certificates import (
 )
 from .circulant import ring_adjacency
 from .instances import SimplicialInstance, make_one_extra
-from .matrix_core import vec_stack
 
 __all__ = [
     "GapRecord",
@@ -90,7 +89,7 @@ class Reduction:
         c1_col = ring_adjacency(self.n + 1)[self.alpha, self.r - 1]
         lbl = self.inst.group_labels()
         d_row = (lbl[self.s - 1] != lbl[self.beta]).astype(float)
-        return vec_stack(np.outer(c1_col, d_row))
+        return np.outer(c1_col, d_row).reshape(-1, order="F")
 
     def ones_in_cbar(self) -> int:
         """cbar.sum() in closed form, 2 (n+1 - |group of s|).

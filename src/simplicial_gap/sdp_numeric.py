@@ -37,7 +37,7 @@ import numpy as np
 
 from .certificates import assemble, verify_povh_rendl
 from .instances import SimplicialInstance, make_one_extra
-from .matrix_core import kron, trace_inner
+from .matrix_core import kron
 from .reduced_sdp import build_reduction, one_extra_bound
 
 __all__ = [
@@ -257,9 +257,9 @@ def _max_step(mat: np.ndarray, dmat: np.ndarray, vec: np.ndarray, dvec: np.ndarr
 
 def _measure(p: SdpProblem, x: np.ndarray) -> tuple[float, float, float, float]:
     """Objective, worst equality residual, least eigenvalue, least entry."""
-    eq = max(abs(trace_inner(a, x) - b) for a, b in p.constraints)
+    eq = max(abs(float(np.sum(a * x)) - b) for a, b in p.constraints)
     return (
-        trace_inner(p.objective, x),
+        float(np.sum(p.objective * x)),
         eq,
         float(np.linalg.eigvalsh(x)[0]),
         float(x.min()),
@@ -348,7 +348,7 @@ def _hkm_step(c, rows, b, first, x, sl, y, s_mat, z, nu):
     rp[first:] += sl
     rd = c - (rows.T @ y).reshape(m, m) - s_mat
     rz = y[first:] - z
-    mu = (trace_inner(x, s_mat) + float(sl @ z)) / nu
+    mu = (float(np.sum(x * s_mat)) + float(sl @ z)) / nu
 
     ls_inv = np.linalg.inv(np.linalg.cholesky(s_mat))
     s_inv = ls_inv.T @ ls_inv
@@ -371,7 +371,7 @@ def _hkm_step(c, rows, b, first, x, sl, y, s_mat, z, nu):
     alpha_p = min(1.0, _max_step(x, dx, sl, dsl))
     alpha_d = min(1.0, _max_step(s_mat, ds, z, dz))
     mu_aff = (
-        trace_inner(x + alpha_p * dx, s_mat + alpha_d * ds)
+        float(np.sum((x + alpha_p * dx) * (s_mat + alpha_d * ds)))
         + float((sl + alpha_p * dsl) @ (z + alpha_d * dz))
     ) / nu
     sigma = min(1.0, (mu_aff / mu) ** 3)

@@ -14,28 +14,40 @@ import numpy as np
 
 from simplicial_gap import certificates
 from simplicial_gap.certificates import CertificateY, CertSpectrum, DenseView
-from simplicial_gap.circulant import SymmetricCirculant, cosine_profile
+from simplicial_gap.circulant import cosine_profile
 from simplicial_gap.instances import SimplicialInstance
-from simplicial_gap.matrix_core import SizeLimitError, dense_cap, kron, trace_inner
+from simplicial_gap.matrix_core import SizeLimitError, dense_cap, kron
 from simplicial_gap.reduced_sdp import ReducedObjective, Reduction
 from simplicial_gap.subtour_lp import LpEdgeSolution, _weights
 
 
-def basis(m: int, i: int) -> SymmetricCirculant:
-    """The i-th basis circulant of dimension m (i = 1..m/2)."""
+def first_row_loop(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The circulant's first row by a loop over the offsets: the reference."""
+    row = np.zeros(m)
+    d = m // 2
+    for i in range(1, d):
+        row[i] += coeffs[i - 1]
+        row[m - i] += coeffs[i - 1]
+    row[d] += 2.0 * coeffs[d - 1]
+    return row
+
+
+def basis(m: int, i: int) -> np.ndarray:
+    """Coefficients of the i-th basis circulant of dimension m (i = 1..m/2)."""
     if m < 2 or m % 2 != 0:
         raise ValueError(f"dimension must be even and >= 2, got {m}")
     if not 1 <= i <= m // 2:
         raise ValueError(f"offset must lie in 1..{m // 2}, got {i}")
     coeffs = np.zeros(m // 2)
     coeffs[i - 1] = 1.0
-    return SymmetricCirculant(m, coeffs)
+    return coeffs
 
 
-def circulant_dense(c: SymmetricCirculant) -> np.ndarray:
-    """The full m x m circulant: every row a cyclic shift of the first."""
-    row = c.first_row()
-    offsets = (np.arange(c.m)[None, :] - np.arange(c.m)[:, None]) % c.m
+def circulant_dense(coeffs: np.ndarray) -> np.ndarray:
+    """The full m x m circulant, m = 2 len(coeffs): rows shift the first."""
+    m = 2 * len(coeffs)
+    row = first_row_loop(coeffs, m)
+    offsets = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
     return row[offsets]
 
 
@@ -51,8 +63,8 @@ def densify_kron(y: CertificateY) -> np.ndarray:
         raise SizeLimitError(
             f"dense certificate side {n * n} exceeds cap {cap}"
         )
-    amat = circulant_dense(SymmetricCirculant(n, y.a))
-    bmat = circulant_dense(SymmetricCirculant(n, y.b))
+    amat = circulant_dense(y.a)
+    bmat = circulant_dense(y.b)
     jg, ig = np.ones((g, g)), np.eye(g)
     jp, ip = np.ones((p, p)), np.eye(p)
     out = kron(kron(jg - ig, jp), bmat)
@@ -97,9 +109,9 @@ def frequency_blocks_whole(y_dense: np.ndarray) -> np.ndarray:
     return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
 
-def circulant_spectrum(c: SymmetricCirculant) -> np.ndarray:
-    """All m eigenvalues, sorted ascending (closed form, no factorization)."""
-    return np.sort(2.0 * cosine_profile(c.coeffs, c.m))
+def circulant_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """All 2 len(coeffs) eigenvalues, ascending (closed form, no factorization)."""
+    return np.sort(2.0 * cosine_profile(coeffs, 2 * len(coeffs)))
 
 
 def is_metric(costs) -> bool:
@@ -202,7 +214,7 @@ def profile_identity_residuals(y: CertificateY) -> dict[str, float]:
 def objective_reduced_dense(y: CertificateY, red: Reduction) -> ReducedObjective:
     """The reduced objective's two terms by brute-force dense traces."""
     y_dense = stacked(y)
-    kron_term = trace_inner(kron(red.d_beta, 0.5 * red.c1_alpha), y_dense)
+    kron_term = float(np.sum(kron(red.d_beta, 0.5 * red.c1_alpha) * y_dense))
     diag_term = float(red.cbar @ np.diag(y_dense))
     return ReducedObjective(kron_term=kron_term, diag_term=diag_term)
 

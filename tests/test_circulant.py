@@ -6,32 +6,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplicial_gap.circulant import (
-    SymmetricCirculant,
     cosine_profile,
+    first_row,
     identity_suite,
     lagrange_cosine_sum,
     ring_adjacency,
 )
 
-from oracles import basis, circulant_dense, circulant_spectrum
+from oracles import basis, circulant_dense, circulant_spectrum, first_row_loop
 
 
 def test_first_row_layout():
-    c = SymmetricCirculant(6, [1.0, 2.0, 3.0])
+    coeffs = np.array([1.0, 2.0, 3.0])
     # offsets 1 and 5 get coeff 1, 2 and 4 get coeff 2, the antipode gets 2*3
-    assert np.array_equal(c.first_row(), [0.0, 1.0, 2.0, 6.0, 2.0, 1.0])
-    assert circulant_dense(c).sum(axis=1)[0] == 2.0 * c.coeffs.sum() == 12.0
+    assert np.array_equal(first_row(coeffs, 6), [0.0, 1.0, 2.0, 6.0, 2.0, 1.0])
+    assert circulant_dense(coeffs).sum(axis=1)[0] == 2.0 * coeffs.sum() == 12.0
+    # n = 2: the antipode is the only offset
+    assert np.array_equal(first_row(np.array([1.5]), 2), [0.0, 3.0])
+
+
+def test_first_row_equals_the_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in range(2, 129, 2):
+        for scale in (1e-3, 1.0, 1e3):
+            coeffs = scale * rng.normal(size=n // 2)
+            got, want = first_row(coeffs, n), first_row_loop(coeffs, n)
+            assert got.tobytes() == want.tobytes(), n
+
+
+def test_first_row_shares_the_profile_input_check():
+    for coeffs, n in [(np.ones(2), 5), (np.ones(0), 0), (np.ones(3), 4), (np.ones((2, 2)), 4)]:
+        with pytest.raises(ValueError):
+            first_row(coeffs, n)
+        with pytest.raises(ValueError):
+            cosine_profile(coeffs, n)
 
 
 def test_densify_symmetric_circulant():
     rng = np.random.default_rng(3)
-    c = SymmetricCirculant(8, rng.normal(size=4))
-    m = circulant_dense(c)
+    coeffs = rng.normal(size=4)
+    m = circulant_dense(coeffs)
     assert np.array_equal(m, m.T)
     # every row is a rotation of the first
     for r in range(8):
         assert np.array_equal(m[r], np.roll(m[0], r))
-    assert np.allclose(m.sum(axis=1), 2.0 * c.coeffs.sum(), atol=1e-12)
+    assert np.allclose(m.sum(axis=1), 2.0 * coeffs.sum(), atol=1e-12)
 
 
 def test_basis_matrices_cover_offdiagonal():
@@ -46,9 +65,9 @@ def test_basis_matrices_cover_offdiagonal():
 
 def test_spectrum_matches_dense_eigenvalues():
     rng = np.random.default_rng(4)
-    c = SymmetricCirculant(10, rng.normal(size=5))
-    dense = np.linalg.eigvalsh(circulant_dense(c))
-    assert np.abs(circulant_spectrum(c) - dense).max() < 1e-12
+    coeffs = rng.normal(size=5)
+    dense = np.linalg.eigvalsh(circulant_dense(coeffs))
+    assert np.abs(circulant_spectrum(coeffs) - dense).max() < 1e-12
 
 
 def test_cosine_profile_reflection_is_exact():
@@ -93,11 +112,12 @@ def test_cosine_profile_zero_frequency_is_plain_sum():
 def test_lagrange_cosine_sum_against_brute_force(n):
     d = n // 2
     j = np.arange(1, d + 1)
-    for k in range(n + 1):
-        brute = float(np.cos(np.pi * j * k / d).sum())
-        assert lagrange_cosine_sum(n, k) == pytest.approx(brute, abs=1e-12)
-    whole = lagrange_cosine_sum(n, np.arange(n + 1))
-    assert whole.tolist() == [lagrange_cosine_sum(n, k) for k in range(n + 1)]
+    k = np.arange(n + 1)
+    brute = np.cos(np.pi * k[:, None] * j / d).sum(axis=1)
+    whole = lagrange_cosine_sum(n, k)
+    assert whole.shape == (n + 1,)
+    assert np.abs(whole - brute).max() <= 1e-12
+    assert lagrange_cosine_sum(n, k.reshape(-1, 1)).shape == (n + 1, 1)
     with pytest.raises(ValueError):
         lagrange_cosine_sum(n, np.arange(n + 2))
 
@@ -159,9 +179,13 @@ def identity_suite_loops(g, n):
     j = np.arange(1, g)
     w = (g - j).astype(float)
     i = np.arange(1, d + 1)
+
+    def block_closed(t):
+        return float(d) if t % n == 0 else (-1.0 + (-1.0) ** t) / 2.0
+
     out = {}
     out["cosine_block_sum"] = max(
-        abs(float(np.cos(np.pi * i * (k % (2 * d)) / d).sum()) - lagrange_cosine_sum(n, k))
+        abs(float(np.cos(np.pi * i * (k % (2 * d)) / d).sum()) - block_closed(k))
         for k in range(n + 1)
     )
     out["alternating_weight_sum_odd"] = abs(float(w[j % 2 == 1].sum()) - g * g / 4.0)
@@ -172,9 +196,6 @@ def identity_suite_loops(g, n):
         lhs = (2.0 * np.cos(t) - 2.0) * float((w * np.cos(j * t)).sum())
         res = max(res, abs(lhs - (np.cos(g * t) - g * np.cos(t) + (g - 1.0))))
     out["cosine_weight_telescope"] = res
-
-    def block_closed(t):
-        return float(d) if t % n == 0 else (-1.0 + (-1.0) ** t) / 2.0
 
     res = 0.0
     for jj in range(1, g):

@@ -295,12 +295,15 @@ def test_solve_tiny_usage_errors(capsys):
         ["baseline", "--g", "20", "--per-group", "4"],
         ["gap", "--z", "0", "--n", "8"],
         ["gap", "--z", "2", "--n", "10"],
+        ["solve-tiny", "--max-iters", "0"],
+        ["solve-tiny", "--per-group", "2", "--max-iters", "0"],
     ],
     ids=" ".join,
 )
 def test_library_checks_refuse_before_any_work(argv, capsys, monkeypatch):
-    # the library's own checks give the usage errors, ahead of any solve,
-    # reduction or LP round
+    # the library's own checks, or the parser's for a flag whose type it
+    # checks, give the usage errors, ahead of any solve, reduction or LP
+    # round
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
@@ -312,9 +315,15 @@ def test_library_checks_refuse_before_any_work(argv, capsys, monkeypatch):
         (reduced_sdp, "build_reduction"),
     ]:
         monkeypatch.setattr(module, name, refuse)
-    code, out, err = run(capsys, argv)
-    assert code == 2
-    assert err.startswith("error: ") and out == ""
+    if "--max-iters" in argv:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, (out, err) = exc.value.code, capsys.readouterr()
+        assert "error: argument --max-iters: " in err
+    else:
+        code, out, err = run(capsys, argv)
+        assert err.startswith("error: ")
+    assert code == 2 and out == ""
 
 
 def test_identities_csv(capsys):

@@ -11,7 +11,6 @@ from simplicial_gap.instances import (
     held_karp_cycle,
     make_equal,
     make_one_extra,
-    tsp_optimum,
 )
 
 from oracles import is_metric
@@ -35,8 +34,6 @@ def held_karp_mask_loop(dist):
     """
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
-    if n == 2:
-        return float(2.0 * dist[0, 1])
     m = n - 1
     size = 1 << m
     ends = np.arange(m)
@@ -95,13 +92,12 @@ def test_make_one_extra_layout():
 def test_make_one_extra_tiny_case_allowed():
     inst = make_one_extra(2, 1)
     assert inst.group_sizes == (2, 1)
-    assert tsp_optimum(inst, method="dp") == 2.0
+    assert held_karp_cycle(inst.cost_matrix()) == 2.0
 
 
 def test_constructor_accepts_odd_group_counts():
     inst = SimplicialInstance((3, 3, 3))
     assert inst.g == 3
-    assert tsp_optimum(inst) == 3.0
 
 
 def test_cost_matrix_shape_and_symmetry():
@@ -127,6 +123,12 @@ def test_is_metric_rejects_triangle_violation():
 def test_held_karp_two_vertices():
     d = np.array([[0.0, 3.5], [3.5, 0.0]])
     assert held_karp_cycle(d) == 7.0
+
+
+def test_held_karp_two_vertices_asymmetric():
+    # the cycle 0 -> 1 -> 0 takes both directed edges
+    assert held_karp_cycle(np.array([[0.0, 1.0], [3.0, 0.0]])) == 4.0
+    assert held_karp_mask_loop(np.array([[0.0, 1.0], [3.0, 0.0]])) == 4.0
 
 
 def test_held_karp_against_brute_force():
@@ -163,14 +165,14 @@ def test_held_karp_equals_mask_loop_on_simplicial_layouts():
 def test_dp_cap():
     inst = make_equal(2, 10)  # 20 vertices
     with pytest.raises(ValueError):
-        tsp_optimum(inst, method="dp")
+        held_karp_cycle(inst.cost_matrix())
     assert inst.n_total > DP_MAX_VERTICES
 
 
 def test_analytic_equals_group_count():
+    # the tour optimum that baseline reports as tsp_analytic
     for sizes in [(2, 2), (3, 1), (4, 4, 4), (2, 1, 1, 2)]:
-        inst = SimplicialInstance(sizes)
-        assert tsp_optimum(inst) == float(len(sizes))
+        assert SimplicialInstance(sizes).g == len(sizes)
 
 
 def test_dp_matches_analytic_on_small_simplicial():
@@ -183,15 +185,7 @@ def test_dp_matches_analytic_on_small_simplicial():
                 if sum(sizes) > 14:
                     continue
                 inst = SimplicialInstance(sizes)
-                assert tsp_optimum(inst, method="dp") == float(g), sizes
+                assert held_karp_cycle(inst.cost_matrix()) == float(g), sizes
                 checked += 1
     assert checked >= 10
-
-
-def test_tsp_value_method_tag():
-    inst = make_equal(2, 2)
-    assert tsp_optimum(inst, method="analytic") == 2.0
-    assert tsp_optimum(inst, method="dp") == 2.0
-    with pytest.raises(ValueError):
-        tsp_optimum(inst, method="guess")
 

@@ -10,8 +10,6 @@ from simplicial_gap.matrix_core import (
     dense_cap,
     kron,
     sym_eigs,
-    trace_inner,
-    vec_stack,
 )
 
 
@@ -72,35 +70,16 @@ def test_kron_rejects_vectors():
         kron(np.ones(3), np.ones((2, 2)))
 
 
-def test_trace_inner_matches_trace_product():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(5, 5))
-    a = a + a.T
-    b = rng.normal(size=(5, 5))
-    b = b + b.T
-    assert trace_inner(a, b) == pytest.approx(np.trace(a @ b), rel=1e-13)
-
-
-def test_trace_inner_shape_mismatch():
-    with pytest.raises(ValueError):
-        trace_inner(np.ones((2, 2)), np.ones((3, 3)))
-
-
-def test_vec_stack_is_column_major():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(vec_stack(m), [1.0, 3.0, 2.0, 4.0])
-
-
 def test_sym_eigs_known_spectrum():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(sym_eigs(m), [-1.0, 1.0], atol=1e-14)
+    assert np.allclose(sym_eigs(m[None]), [[-1.0, 1.0]], atol=1e-14)
 
 
 def test_sym_eigs_sorted_and_consistent():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(20, 20))
     m = m + m.T
-    vals = sym_eigs(m)
+    (vals,) = sym_eigs(m[None])
     assert np.all(np.diff(vals) >= 0)
     assert vals.sum() == pytest.approx(np.trace(m), rel=1e-12)
 
@@ -108,17 +87,17 @@ def test_sym_eigs_sorted_and_consistent():
 def test_sym_eigs_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]])
     with pytest.raises(ValueError):
-        sym_eigs(m)
+        sym_eigs(m[None])
 
 
 def test_sym_eigs_dense_cap(monkeypatch):
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "8")
     with pytest.raises(SizeLimitError):
-        sym_eigs(np.eye(10))
+        sym_eigs(np.eye(10)[None])
 
 
 def test_sym_eigs_zero_matrix():
-    assert np.array_equal(sym_eigs(np.zeros((4, 4))), np.zeros(4))
+    assert np.array_equal(sym_eigs(np.zeros((1, 4, 4))), np.zeros((1, 4)))
 
 
 def test_convergence_error_carries_diagnostics():
@@ -143,7 +122,7 @@ def test_sym_eigs_contract_catches_inaccurate_eigenpairs(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(ConvergenceError) as exc:
-        sym_eigs(m)
+        sym_eigs(m[None])
     assert exc.value.residual > EIG_TOL * np.abs(m).max()
     assert exc.value.dim == 6
 
@@ -154,7 +133,7 @@ def test_sym_eigs_backend_failure_is_convergence_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(ConvergenceError) as exc:
-        sym_eigs(_random_symmetric(5))
+        sym_eigs(_random_symmetric(5)[None])
     assert exc.value.residual is None
     assert exc.value.dim == 5
 
@@ -209,6 +188,9 @@ def test_sym_eigs_stack_cap_bounds_the_block_side(monkeypatch):
 
 
 def test_sym_eigs_rejects_non_square_stacks():
+    # one matrix is a stack of one, (1, m, m); a bare (m, m) is refused
+    with pytest.raises(ValueError):
+        sym_eigs(np.eye(3))
     with pytest.raises(ValueError):
         sym_eigs(np.zeros((2, 3, 4)))
     with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplicial_gap import reduced_sdp
 from simplicial_gap.certificates import assemble, objective_povh_rendl
 from simplicial_gap.instances import SimplicialInstance, make_equal, make_one_extra
 from simplicial_gap.reduced_sdp import (
@@ -44,6 +47,17 @@ def test_reduction_shapes_and_patterns():
     assert red.cbar.shape == (n * n,)
     assert red.ones_in_cbar() == 8
     assert set(np.unique(red.cbar)) <= {0.0, 1.0}
+
+
+def test_cbar_is_the_column_major_vec():
+    # entry j n + k is C1[alpha_k, r] D[s, beta_j]: position-major, as in
+    # kron(D[beta], C1[alpha]), which the numeric encoding adds it to
+    red = build_reduction(make_one_extra(2, 4))
+    want = np.zeros((8, 8))
+    # positions of group 2 (rows j) by vertices 2 and 9, the ring
+    # neighbours of vertex 1 (columns k)
+    want[4:, [0, 7]] = 1.0
+    assert np.array_equal(red.cbar.reshape(8, 8), want)
 
 
 def test_reduction_validation():
@@ -151,6 +165,17 @@ def test_gap_table_frozen_records():
     t1 = tables[1][0]
     assert t1.diag_term == pytest.approx(1.0, abs=1e-12)
     assert t1.sdp_upper == pytest.approx(2.0251262658470837, rel=1e-12)
+
+
+def test_gap_table_refuses_a_certificate_that_fails_verification(monkeypatch):
+    real = reduced_sdp.verify_povh_rendl
+
+    def failing(y, view):
+        return dataclasses.replace(real(y, view), passed=False)
+
+    monkeypatch.setattr(reduced_sdp, "verify_povh_rendl", failing)
+    with pytest.raises(ArithmeticError, match="g=2, n=8"):
+        gap_table(1, [8])
 
 
 def test_gap_table_sorted_and_validated():

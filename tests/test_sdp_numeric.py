@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from simplicial_gap import sdp_numeric
 from simplicial_gap.certificates import assemble
 from simplicial_gap.instances import make_one_extra
-from simplicial_gap.matrix_core import trace_inner
 from simplicial_gap.reduced_sdp import build_reduction, objective_reduced
 from simplicial_gap.sdp_numeric import (
     SdpProblem,
@@ -172,7 +171,7 @@ def test_encode_objective_agrees_with_certificate_route():
     p = encode_reduced(inst)
     y = assemble(4, 2)
     obj = objective_reduced(y, red)
-    assert trace_inner(p.objective, stacked(y)) == pytest.approx(
+    assert float(np.sum(p.objective * stacked(y))) == pytest.approx(
         obj.upper_bound, abs=1e-12
     )
 
@@ -182,7 +181,7 @@ def test_certificate_is_feasible_for_encoding():
     p = encode_reduced(inst)
     yd = stacked(assemble(4, 2))
     for a, b in p.constraints:
-        assert trace_inner(a, yd) == pytest.approx(b, abs=1e-12)
+        assert float(np.sum(a * yd)) == pytest.approx(b, abs=1e-12)
 
 
 def test_three_vertex_value_is_pinned_by_constraints():
@@ -209,7 +208,7 @@ def lifts(p: SdpProblem) -> list[np.ndarray]:
     for perm in itertools.permutations(range(n)):
         pmat = np.eye(n)[list(perm)]
         yy = np.outer(pmat.reshape(-1), pmat.reshape(-1))
-        if all(trace_inner(a, yy) == b for a, b in p.constraints):
+        if all(float(np.sum(a * yy)) == b for a, b in p.constraints):
             out.append(yy)
     return out
 
@@ -228,7 +227,7 @@ def brackets():
 def test_lower_bound_is_below_every_feasible_lift(brackets, per_group):
     p, sol, feasible = brackets[per_group]
     assert len(feasible) == math.factorial(2 * per_group)
-    values = [trace_inner(p.objective, yy) for yy in feasible]
+    values = [float(np.sum(p.objective * yy)) for yy in feasible]
     assert sol.lower_bound <= min(values)
     assert lift_upper_bound(p) == min(values) == pytest.approx(2.0, abs=1e-12)
     assert sol.lower_bound <= lift_upper_bound(p)
@@ -248,7 +247,7 @@ def test_lower_bound_is_below_convex_combinations_of_lifts(brackets, weights):
     p, sol, feasible = brackets[2]
     w = np.array(weights) / sum(weights)
     yy = sum(wk * lift for wk, lift in zip(w, feasible))
-    assert sol.lower_bound <= trace_inner(p.objective, yy) + 1e-12
+    assert sol.lower_bound <= float(np.sum(p.objective * yy)) + 1e-12
 
 
 def test_lift_upper_bound_needs_a_square_dim():

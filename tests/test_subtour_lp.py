@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplicial_gap import subtour_lp
-from simplicial_gap.instances import SimplicialInstance, make_equal, make_one_extra, tsp_optimum
+from simplicial_gap.instances import (
+    SimplicialInstance,
+    held_karp_cycle,
+    make_equal,
+    make_one_extra,
+)
 from simplicial_gap.subtour_lp import (
     min_cut,
     simplex_solve,
@@ -277,7 +282,7 @@ def test_cut_rounds_do_not_repivot_the_basis(monkeypatch):
 def test_lp_lower_bounds_exact_optimum():
     for inst in (make_equal(2, 3), make_one_extra(2, 3), SimplicialInstance((2, 2, 2))):
         lp = solve_subtour(inst).objective
-        exact = tsp_optimum(inst, method="dp")
+        exact = held_karp_cycle(inst.cost_matrix())
         assert lp <= exact + 1e-6
 
 

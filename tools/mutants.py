@@ -1,12 +1,15 @@
-"""Mutation check of the verifiers and the dense oracle.
+"""Mutation check of the verifiers, the dense oracle and the reduced bound.
 
 Each mutant below is one textual edit of the package: a dropped clause of a
 verifier's ``passed`` expression, a wrong residual formula, a wrong
 contraction or mass sum in the row pass behind ``certificates.dense_view``,
-a wrong shift or block slice in ``dense_view`` itself.  For every mutant
-the script copies ``src``, ``tests`` and ``pyproject.toml`` into a fresh
-temporary directory, applies the edit there (the working tree is never
-written) and runs the certificate, trace-pattern and CLI tests on the copy.
+a wrong shift or block slice in ``dense_view`` itself, a wrong count,
+factor or fixing in ``reduced_sdp``'s bound, a skipped verification in
+``gap_table``, a wrong offset in ``circulant.first_row``.  For every
+mutant the script copies ``src``, ``tests`` and ``pyproject.toml`` into a
+fresh temporary directory, applies the edit there (the working tree is
+never written) and runs the certificate, trace-pattern, CLI and
+reduced-SDP tests on the copy.
 A mutant that every test still passes is a survivor: a fault those tests
 would not see.  Run from the repository root:
 
@@ -30,9 +33,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
-TESTS = ("tests/test_certificates.py", "tests/test_anstreicher.py", "tests/test_cli.py")
+TESTS = (
+    "tests/test_certificates.py",
+    "tests/test_anstreicher.py",
+    "tests/test_cli.py",
+    "tests/test_reduced_sdp.py",
+)
 CERT = "src/simplicial_gap/certificates.py"
 ANST = "src/simplicial_gap/anstreicher_sdp.py"
+RED = "src/simplicial_gap/reduced_sdp.py"
+CIRC = "src/simplicial_gap/circulant.py"
 
 # (name, file, text, replacement): the text must occur exactly once
 MUTANTS = [
@@ -136,6 +146,42 @@ MUTANTS = [
         "float(view.shifted_eigenvalues[0])",
         "float(view.eigenvalues[0])",
     ),
+    # the reduced objective's counts and factor, and the gap table's gate
+    (
+        "red-ones-within-keeps-shared",
+        RED,
+        "int((table.sum(axis=1) ** 2).sum() - (table**2).sum())",
+        "int((table.sum(axis=1) ** 2).sum())",
+    ),
+    (
+        "red-ones-across-keeps-within",
+        RED,
+        "int((table.sum(axis=0) ** 2).sum()) - ones_within",
+        "int((table.sum(axis=0) ** 2).sum())",
+    ),
+    ("red-unreduced-factor", RED, "(n - 1.0) / (2.0 * n)", "n / (2.0 * n)"),
+    (
+        "red-ones-in-cbar-drops-extra",
+        RED,
+        "2 * (self.n + 1 - group_of_s)",
+        "2 * (self.n - group_of_s)",
+    ),
+    (
+        "red-one-extra-fixes-last-position",
+        RED,
+        "build_reduction(inst, 1, 1)",
+        "build_reduction(inst, 1, inst.n_total)",
+    ),
+    (
+        "red-gap-table-skips-verification",
+        RED,
+        "if not verify_povh_rendl(y, None).passed:",
+        "if False:",
+    ),
+    ("red-cbar-row-major", RED, 'reshape(-1, order="F")', 'reshape(-1, order="C")'),
+    # first_row's half-offset layout
+    ("row-drops-antipode-doubling", CIRC, "row[d] = 2.0 * c[-1]", "row[d] = c[-1]"),
+    ("row-mirror-shifted", CIRC, "row[d + 1 :] = c[-2::-1]", "row[d + 1 :] = c[-1:0:-1]"),
 ]
 
 
