@@ -90,13 +90,24 @@ def held_karp_cycle(dist: np.ndarray) -> float:
     """Exact minimum Hamiltonian cycle cost by subset DP, start fixed at vertex 0.
 
     A state is a set of visited vertices (bit i of the mask stands for
-    vertex i + 1) and the vertex j + 1 the path from 0 ends at.  Masks are
-    taken one popcount layer at a time, and only two layers are kept: all
-    masks of a layer that end at j are filled in one array step from the
-    layer below.  Each entry is the minimum over the same sums a
+    vertex i + 1) and the vertex k + 1 the path from 0 ends at.  Masks are
+    sorted once by popcount and taken one layer at a time, and only two
+    layers are kept, vertex-major: ``below[k, r]`` is the cheapest path over
+    the layer's mask row r that ends at vertex k + 1.  All masks of a layer
+    that end at j + 1 are filled in one array step: their predecessor
+    columns are gathered into one contiguous (m, rows) block, the step costs
+    ``dist[1:, j + 1]`` are added down its columns and the block is reduced
+    over its first axis.  Each entry is the minimum over the same sums a
     mask-by-mask loop takes, so the value does not depend on the order.
+
+    ``dist`` must be a square matrix on 2 to ``DP_MAX_VERTICES`` vertices;
+    an entry may be +inf (a forbidden edge) but not NaN or -inf.
     """
     dist = np.asarray(dist, dtype=float)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ValueError(f"need a square cost matrix, got shape {dist.shape}")
+    if not (dist > -np.inf).all():
+        raise ValueError("costs must be numbers or +inf, got NaN or -inf")
     n = dist.shape[0]
     if n > DP_MAX_VERTICES:
         raise ValueError(f"DP oracle capped at {DP_MAX_VERTICES} vertices, got {n}")
@@ -107,20 +118,21 @@ def held_karp_cycle(dist: np.ndarray) -> float:
     popcount = np.zeros(1 << m, dtype=np.int8)
     for j in range(m):
         popcount += (masks >> j) & 1
+    order = np.argsort(popcount, kind="stable")
+    start = np.searchsorted(popcount[order], np.arange(m + 2))
     # row of each mask within its layer, masks in ascending order; layer 1
-    # holds mask 1 << j in row j
-    row_of = np.zeros(1 << m, dtype=np.int32)
-    row_of[1 << np.arange(m)] = np.arange(m)
+    # holds mask 1 << k in row k
+    row_of = np.empty(1 << m, dtype=np.int32)
+    row_of[order] = np.arange(1 << m) - start[popcount[order]]
     below = np.full((m, m), np.inf)
     below[np.arange(m), np.arange(m)] = dist[0, 1:]
     for layer in range(2, m + 1):
-        members = masks[popcount == layer]
-        cost = np.full((members.size, m), np.inf)
+        members = order[start[layer] : start[layer + 1]]
+        cost = np.full((m, members.size), np.inf)
         for j in range(m):
             rows = np.flatnonzero((members >> j) & 1)
-            paths = below[row_of[members[rows] ^ (1 << j)]]
-            paths += dist[1:, j + 1]
-            cost[rows, j] = paths.min(axis=1)
-        row_of[members] = np.arange(members.size)
+            paths = np.take(below, row_of[members[rows] ^ (1 << j)], axis=1)
+            paths += dist[1:, j + 1, None]
+            cost[j, rows] = paths.min(axis=0)
         below = cost
-    return float(np.min(below[0] + dist[1:, 0]))
+    return float(np.min(below[:, 0] + dist[1:, 0]))

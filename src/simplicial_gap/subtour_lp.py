@@ -255,49 +255,59 @@ def simplex_solve(
 def min_cut(weights: np.ndarray) -> tuple[float, frozenset[int]]:
     """Global minimum cut of a weighted graph by Stoer-Wagner contraction.
 
-    Exact for symmetric nonnegative weights.  A disconnected support returns
-    the zero cut that separates vertex 0's connected component from the rest.
+    Exact for symmetric nonnegative finite weights; anything else raises
+    ValueError.  A disconnected support returns the zero cut that separates
+    vertex 0's connected component from the rest.
+
+    Each phase grows a maximum adjacency order from vertex 0 and then
+    contracts its last vertex t into the one before it, s, in place: row and
+    column t are added into s, and t is marked dead, so its key starts every
+    later phase at -inf.  No matrix is copied and no supernode changes its
+    index, so the first maximum of the keys is the lowest live index among
+    ties.  A key is read only while its vertex is live and not yet added,
+    so neither the diagonal nor a dead row or column needs clearing.
+    ``best_set`` is the side of the lightest phase cut: the vertices merged
+    into that phase's t.
     """
     w = np.asarray(weights, dtype=float)
     n = w.shape[0]
     if w.shape != (n, n) or n < 2:
         raise ValueError(f"need a square matrix on >= 2 vertices, got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if np.abs(w - w.T).max() > WEIGHT_TOL:
         raise ValueError("weights must be symmetric")
     if w.min() < -WEIGHT_TOL:
         raise ValueError("weights must be nonnegative")
-    w = np.maximum(w, 0.0)
-    np.fill_diagonal(w, 0.0)
+    wm = np.maximum(w, 0.0)
 
-    labels = _components(w > 0)
+    labels = _components(wm > 0)
     if labels.max() > 0:
         return 0.0, frozenset(np.flatnonzero(labels == 0).tolist())
 
-    # supernodes stay in ascending order of their smallest-kept label, so the
-    # first maximum of the keys is the lowest label among ties
     groups = [[i] for i in range(n)]
-    wm = w.copy()
+    dead = np.zeros(n, dtype=bool)
     best_val = np.inf
     best_set: frozenset[int] = frozenset()
-    while len(groups) > 1:
-        # maximum adjacency order starting from the first supernode
+    for alive in range(n, 1, -1):
         key = wm[0].copy()
+        key[dead] = -np.inf
         key[0] = -np.inf
         s = t = 0
-        for _ in range(len(groups) - 1):
-            s, t = t, int(key.argmax())
-            cut_of_phase = float(key[t])
+        for _ in range(alive - 2):
+            s, t = t, key.argmax()
             key += wm[t]
             key[t] = -np.inf
+        # the last vertex added is t; its key is the cut of the phase
+        s, t = t, int(key.argmax())
+        cut_of_phase = float(key[t])
         if cut_of_phase < best_val:
             best_val = cut_of_phase
             best_set = frozenset(groups[t])
         wm[s] += wm[t]
         wm[:, s] += wm[:, t]
-        wm[s, s] = 0.0
-        wm = np.delete(np.delete(wm, t, axis=0), t, axis=1)
+        dead[t] = True
         groups[s].extend(groups[t])
-        del groups[t]
     return best_val, best_set
 
 

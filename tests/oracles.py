@@ -18,7 +18,7 @@ from simplicial_gap.circulant import cosine_profile
 from simplicial_gap.instances import SimplicialInstance
 from simplicial_gap.matrix_core import SizeLimitError, dense_cap, kron
 from simplicial_gap.reduced_sdp import ReducedObjective, Reduction
-from simplicial_gap.subtour_lp import LpEdgeSolution, _weights
+from simplicial_gap.subtour_lp import WEIGHT_TOL, LpEdgeSolution, _components, _weights
 
 
 def first_row_loop(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -236,3 +236,53 @@ def row_column_map(n: int) -> np.ndarray:
     eye = np.eye(n)
     ones_row = np.ones((1, n))
     return np.vstack([kron(ones_row, eye), kron(eye, ones_row)])
+
+
+def min_cut_delete(weights: np.ndarray) -> tuple[float, frozenset[int]]:
+    """Stoer-Wagner minimum cut that deletes each contracted row and column.
+
+    The reference for ``subtour_lp.min_cut``: the same phases and the same
+    tie rule, but each contraction copies the matrix without row and column
+    t and drops t from the list of supernodes.
+    """
+    w = np.asarray(weights, dtype=float)
+    n = w.shape[0]
+    if w.shape != (n, n) or n < 2:
+        raise ValueError(f"need a square matrix on >= 2 vertices, got {w.shape}")
+    if np.abs(w - w.T).max() > WEIGHT_TOL:
+        raise ValueError("weights must be symmetric")
+    if w.min() < -WEIGHT_TOL:
+        raise ValueError("weights must be nonnegative")
+    w = np.maximum(w, 0.0)
+    np.fill_diagonal(w, 0.0)
+
+    labels = _components(w > 0)
+    if labels.max() > 0:
+        return 0.0, frozenset(np.flatnonzero(labels == 0).tolist())
+
+    # supernodes stay in ascending order of their smallest-kept label, so the
+    # first maximum of the keys is the lowest label among ties
+    groups = [[i] for i in range(n)]
+    wm = w.copy()
+    best_val = np.inf
+    best_set: frozenset[int] = frozenset()
+    while len(groups) > 1:
+        # maximum adjacency order starting from the first supernode
+        key = wm[0].copy()
+        key[0] = -np.inf
+        s = t = 0
+        for _ in range(len(groups) - 1):
+            s, t = t, int(key.argmax())
+            cut_of_phase = float(key[t])
+            key += wm[t]
+            key[t] = -np.inf
+        if cut_of_phase < best_val:
+            best_val = cut_of_phase
+            best_set = frozenset(groups[t])
+        wm[s] += wm[t]
+        wm[:, s] += wm[:, t]
+        wm[s, s] = 0.0
+        wm = np.delete(np.delete(wm, t, axis=0), t, axis=1)
+        groups[s].extend(groups[t])
+        del groups[t]
+    return best_val, best_set

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,46 @@ def test_held_karp_equals_mask_loop_on_simplicial_layouts():
             assert held_karp_cycle(d) == held_karp_mask_loop(d), sizes
             checked += 1
     assert checked == 259
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [np.zeros((3, 4)), np.zeros(4), np.zeros((2, 2, 2))],
+    ids=["3x4", "1-D", "3-D"],
+)
+def test_held_karp_rejects_non_square_input(dist):
+    with pytest.raises(ValueError, match="square"):
+        held_karp_cycle(dist)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_held_karp_rejects_nan_and_minus_inf(bad):
+    d = np.ones((4, 4)) - np.eye(4)
+    d[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN"):
+        held_karp_cycle(d)
+
+
+def test_held_karp_reads_inf_as_a_forbidden_edge():
+    rng = np.random.default_rng(3)
+    d = rng.random((6, 6))
+    d[0, 1] = d[2, 3] = d[4, 0] = np.inf
+    assert held_karp_cycle(d) == pytest.approx(brute_force_cycle(d), abs=1e-12)
+    assert held_karp_cycle(d) == held_karp_mask_loop(d)
+    d[0, 1:] = np.inf  # no way out of vertex 0
+    assert held_karp_cycle(d) == np.inf
+
+
+def test_held_karp_memory_at_sixteen_vertices():
+    # two vertex-major layers of at most C(15, 7) rows and one gather block
+    d = make_equal(2, 8).cost_matrix()
+    tracemalloc.start()
+    try:
+        assert held_karp_cycle(d) == 2.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_dp_cap():

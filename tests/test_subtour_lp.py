@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,9 @@ from simplicial_gap.subtour_lp import (
     solve_subtour,
 )
 
-from oracles import degree_residuals, weight_matrix
+from oracles import degree_residuals, min_cut_delete, weight_matrix
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_simplex_small_lp():
@@ -166,6 +172,35 @@ def test_min_cut_validation():
         min_cut(np.full((3, 3), -1.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_min_cut_rejects_non_finite_weights(bad):
+    # a NaN passes both the symmetry and the sign test; an inf edge turns a
+    # visited key into -inf + inf = nan, which argmax then picks
+    w = np.ones((4, 4)) - np.eye(4)
+    w[0, 3] = w[3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        min_cut(w)
+
+
+@st.composite
+def disconnected_weights(draw):
+    """Symmetric nonnegative weights on n <= 12 vertices, split into two or
+    more blocks with no edge between them."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.integers(0, draw(st.integers(2, n)), n)
+    block[rng.permutation(n)[:2]] = [0, 1]  # at least two blocks
+    w = rng.integers(0, 3, (n, n)) / 2.0 * (block[:, None] == block[None, :])
+    w = np.triu(w, 1)
+    return w + w.T
+
+
+@settings(max_examples=120, deadline=None)
+@given(w=st.one_of(connected_weights(), disconnected_weights()))
+def test_min_cut_equals_deleting_contraction(w):
+    assert min_cut(w) == min_cut_delete(w)
+
+
 @pytest.mark.parametrize(
     "inst,want",
     [
@@ -292,3 +327,31 @@ def test_size_caps():
     with pytest.raises(ValueError):
         solve_subtour(SimplicialInstance((1, 1)))
 
+
+def _baseline_layouts():
+    """The benchmark's baseline layouts: every pool member, then 10 x 6."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave perfbench/ as is
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    pools = [layout for pool in module._BASELINE_POOLS for layout in pool]
+    return pools + [module.KNOWN_DEFECT_LAYOUT]
+
+
+@pytest.mark.parametrize("g,p", _baseline_layouts())
+def test_cut_loop_unchanged_by_the_deleting_contraction(monkeypatch, g, p):
+    # the in-place contraction must hand the cut loop the very cuts the
+    # deleting one does: a one-ulp change in a cut value can change them
+    inst = SimplicialInstance((p,) * g)
+    sol = solve_subtour(inst)
+    monkeypatch.setattr(subtour_lp, "min_cut", min_cut_delete)
+    ref = solve_subtour(inst)
+    assert np.array_equal(sol.x, ref.x)
+    assert sol.cuts_added == ref.cuts_added
+    assert sol.status == ref.status == "optimal"

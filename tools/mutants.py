@@ -1,15 +1,19 @@
-"""Mutation check of the verifiers, the dense oracle and the reduced bound.
+"""Mutation check of the verifiers, the dense oracle, the reduced bound and
+the exact baselines.
 
 Each mutant below is one textual edit of the package: a dropped clause of a
 verifier's ``passed`` expression, a wrong residual formula, a wrong
 contraction or mass sum in the row pass behind ``certificates.dense_view``,
 a wrong shift or block slice in ``dense_view`` itself, a wrong count,
 factor or fixing in ``reduced_sdp``'s bound, a skipped verification in
-``gap_table``, a wrong offset in ``circulant.first_row``.  For every
-mutant the script copies ``src``, ``tests`` and ``pyproject.toml`` into a
-fresh temporary directory, applies the edit there (the working tree is
-never written) and runs the certificate, trace-pattern, CLI and
-reduced-SDP tests on the copy.
+``gap_table``, a wrong offset in ``circulant.first_row``, a wrong seed,
+step or return leg in ``instances.held_karp_cycle``, a dropped merge,
+key reset or side in ``subtour_lp.min_cut``.  For every mutant the script
+copies ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read its
+layouts) and ``pyproject.toml`` into a fresh temporary directory, applies
+the edit there (the working tree is never written) and runs the
+certificate, trace-pattern, CLI, reduced-SDP, instance and subtour-LP
+tests on the copy.
 A mutant that every test still passes is a survivor: a fault those tests
 would not see.  Run from the repository root:
 
@@ -32,17 +36,21 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 TESTS = (
     "tests/test_certificates.py",
     "tests/test_anstreicher.py",
     "tests/test_cli.py",
     "tests/test_reduced_sdp.py",
+    "tests/test_instances.py",
+    "tests/test_subtour_lp.py",
 )
 CERT = "src/simplicial_gap/certificates.py"
 ANST = "src/simplicial_gap/anstreicher_sdp.py"
 RED = "src/simplicial_gap/reduced_sdp.py"
 CIRC = "src/simplicial_gap/circulant.py"
+INST = "src/simplicial_gap/instances.py"
+LP = "src/simplicial_gap/subtour_lp.py"
 
 # (name, file, text, replacement): the text must occur exactly once
 MUTANTS = [
@@ -182,6 +190,31 @@ MUTANTS = [
     # first_row's half-offset layout
     ("row-drops-antipode-doubling", CIRC, "row[d] = 2.0 * c[-1]", "row[d] = c[-1]"),
     ("row-mirror-shifted", CIRC, "row[d + 1 :] = c[-2::-1]", "row[d + 1 :] = c[-1:0:-1]"),
+    # the Held-Karp layers: seed, step and return leg
+    (
+        "hk-drops-return-leg",
+        INST,
+        "np.min(below[:, 0] + dist[1:, 0])",
+        "np.min(below[:, 0])",
+    ),
+    ("hk-step-wrong-column", INST, "dist[1:, j + 1, None]", "dist[1:, j, None]"),
+    ("hk-step-transposed", INST, "dist[1:, j + 1, None]", "dist[j + 1, 1:, None]"),
+    (
+        "hk-seed-reads-return-leg",
+        INST,
+        "np.arange(m)] = dist[0, 1:]",
+        "np.arange(m)] = dist[1:, 0]",
+    ),
+    # the in-place Stoer-Wagner contraction
+    ("sw-skips-dead-key-reset", LP, "        key[dead] = -np.inf\n", ""),
+    ("sw-drops-row-merge", LP, "        wm[s] += wm[t]\n", ""),
+    ("sw-drops-column-merge", LP, "        wm[:, s] += wm[:, t]\n", ""),
+    (
+        "sw-best-set-from-s",
+        LP,
+        "best_set = frozenset(groups[t])",
+        "best_set = frozenset(groups[s])",
+    ),
 ]
 
 
