@@ -2,12 +2,13 @@
 
 The LP lives on the n(n-1)/2 edge variables of the complete graph: degree
 equalities sum each vertex's incident edges to 2, every proper vertex subset
-must be crossed with weight at least 2, and edges stay in [0, 1].  Subtour
-cuts and upper bounds are added lazily.  Each round solves the current LP,
-adds an x_e <= 1 row for every edge above 1, and separates subtour cuts: one
-per connected component when the fractional support is disconnected,
-otherwise the global minimum cut from Stoer-Wagner.  It stops when the
-support is connected and its minimum cut clears 2 within tolerance.
+must be crossed with weight at least 2, and edges stay nonnegative.  Subtour
+cuts are added lazily.  Each round solves the current LP and separates
+subtour cuts: one per connected component when the fractional support is
+disconnected, otherwise the global minimum cut from Stoer-Wagner.  It stops
+when the support is connected and its minimum cut clears 2 within tolerance.
+No x_e <= 1 row is needed: with degree 2 at u and v, the cut on {u, v} reads
+4 - 2 x_uv >= 2, so the final point has x_uv <= 1 + 5e-7 (``CUT_THRESHOLD``).
 
 On simplicial instances this baseline attains the tour value g exactly,
 which is the contrast the relaxation certificates are measured against: the
@@ -20,7 +21,7 @@ degenerate pivots, which guarantees termination.  The degree LP is solved
 in two phases from an artificial basis; the same tableau then carries the
 whole cut loop, as in Applegate, Bixby, Chvatal & Cook, *The Traveling
 Salesman Problem* (2006).  Each round's new rows are appended to it in the
-current basis, each with its own slack or surplus column basic in it: the
+current basis, each with its own surplus column basic in it: the
 basis stays dual feasible and is primal infeasible exactly on the rows the
 current point violates, so dual pivots restore feasibility and a primal
 pass cleans up.  Fine at n <= 60.
@@ -46,7 +47,7 @@ MAX_LP_VERTICES = 60
 CUT_THRESHOLD = 2.0 - 1e-6
 MAX_PIVOTS = 10_000
 MAX_ROUNDS = 500
-DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule takes over
+DEGENERATE_RUN = 50  # degenerate pivots in a row before Bland's rule is used
 PHASE1_TOL = 1e-7  # phase-1 artificial sum above this: the LP is infeasible
 AGREE_TOL = 1e-6  # LP objective against the analytic tour value
 WEIGHT_TOL = 1e-12  # asymmetry and negativity min_cut forgives in its input
@@ -63,6 +64,7 @@ def _weights(n: int, x: np.ndarray) -> np.ndarray:
 
 def _components(adj: np.ndarray) -> np.ndarray:
     """Connected-component label of every vertex; vertex 0 is in component 0."""
+    adj = adj | adj.T  # an edge in either direction joins its ends
     n = adj.shape[0]
     labels = np.full(n, -1)
     count = 0
@@ -171,26 +173,26 @@ class _Tableau:
         """Dual pivots to a feasible point, then primal pivots to an optimal one."""
         return self.dual() and self.primal()
 
-    def add_rows(self, rows: np.ndarray, rhs: np.ndarray, signs: np.ndarray) -> None:
-        """Append the rows ``rows[i] . x + signs[i] * s_i = rhs[i]``, s_i a new column.
+    def add_rows(self, rows: np.ndarray) -> None:
+        """Append the cut rows ``rows[i] . x - s_i = 2``, s_i a new column.
 
         ``rows`` covers the leading columns.  Each new row is written in the
-        current basis and scaled so that s_i, basic in it, reads +1: the
-        basis stays dual feasible, and a row the current point violates
+        current basis and negated, so that s_i, basic in it, reads +1: the
+        basis stays dual feasible, and a cut the current point violates
         shows a negative rhs for the dual pivots to repair.
         """
         m, width = self.tab.shape
-        added = len(rhs)
+        added = len(rows)
         grown = np.zeros((m + added, width + added))
         grown[:m, : width - 1] = self.tab[:, :-1]
         grown[:m, -1] = self.tab[:, -1]
         for i in range(added):
             new = grown[m + i]
             new[: rows.shape[1]] = rows[i]
-            new[width - 1 + i] = signs[i]
-            new[-1] = rhs[i]
+            new[width - 1 + i] = -1.0
+            new[-1] = 2.0
             new -= new[self.basis] @ grown[:m]
-            new *= signs[i]
+            new *= -1.0
         self.tab = grown
         self.basis = np.r_[self.basis, width - 1 + np.arange(added)]
         self.z = np.r_[self.z[:-1], np.zeros(added), self.z[-1]]
@@ -215,8 +217,8 @@ def simplex_solve(
     status "optimal", or "iteration-limit" when the two phases together
     ran out of ``MAX_PIVOTS``, and the optimal tableau, ready for
     ``add_rows``, or None at the iteration limit.  An infeasible or
-    unbounded system raises, as the callers only build feasible, bounded
-    ones.
+    unbounded system raises, as the callers only build LPs with a finite
+    optimum.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -347,10 +349,11 @@ def _violated_cuts(n: int, x: np.ndarray) -> list[frozenset[int]]:
 def solve_subtour(inst: SimplicialInstance) -> LpEdgeSolution:
     """Optimize the subtour LP by lazy separation, n_total <= 60.
 
-    The degree LP is solved once; each round then adds an x_e <= 1 row for
-    every edge above 1 and a cut row for every violated subtour cut to the
-    live tableau and re-optimizes it.  Stops when no row is added, or flags
-    iteration-limit when a solve runs out of pivots or the rounds run out.
+    The degree LP is solved once; each round then adds a cut row for every
+    violated subtour cut to the live tableau and re-optimizes it.  Stops
+    when no cut is violated, or flags iteration-limit when a solve runs out
+    of pivots or the rounds run out.  The cuts imply x_e <= 1: with degree 2
+    at u and v, the cut on {u, v} reads 4 - 2 x_uv >= 2, so x_uv <= 1 + 5e-7.
     """
     n = inst.n_total
     if n > MAX_LP_VERTICES:
@@ -366,29 +369,20 @@ def solve_subtour(inst: SimplicialInstance) -> LpEdgeSolution:
     degree[ev, np.arange(n_edges)] = 1.0
     x, _, status, t = simplex_solve(degree, np.full(n, 2.0), edge_cost)
     cuts: set[frozenset[int]] = set()
-    bounded = np.zeros(n_edges, dtype=bool)
     for _ in range(MAX_ROUNDS):
         if status != "optimal":
             break
-        over = np.flatnonzero((x > 1.0 + _EPS) & ~bounded)
-        bounded[over] = True
         new_cuts = _violated_cuts(n, x)
         if cuts.intersection(new_cuts):
             raise ArithmeticError("separator repeated a cut, LP is stuck")
         cuts.update(new_cuts)
-        if not over.size and not new_cuts:
+        if not new_cuts:
             break
 
-        # a bound row x_e + s = 1 for each edge over 1, a cut row
-        # x(delta(S)) - s = 2 for each cut
         inside = np.zeros((len(new_cuts), n), dtype=bool)
         for i, cut in enumerate(new_cuts):
             inside[i, list(cut)] = True
-        rows = np.zeros((len(over) + len(new_cuts), n_edges))
-        rows[np.arange(len(over)), over] = 1.0
-        rows[len(over) :] = inside[:, eu] != inside[:, ev]
-        signs = np.repeat([1.0, -1.0], [len(over), len(new_cuts)])
-        t.add_rows(rows, np.where(signs > 0, 1.0, 2.0), signs)
+        t.add_rows(inside[:, eu] != inside[:, ev])
         t.pivots = 0  # every round has MAX_PIVOTS of its own
         status = "optimal" if t.optimize() else "iteration-limit"
         x = t.point(n_edges)

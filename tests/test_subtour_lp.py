@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simplicial_gap import subtour_lp
@@ -85,7 +85,7 @@ def test_simplex_warm_start_after_a_cut():
     # append the violated cut around the first triangle, surplus column basic
     crossing = ((eu < 3) != (ev < 3)).astype(float)
     assert crossing @ x < 2.0
-    tableau.add_rows(crossing[None, :], np.array([2.0]), np.array([-1.0]))
+    tableau.add_rows(crossing[None, :])
     assert tableau.optimize()
     warm_x = tableau.point(eu.size + 1)
     a2 = np.zeros((n + 1, eu.size + 1))
@@ -99,6 +99,58 @@ def test_simplex_warm_start_after_a_cut():
     assert warm_obj == pytest.approx(2.0, abs=1e-9)
     assert np.abs(a2 @ warm_x - b2).max() <= 1e-9
     assert warm_x.min() >= -1e-9
+
+
+def _cycling_tableau():
+    """A 2 x 4 LP of the kind Hall & McKinnon (Math. Program. 100, 2004) build
+    to make Dantzig's rule cycle, capped by x1 + ... + x4 <= 1, at its slack
+    basis.  From there Dantzig's rule, with this module's ratio test, runs a
+    cycle of six degenerate pivots."""
+    a = np.array(
+        [
+            [0.4, 0.2, -1.4, -0.2, 1.0, 0.0, 0.0],
+            [-7.8, -1.4, 7.8, 0.4, 0.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    t = subtour_lp._Tableau(np.c_[a, [0.0, 0.0, 1.0]], np.array([4, 5, 6]))
+    t.price(np.array([-2.3, -2.15, 13.55, 0.4, 0.0, 0.0, 0.0]))
+    return t
+
+
+def test_simplex_leaves_a_dantzig_cycle(monkeypatch):
+    # the Bland fallback ends the cycle at the optimum -7/8
+    t = _cycling_tableau()
+    assert t.primal()
+    assert -t.z[-1] == pytest.approx(-0.875, abs=1e-12)
+    assert t.point(4) == pytest.approx([0.0, 0.5, 0.0, 0.5], abs=1e-12)
+    # with the fallback out of reach, Dantzig's rule cycles until out of pivots
+    monkeypatch.setattr(subtour_lp, "DEGENERATE_RUN", subtour_lp.MAX_PIVOTS)
+    t = _cycling_tableau()
+    assert not t.primal()
+    assert -t.z[-1] == 0.0
+
+
+def test_primal_ratio_test_reads_a_negative_rhs_as_zero():
+    # roundoff left x0 at -1e-13; stepping x2 in through its 1e-8 entry would
+    # take x2 to -1e-5, so the tie with x1's row goes to the larger pivot
+    t = subtour_lp._Tableau(
+        np.array([[1.0, 0.0, 1e-8, -1e-13], [0.0, 1.0, 1.0, 0.0]]), np.array([0, 1])
+    )
+    t.price(np.array([0.0, 0.0, -1.0]))
+    assert t.primal()
+    assert t.basis.tolist() == [0, 2]
+    assert t.point(3).min() >= -1e-12
+
+
+def test_dual_ratio_test_reads_a_negative_reduced_cost_as_zero():
+    # roundoff left x1's reduced cost at -1e-13; entering x1 through its -1e-8
+    # entry would set it to 1e8, so the tie with x2 goes to the larger pivot
+    t = subtour_lp._Tableau(np.array([[1.0, -1e-8, -1.0, -1.0]]), np.array([0]))
+    t.price(np.array([0.0, -1e-13, 0.0]))
+    assert t.dual()
+    assert t.basis.tolist() == [2]
+    assert t.point(3).tolist() == [0.0, 0.0, 1.0]
 
 
 def test_min_cut_bridge():
@@ -124,6 +176,17 @@ def test_min_cut_disconnected():
     value, side = min_cut(w)
     assert value == 0.0
     assert side == frozenset({0, 1})
+
+
+def test_min_cut_labels_components_across_either_direction():
+    # 0 -> 1 only within WEIGHT_TOL: vertex 0 must share 1's component, or a
+    # later start relabels it and the zero cut comes back with an empty side
+    w = np.zeros((3, 3))
+    w[1, 2] = w[2, 1] = 1.0
+    w[1, 0] = 1e-13
+    value, side = min_cut(w)
+    assert 1 <= len(side) <= 2
+    assert value <= 1e-12
 
 
 @st.composite
@@ -260,6 +323,26 @@ def test_every_equal_layout_reaches_tour_value(g, p):
     assert sol.x.max() <= 1.0 + 1e-9
     value, _ = min_cut(weight_matrix(sol))
     assert value >= 2.0 - 1e-6
+
+
+@st.composite
+def group_sizes(draw):
+    """At least two groups of at least one vertex each, 3 to 60 vertices."""
+    g = draw(st.integers(2, 60))
+    sizes = draw(st.lists(st.integers(1, 60 // g), min_size=g, max_size=g))
+    assume(sum(sizes) >= 3)
+    return tuple(sizes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=group_sizes())
+def test_any_group_sizes_reach_tour_value_within_unit_bounds(sizes):
+    # LP = g for any sizes (the group cuts at y_S = 1/2 prove LP >= g), and
+    # no x_e <= 1 row is ever added: the bound comes from the cuts alone
+    sol = solve_subtour(SimplicialInstance(sizes))
+    assert sol.status == "optimal"
+    assert abs(sol.objective - len(sizes)) <= subtour_lp.AGREE_TOL
+    assert sol.x.max() <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("g,p", [(3, 3), (4, 2), (2, 5), (6, 3)])

@@ -8,10 +8,11 @@ a wrong shift or block slice in ``dense_view`` itself, a wrong count,
 factor or fixing in ``reduced_sdp``'s bound, a skipped verification in
 ``gap_table``, a wrong offset in ``circulant.first_row``, a wrong seed,
 step or return leg in ``instances.held_karp_cycle``, a dropped merge,
-key reset or side in ``subtour_lp.min_cut``.  For every mutant the script
-copies ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read its
-layouts) and ``pyproject.toml`` into a fresh temporary directory, applies
-the edit there (the working tree is never written) and runs the
+key reset or side in ``subtour_lp.min_cut``, a lost Bland fallback or an
+unclipped ratio test in the subtour LP's simplex.  For every mutant the
+script copies ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read
+its layouts) and ``pyproject.toml`` into a fresh temporary directory,
+applies the edit there (the working tree is never written) and runs the
 certificate, trace-pattern, CLI, reduced-SDP, instance and subtour-LP
 tests on the copy.
 A mutant that every test still passes is a survivor: a fault those tests
@@ -19,9 +20,10 @@ would not see.  Run from the repository root:
 
     python3 tools/mutants.py [--workdir DIR]
 
-It prints one line per mutant and then the survivors; the exit code is 0
-when the unmutated copy passes and every mutant applies, else 2.  Standard
-library only; pytest runs in a child process.
+The mutants run side by side, one pytest child per CPU this process may
+use.  It prints one line per mutant, in the order of ``MUTANTS``, and then
+the survivors; the exit code is 0 when the unmutated copy passes and every
+mutant applies, else 2.  Standard library only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -215,6 +218,20 @@ MUTANTS = [
         "best_set = frozenset(groups[t])",
         "best_set = frozenset(groups[s])",
     ),
+    # the simplex: its anti-cycling fallback and its two ratio tests
+    ("simplex-no-bland-fallback", LP, "DEGENERATE_RUN = 50", "DEGENERATE_RUN = 10**9"),
+    (
+        "simplex-primal-ratio-unclipped",
+        LP,
+        "np.maximum(self.tab[rows, -1], 0.0) / col[rows]",
+        "self.tab[rows, -1] / col[rows]",
+    ),
+    (
+        "simplex-dual-ratio-unclipped",
+        LP,
+        "np.maximum(self.z[cols], 0.0) / -row[cols]",
+        "self.z[cols] / -row[cols]",
+    ),
 ]
 
 
@@ -230,7 +247,13 @@ def _copy_tree(dest: Path) -> None:
 
 
 def _run_tests(tree: Path) -> bool:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    # one BLAS thread per child: the children already fill the CPUs
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(tree / "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+        OPENBLAS_NUM_THREADS="1",
+    )
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS],
         cwd=tree,
@@ -250,6 +273,20 @@ def _apply(tree: Path, path: str, text: str, replacement: str) -> bool:
     return True
 
 
+def _try(tmp: Path, mutant: tuple[str, str, str, str]) -> tuple[str | None, float]:
+    """Test one mutant in its own copy: its verdict, None when the edit does
+    not apply, and the seconds it took."""
+    name, path, text, replacement = mutant
+    tree = tmp / name
+    _copy_tree(tree)
+    start = time.perf_counter()
+    if not _apply(tree, path, text, replacement):
+        return None, 0.0
+    verdict = "SURVIVED" if _run_tests(tree) else "killed"
+    shutil.rmtree(tree)
+    return verdict, time.perf_counter() - start
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workdir", default=None, help="parent of the temporary copies")
@@ -262,20 +299,17 @@ def main(argv: list[str] | None = None) -> int:
             print("the unmutated copy fails its tests; no mutant was run")
             return 2
         survivors, stale = [], []
-        for name, path, text, replacement in MUTANTS:
-            tree = Path(tmp) / name
-            _copy_tree(tree)
-            start = time.perf_counter()
-            if not _apply(tree, path, text, replacement):
-                stale.append(name)
-                print(f"{name:40s} STALE (text not found exactly once in {path})")
-                continue
-            passed = _run_tests(tree)
-            verdict = "SURVIVED" if passed else "killed"
-            print(f"{name:40s} {verdict:8s} {time.perf_counter() - start:6.1f} s", flush=True)
-            if passed:
-                survivors.append(name)
-            shutil.rmtree(tree)
+        workers = len(os.sched_getaffinity(0))
+        with ThreadPoolExecutor(workers) as pool:
+            results = pool.map(lambda mutant: _try(Path(tmp), mutant), MUTANTS)
+            for (name, path, _, _), (verdict, seconds) in zip(MUTANTS, results):
+                if verdict is None:
+                    stale.append(name)
+                    print(f"{name:40s} STALE (text not found exactly once in {path})")
+                    continue
+                print(f"{name:40s} {verdict:8s} {seconds:6.1f} s", flush=True)
+                if verdict == "SURVIVED":
+                    survivors.append(name)
 
     print(f"survivors ({len(survivors)} of {len(MUTANTS) - len(stale)}):")
     for name in survivors:
