@@ -277,10 +277,10 @@ class DenseView:
 
     All (n, n) arrays, indexed by vertices u, v or positions s, t:
     ``diagonal[u, s]`` = Y[(u, s), (u, s)], ``block_traces[u, v]`` =
-    tr Y^(uv), ``block_sums[u, v]`` the entry sum of Y^(uv),
-    ``diagonal_block_sum`` = sum_u Y^(uu) and ``c1_inner[u, v]`` =
-    <C1, Y^(uv)>.  ``entry_sum`` is the sum of Y's entries, pairwise
-    within each vertex row, and ``min_entry``/``max_entry`` bound them.
+    tr Y^(uv), ``diagonal_block_sum`` = sum_u Y^(uu) and
+    ``c1_inner[u, v]`` = <C1, Y^(uv)>.  ``entry_sum`` is the sum of Y's
+    entries, pairwise within each vertex row, and ``min_entry``/
+    ``max_entry`` bound them.
     ``eigenvalues`` is Y's ascending spectrum and ``shifted_eigenvalues``
     that of Y - J/n^2, from one batched ``sym_eigs`` call (see
     ``dense_view``).  Y itself is not kept: the view holds O(n^2) numbers.
@@ -288,7 +288,6 @@ class DenseView:
 
     diagonal: np.ndarray = field(repr=False)
     block_traces: np.ndarray = field(repr=False)
-    block_sums: np.ndarray = field(repr=False)
     diagonal_block_sum: np.ndarray = field(repr=False)
     c1_inner: np.ndarray = field(repr=False)
     entry_sum: float
@@ -306,12 +305,11 @@ def _dense_residuals(
     row_assign = float(np.abs(diag.sum(axis=0) - 1.0).max())
     col_assign = float(np.abs(diag.sum(axis=1) - 1.0).max())
 
-    block_traces = view.block_traces
-    same_vertex_offdiag = float(
-        np.einsum("ii->", view.block_sums) - np.einsum("ii->", block_traces)
+    # the forbidden entries: sum_u Y^(uu) and the block traces off their diagonal
+    off = ~np.eye(n, dtype=bool)
+    gangster = abs(
+        float(view.diagonal_block_sum[off].sum() + view.block_traces[off].sum())
     )
-    cross_vertex_diag = float(block_traces.sum() - np.einsum("ii->", block_traces))
-    gangster = abs(same_vertex_offdiag + cross_vertex_diag)
 
     total_sum = abs(view.entry_sum - float(n * n))
     return row_assign, col_assign, gangster, total_sum, view.min_entry
@@ -356,7 +354,6 @@ def _row_pass(
     blocks = np.empty((n, n, n))
     diagonal = np.empty((n, n))
     block_traces = np.empty((n, n))
-    block_sums = np.empty((n, n))
     diagonal_block_sum = np.zeros((n, n))
     c1_inner = np.empty((n, n))
     total, low, high = 0.0, np.inf, -np.inf
@@ -365,7 +362,6 @@ def _row_pass(
         y3 = row.reshape(n, n, n)  # [s, v, t]
         diagonal[u] = y3[:, u, :].diagonal()
         block_traces[u] = np.einsum("svs->v", y3)
-        block_sums[u] = y3.sum(axis=(0, 2))
         diagonal_block_sum += y3[:, u, :]
         c1_inner[u] = np.einsum("svt,st->v", y3, c1)
         total += float(row.sum())
@@ -381,7 +377,6 @@ def _row_pass(
     sums = {
         "diagonal": diagonal,
         "block_traces": block_traces,
-        "block_sums": block_sums,
         "diagonal_block_sum": diagonal_block_sum,
         "c1_inner": c1_inner,
         "entry_sum": total,

@@ -146,6 +146,20 @@ def test_lower_bound_holds_at_any_dual_point(y_sum, y_entry):
     assert bound <= 1.0 + 1e-12
 
 
+def test_lower_bound_charges_the_whole_trace_bound():
+    # min trace(Y) subject to trace(Y) = 1 has value 1 and tau = 1.  At
+    # y = (2, 0), S = -I and ||S_-||_F = sqrt(2), so the bound is
+    # 2 - tau sqrt(2), which stays below 1 only for tau >= 1/sqrt(2)
+    p = SdpProblem(dim=2, objective=np.eye(2), constraints=[(np.eye(2), 1.0)])
+    rows, b, n_slack = sdp_numeric._cone_rows(p)
+    tau = sdp_numeric._trace_bound(p)
+    assert tau == pytest.approx(1.0)
+    bound = sdp_numeric._lower_bound(
+        p.objective, rows, b, np.array([2.0, 0.0]), len(b) - n_slack, tau
+    )
+    assert bound == pytest.approx(2.0 - math.sqrt(2.0))
+
+
 def test_trace_bound_reads_the_constraints():
     assert sdp_numeric._trace_bound(encode_reduced(make_one_extra(2, 2))) == pytest.approx(4.0)
     assert sdp_numeric._trace_bound(sanity_problem(4)) == 4.0

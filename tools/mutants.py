@@ -1,5 +1,5 @@
-"""Mutation check of the verifiers, the dense oracle, the reduced bound and
-the exact baselines.
+"""Mutation check of the verifiers, the dense oracle, the reduced bound, the
+exact baselines and the tiny-SDP solver.
 
 Each mutant below is one textual edit of the package: a dropped clause of a
 verifier's ``passed`` expression, a wrong residual formula, a wrong
@@ -9,11 +9,13 @@ factor or fixing in ``reduced_sdp``'s bound, a skipped verification in
 ``gap_table``, a wrong offset in ``circulant.first_row``, a wrong seed,
 step or return leg in ``instances.held_karp_cycle``, a dropped merge,
 key reset or side in ``subtour_lp.min_cut``, a lost Bland fallback or an
-unclipped ratio test in the subtour LP's simplex.  For every mutant the
-script copies ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read
-its layouts) and ``pyproject.toml`` into a fresh temporary directory,
-applies the edit there (the working tree is never written) and runs the
-certificate, trace-pattern, CLI, reduced-SDP, instance and subtour-LP
+unclipped ratio test in the subtour LP's simplex, a wrong weak-duality
+bound or trace bound in ``sdp_numeric`` or a non-monotonicity verdict
+that skips the certificate check.  For every mutant the script copies
+``src``, ``tests``, ``perfbench`` (the subtour-LP tests read its layouts)
+and ``pyproject.toml`` into a fresh temporary directory, applies the edit
+there (the working tree is never written) and runs the certificate,
+trace-pattern, CLI, reduced-SDP, instance, subtour-LP and SDP-solver
 tests on the copy.
 A mutant that every test still passes is a survivor: a fault those tests
 would not see.  Run from the repository root:
@@ -47,6 +49,7 @@ TESTS = (
     "tests/test_reduced_sdp.py",
     "tests/test_instances.py",
     "tests/test_subtour_lp.py",
+    "tests/test_sdp_numeric.py",
 )
 CERT = "src/simplicial_gap/certificates.py"
 ANST = "src/simplicial_gap/anstreicher_sdp.py"
@@ -54,6 +57,7 @@ RED = "src/simplicial_gap/reduced_sdp.py"
 CIRC = "src/simplicial_gap/circulant.py"
 INST = "src/simplicial_gap/instances.py"
 LP = "src/simplicial_gap/subtour_lp.py"
+SDP = "src/simplicial_gap/sdp_numeric.py"
 
 # (name, file, text, replacement): the text must occur exactly once
 MUTANTS = [
@@ -90,10 +94,16 @@ MUTANTS = [
         "abs(view.entry_sum - float(n))",
     ),
     (
-        "povh-dense-gangster-sign",
+        "povh-dense-gangster-drops-traces",
         CERT,
-        "abs(same_vertex_offdiag + cross_vertex_diag)",
-        "abs(same_vertex_offdiag - cross_vertex_diag)",
+        "view.diagonal_block_sum[off].sum() + view.block_traces[off].sum()",
+        "view.diagonal_block_sum[off].sum()",
+    ),
+    (
+        "povh-dense-gangster-allowed-entries",
+        CERT,
+        "off = ~np.eye(n, dtype=bool)",
+        "off = np.eye(n, dtype=bool)",
     ),
     (
         "povh-structured-total-swap",
@@ -120,10 +130,10 @@ MUTANTS = [
         "diagonal_block_sum += y3.sum(axis=1)",
     ),
     (
-        "anst-dense-trace-pattern-block-sums",
+        "anst-dense-trace-pattern-block-sum",
         ANST,
         "trace_pattern = view.block_traces",
-        "trace_pattern = view.block_sums",
+        "trace_pattern = view.diagonal_block_sum",
     ),
     (
         "anst-structured-f",
@@ -231,6 +241,33 @@ MUTANTS = [
         LP,
         "np.maximum(self.z[cols], 0.0) / -row[cols]",
         "self.z[cols] / -row[cols]",
+    ),
+    # the tiny SDPs' weak-duality bound, its trace bound and the
+    # non-monotonicity verdict
+    (
+        "sdp-lower-bound-unclipped",
+        SDP,
+        "    y[first:] = np.maximum(y[first:], 0.0)\n",
+        "",
+    ),
+    (
+        "sdp-lower-bound-no-tau",
+        SDP,
+        "float(b @ y) - (tau * neg if neg > 0.0 else 0.0)",
+        "float(b @ y)",
+    ),
+    ("sdp-lower-bound-half-tau", SDP, "(tau * neg if", "(0.5 * tau * neg if"),
+    (
+        "sdp-trace-bound-no-all-ones",
+        SDP,
+        "[math.inf] + [rhs for a, rhs in p.constraints if (a == 1.0).all()]",
+        "[math.inf]",
+    ),
+    (
+        "sdp-conclusive-unverified",
+        SDP,
+        "conclusive = verified and (",
+        "conclusive = (",
     ),
 ]
 
