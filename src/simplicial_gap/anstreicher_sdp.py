@@ -23,8 +23,8 @@ The shifted spectrum needs no factorization of its own.  The closed form
 spectrum from 1 to 0.  The dense oracle reads the view's
 ``shifted_eigenvalues``: J/n^2 is block-circulant with symbol J_n/n at
 frequency 0 and zero elsewhere, so ``certificates.dense_view`` factors
-Y - J/n^2 as Y's frequency blocks with the frequency-0 block shifted, in
-the same batched call that factors Y.
+Y - J/n^2 as Y's n/2 + 1 distinct frequency blocks with the frequency-0
+block shifted, in the same batched call that factors Y.
 """
 
 from __future__ import annotations

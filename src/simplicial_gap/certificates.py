@@ -17,12 +17,14 @@ cannot go stale.  This module also evaluates the certificate's objective
 and verifies feasibility.  The closed forms always run; below the dense cap
 the dense oracle joins in.  ``dense_view`` is the one place that chooses
 the mode: in dense mode it densifies Y once, one vertex row (n x n^2) at a
-time, and reads each row once: into its share of Y's n frequency blocks of
-side n and of every contraction the dense checks read.  It then factors the
-blocks, with the frequency-0 block shifted by -J_n/n for Y - J/n^2, in one
-batched call.  The oracle holds O(n^3) numbers at once and never Y whole;
-both relaxations' verifiers (this module's and ``anstreicher_sdp``'s) read
-the resulting ``DenseView``: those contractions and the two spectra.
+time, and reads each row once.  The row's wrapped-diagonal sums give every
+contraction the dense checks read and the row's share of Y's projection
+onto symmetric circulant minor blocks, whose frequency blocks M_k of side
+n need k = 0..n/2 only.  It then factors those blocks, with the
+frequency-0 block shifted by -J_n/n for Y - J/n^2, in one batched call.
+The oracle holds O(n^3) numbers at once and never Y whole; both
+relaxations' verifiers (this module's and ``anstreicher_sdp``'s) read the
+resulting ``DenseView``: those contractions and the two spectra.
 
 The spectrum of 2nY comes in three closed-form families per frequency k:
 
@@ -42,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circulant import cosine_profile, first_row, ring_adjacency
+from .circulant import cosine_profile, first_row
 from .instances import SimplicialInstance
 from .matrix_core import (
     EIG_TOL,
@@ -282,8 +284,9 @@ class DenseView:
     entries, pairwise within each vertex row, and ``min_entry``/
     ``max_entry`` bound them.
     ``eigenvalues`` is Y's ascending spectrum and ``shifted_eigenvalues``
-    that of Y - J/n^2, from one batched ``sym_eigs`` call (see
-    ``dense_view``).  Y itself is not kept: the view holds O(n^2) numbers.
+    that of Y - J/n^2, all n^2 values each, from one batched ``sym_eigs``
+    call over the n/2 + 2 frequency blocks (see ``dense_view``).  Y itself
+    is not kept: the view holds O(n^2) numbers.
     """
 
     diagonal: np.ndarray = field(repr=False)
@@ -315,65 +318,53 @@ def _dense_residuals(
     return row_assign, col_assign, gangster, total_sum, view.min_entry
 
 
-def _real_fourier_basis(n: int) -> np.ndarray:
-    """Orthogonal Q whose columns diagonalise every symmetric n x n circulant.
-
-    For even n (every certificate's), column k is the cosine of frequency k
-    for k <= n/2 and the sine of frequency n - k above it, so Q^T C Q is
-    diagonal with C's eigenvalue at frequency k in place k.
-    """
-    k = np.arange(n)
-    angle = (2.0 * np.pi / n) * (np.outer(k, k) % n)
-    q = np.where(k <= n // 2, np.cos(angle), np.sin(angle)) * np.sqrt(2.0 / n)
-    q[:, 0] = 1.0 / np.sqrt(n)
-    q[:, n // 2] = (-1.0) ** k / np.sqrt(n)
-    return q
-
-
 def _row_pass(
     rows: Iterable[np.ndarray], n: int
 ) -> tuple[dict[str, np.ndarray | float], np.ndarray, float]:
     """One pass over Y's n vertex rows (each n x n^2): contractions and blocks.
 
-    While row u is at hand this conjugates each of its n minor blocks by Q,
-    the real Fourier basis, into one reused workspace: entry [(u, k),
-    (v, l)] of (I (x) Q)^T Y (I (x) Q) is (Q^T Y^(uv) Q)_kl, so Y splits
-    into blocks M_k[u, v] = (Q^T Y^(uv) Q)_kk when every minor block
-    Y^(uv) is a symmetric circulant.  The pass keeps block row u of every M_k and adds
-    up the Frobenius mass off the frequency diagonal; it also collects the
-    ``DenseView`` contractions from the row.  It returns those contractions
-    by field name, the symmetrised blocks (n, n, n) and the discarded mass:
-    the off-diagonal mass plus the blocks' antisymmetric part.  Nothing
+    Row u is reindexed to offset coordinates, w[s, v, o] = Y[(u, s), (v,
+    (s + o) mod n)], and summed over s: d[v, o] is the o-th wrapped-diagonal
+    sum of minor block Y^(uv).  Its nearest symmetric circulant has first
+    row h[v, o] = (d[v, o] + d[v, -o]) / 2n and eigenvalue M_k[u, v] =
+    sum_o h[v, o] cos(2 pi k o / n) at frequency k, kept for k = 0..n/2
+    (M_{n-k} = M_k).  The discarded mass, the mass of w - h entry by entry
+    plus the blocks' antisymmetric part (twice for each paired frequency),
+    is the Frobenius distance from Y to the symmetric matrix with symmetric
+    circulant minor blocks whose spectrum the blocks give.  The pass also
+    collects the ``DenseView`` contractions; it returns them by field name,
+    the symmetrised blocks (n/2 + 1, n, n) and the discarded mass.  Nothing
     here assumes circulant structure, so it reads the rows of any matrix.
     """
-    q = _real_fourier_basis(n)
-    c1 = ring_adjacency(n)
-    diag = np.arange(n)
-    left = np.empty((n, n * n))
-    right = np.empty((n * n, n))
-    blocks = np.empty((n, n, n))
+    pos = np.arange(n)
+    freq = np.arange(n // 2 + 1)
+    cosines = np.cos((2.0 * np.pi / n) * (np.outer(pos, freq) % n))  # [o, k]
+    w = np.empty((n, n, n))
+    blocks = np.empty((n // 2 + 1, n, n))
     diagonal = np.empty((n, n))
     block_traces = np.empty((n, n))
     diagonal_block_sum = np.zeros((n, n))
     c1_inner = np.empty((n, n))
-    total, low, high = 0.0, np.inf, -np.inf
-    off = 0.0
+    total, off, low, high = 0.0, 0.0, np.inf, -np.inf
     for u, row in enumerate(rows):
         y3 = row.reshape(n, n, n)  # [s, v, t]
-        diagonal[u] = y3[:, u, :].diagonal()
-        block_traces[u] = np.einsum("svs->v", y3)
+        for s in range(n):  # w[s, v, o] = y3[s, v, (s + o) mod n]
+            w[s, :, : n - s] = y3[s, :, s:]
+            w[s, :, n - s :] = y3[s, :, :s]
+        d = w.sum(axis=0)
+        diagonal[u] = w[:, u, 0]
+        block_traces[u] = d[:, 0]
         diagonal_block_sum += y3[:, u, :]
-        c1_inner[u] = np.einsum("svt,st->v", y3, c1)
+        c1_inner[u] = d[:, 1] + d[:, n - 1]
         total += float(row.sum())
         low, high = min(low, float(row.min())), max(high, float(row.max()))
-        np.matmul(q.T, row, out=left)
-        np.matmul(left.reshape(n * n, n), q, out=right)
-        z = right.reshape(n, n, n)  # [k, v, l]
-        blocks[:, u, :] = z[diag, :, diag]
-        z[diag, :, diag] = 0.0
-        off += float(np.vdot(z, z))
+        h = (d + d[:, -pos % n]) / (2.0 * n)
+        blocks[:, u, :] = (h @ cosines).T
+        w -= h
+        off += float(np.vdot(w, w))
     anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
-    discarded = float(np.sqrt(off + np.vdot(anti, anti)))
+    pair = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0)
+    discarded = float(np.sqrt(off + pair @ (anti * anti).sum(axis=(1, 2))))
     sums = {
         "diagonal": diagonal,
         "block_traces": block_traces,
@@ -394,15 +385,17 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     on the dense oracle and raises SizeLimitError past the cap.  Callers
     that want the structured checks below the cap pass view None directly.
     Y is densified once, one vertex row at a time, and read in one pass
-    (``_row_pass``) that keeps its n frequency blocks M_k of side n and
-    every contraction the checks read, so at most O(n^3) numbers are held
-    at once and never the n^2 x n^2 matrix.  By Weyl's inequality every
-    eigenvalue of Y lies within the Frobenius mass the split discards of
-    the block spectrum; more than ``EIG_TOL * max|Y|`` of it raises
-    ConvergenceError carrying that mass.  J/n^2 is block-circulant too,
-    with symbol J_n/n at frequency 0 and zero elsewhere, so Y - J/n^2 has
-    the blocks of Y with M_0 replaced by M_0 - J_n/n.  One batched
-    ``sym_eigs`` call factors the n blocks and that one extra block.
+    (``_row_pass``) that projects every minor block onto the symmetric
+    circulants and keeps the frequency blocks M_k of side n for k =
+    0..n/2 (M_{n-k} = M_k) and every contraction the checks read, so at
+    most O(n^3) numbers are held at once and never the n^2 x n^2 matrix.
+    By Weyl's inequality every eigenvalue of Y lies within the Frobenius
+    mass the projection discards of the block spectrum; more than
+    ``EIG_TOL * max|Y|`` of it raises ConvergenceError carrying that mass.
+    J/n^2 is block-circulant too, with symbol J_n/n at frequency 0 and
+    zero elsewhere, so Y - J/n^2 has the blocks of Y with M_0 replaced by
+    M_0 - J_n/n.  One batched ``sym_eigs`` call factors the n/2 + 1 blocks
+    and that one extra block; each paired frequency counts twice.
     """
     if not force and y.n * y.n > dense_cap():
         return None
@@ -411,16 +404,17 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     scale = max(sums["max_entry"], -sums["min_entry"])
     if discarded > EIG_TOL * scale:
         raise ConvergenceError(
-            f"Y is not block-diagonal over position frequencies: discarded "
-            f"mass {discarded:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}",
+            f"Y's minor blocks are not symmetric circulants: discarded mass "
+            f"{discarded:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}",
             discarded,
             n * n,
         )
     values = sym_eigs(np.concatenate([blocks, blocks[:1] - 1.0 / n]))
+    paired = values[1 : n // 2]  # frequencies k and n - k share a block
     return DenseView(
         **sums,
-        eigenvalues=np.sort(values[:n], axis=None),
-        shifted_eigenvalues=np.sort(values[1:], axis=None),
+        eigenvalues=np.sort(np.concatenate([values[:-1], paired]), axis=None),
+        shifted_eigenvalues=np.sort(np.concatenate([values[1:], paired]), axis=None),
     )
 
 

@@ -36,6 +36,7 @@ from .instances import (
 )
 from .reduced_sdp import gap_table, one_extra_bound
 from .sdp_numeric import (
+    DEFAULT_LARGE_N,
     DEFAULT_MAX_ITERS,
     encode_reduced,
     lift_upper_bound,
@@ -182,10 +183,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_solve_tiny(args: argparse.Namespace) -> int:
-    if args.large_n < 6 or args.large_n % 2 != 0:
-        return _usage_error(f"large-n must be even and >= 6, got {args.large_n}")
+    if args.per_group != 1 and args.large_n is not None:
+        return _usage_error("--large-n applies to --per-group 1 only")
     if args.per_group == 1:
-        report = nonmonotonicity_check(args.large_n, max_iters=args.max_iters)
+        large_n = DEFAULT_LARGE_N if args.large_n is None else args.large_n
+        if large_n < 6 or large_n % 2 != 0:
+            return _usage_error(f"large-n must be even and >= 6, got {large_n}")
+        report = nonmonotonicity_check(large_n, max_iters=args.max_iters)
         record = record_json(report)
         _emit(args, record, [record])
         return 0 if report.conclusive and report.non_monotonic else 1
@@ -271,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve-tiny", help="numeric solver on the smallest reduced problems"
     )
     p_tiny.add_argument("--per-group", type=int, default=1, dest="per_group")
-    p_tiny.add_argument("--large-n", type=int, default=16, dest="large_n")
+    p_tiny.add_argument("--large-n", type=int, dest="large_n", help="per-group 1 only")
     p_tiny.add_argument(
         "--max-iters",
         type=_positive_int,

@@ -62,6 +62,7 @@ PSD_TOL = 1e-7
 NN_TOL = 1e-9
 GAP_TOL = 1e-6
 DEFAULT_MAX_ITERS = 100
+DEFAULT_LARGE_N = 16
 # both step lengths below STALL_STEP for STALL_ITERS Newton steps in a row
 # means the iterates are pinned against the cone boundary
 STALL_STEP = 1e-3
@@ -416,7 +417,7 @@ class NonMonotonicityReport:
 
 
 def nonmonotonicity_check(
-    large_n: int = 16, max_iters: int = DEFAULT_MAX_ITERS
+    large_n: int = DEFAULT_LARGE_N, max_iters: int = DEFAULT_MAX_ITERS
 ) -> NonMonotonicityReport:
     """Bracket the 3-vertex reduced optimum and compare to a larger bound.
 

@@ -91,21 +91,52 @@ def row_view(y_dense: np.ndarray) -> DenseView:
 
 
 def frequency_blocks_whole(y_dense: np.ndarray) -> np.ndarray:
-    """Y's n frequency blocks M_k[u, v] = (Q^T Y^(uv) Q)_kk, symmetrised.
+    """Y's n/2 + 1 frequency blocks M_k (k = 0..n/2) from Y held whole.
 
-    The whole-matrix route: every vertex row is sliced out of Y held whole
-    and its minor blocks are conjugated by Q with the same products that
-    ``dense_view`` applies to each streamed row, so the two routes agree
-    bit for bit.
+    The whole-matrix route of the projection that ``dense_view`` streams:
+    one gather of Y into offset coordinates [u, s, v, o], one sum over s
+    for every minor block's wrapped-diagonal sums, the mirror average and
+    the cosine transform, each with the row pass's arithmetic, so the two
+    routes agree bit for bit.  The blocks come back symmetrised.
     """
     n = round(y_dense.shape[0] ** 0.5)
-    q = certificates._real_fourier_basis(n)
+    pos = np.arange(n)
+    wrap = (pos[:, None] + pos[None, :]) % n
     y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
-    diag = np.arange(n)
-    blocks = np.empty((n, n, n))
-    for u in range(n):
-        z = (q.T @ y4[u].reshape(n, n * n)).reshape(n * n, n) @ q
-        blocks[:, u, :] = z.reshape(n, n, n)[diag, :, diag]
+    d = y4[:, pos[:, None, None], pos[None, :, None], wrap[:, None, :]].sum(axis=1)
+    h = (d + d[:, :, -pos % n]) / (2.0 * n)  # [u, v, o]
+    freq = np.arange(n // 2 + 1)
+    cosines = np.cos((2.0 * np.pi / n) * (np.outer(pos, freq) % n))
+    blocks = (h @ cosines).transpose(2, 0, 1)  # [k, u, v]
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
+
+
+def real_fourier_basis(n: int) -> np.ndarray:
+    """Orthogonal Q whose columns diagonalise every symmetric n x n circulant.
+
+    For even n, column k is the cosine of frequency k for k <= n/2 and the
+    sine of frequency n - k above it, so Q^T C Q is diagonal with C's
+    eigenvalue at frequency k in place k.
+    """
+    k = np.arange(n)
+    angle = (2.0 * np.pi / n) * (np.outer(k, k) % n)
+    q = np.where(k <= n // 2, np.cos(angle), np.sin(angle)) * np.sqrt(2.0 / n)
+    q[:, 0] = 1.0 / np.sqrt(n)
+    q[:, n // 2] = (-1.0) ** k / np.sqrt(n)
+    return q
+
+
+def fourier_blocks_conjugated(y_dense: np.ndarray) -> np.ndarray:
+    """Y's n frequency blocks M_k[u, v] = (Q^T Y^(uv) Q)_kk, symmetrised.
+
+    The route that needs no projection: conjugate every minor block by the
+    real Fourier basis Q and keep its diagonal, so M_k and M_{n-k} come out
+    as two blocks.  Its spectra agree with ``dense_view``'s to roundoff.
+    """
+    n = round(y_dense.shape[0] ** 0.5)
+    q = real_fourier_basis(n)
+    y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
+    blocks = np.einsum("sk,usvt,tk->kuv", q, y4, q, optimize=True)
     return 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simplicial_gap import certificates
-from simplicial_gap.anstreicher_sdp import verify_anstreicher
+from simplicial_gap.anstreicher_sdp import shifted_spectrum, verify_anstreicher
 from simplicial_gap.certificates import (
     CertificateY,
     assemble,
@@ -30,6 +30,7 @@ from oracles import (
     circulant_dense,
     coeffs_two_group,
     densify_kron,
+    fourier_blocks_conjugated,
     frequency_blocks_whole,
     lower_bound_akk,
     multiset,
@@ -299,6 +300,22 @@ def test_objective_dense_trace_is_the_kronecker_inner_product(sizes):
     assert abs(got - want) <= 1e-12 * float(np.abs(y).sum())
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_row_pass_contractions_on_a_random_matrix(n):
+    # no symmetry and no circulant block: block_traces reads offset 0 of
+    # every minor block and c1_inner both offsets 1 and n - 1
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=(n * n, n * n))
+    view = row_view(y)
+    y4 = y.reshape(n, n, n, n)  # [u, s, v, t]
+    tol = 1e-12 * float(np.abs(y).max())
+    assert np.array_equal(view.diagonal, np.diag(y).reshape(n, n))
+    assert np.abs(view.block_traces - np.einsum("usvs->uv", y4)).max() <= tol
+    c1_inner = np.einsum("usvt,st->uv", y4, ring_adjacency(n))
+    assert np.abs(view.c1_inner - c1_inner).max() <= tol
+    assert np.abs(view.diagonal_block_sum - np.einsum("usut->st", y4)).max() <= tol
+
+
 def test_objective_rejects_wrong_layout():
     y = assemble(8, 2)
     with pytest.raises(ValueError):
@@ -346,9 +363,19 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shift
     eps = np.finfo(float).eps
     assert abs(view.entry_sum - yd.sum()) <= 4.0 * n * eps * np.abs(yd).sum()
     blocks = frequency_blocks_whole(yd)
+    assert blocks.shape == (n // 2 + 1, n, n)
     values = np.linalg.eigh(np.concatenate([blocks, blocks[:1] - 1.0 / n]))[0]
-    assert np.array_equal(view.eigenvalues, np.sort(values[:n], axis=None))
-    assert np.array_equal(view.shifted_eigenvalues, np.sort(values[1:], axis=None))
+    # frequency k of all n reads the block of min(k, n - k)
+    folded = values[np.minimum(np.arange(n), n - np.arange(n))]
+    assert np.array_equal(view.eigenvalues, np.sort(folded, axis=None))
+    shifted = np.concatenate([values[-1:], folded[1:]])
+    assert np.array_equal(view.shifted_eigenvalues, np.sort(shifted, axis=None))
+    # the Q-conjugation route, one block per frequency, agrees to roundoff
+    qblocks = fourier_blocks_conjugated(yd)
+    qvalues = np.linalg.eigvalsh(np.concatenate([qblocks, qblocks[:1] - 1.0 / n]))
+    assert np.abs(view.eigenvalues - np.sort(qvalues[:n], axis=None)).max() <= 1e-13
+    qshifted = np.sort(qvalues[1:], axis=None)
+    assert np.abs(view.shifted_eigenvalues - qshifted).max() <= 1e-13
     _, full = dense_cert(g, n)
     assert view.eigenvalues.shape == (n * n,)
     assert np.abs(view.eigenvalues - full).max() <= 1e-13
@@ -359,8 +386,10 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shift
 
 
 def test_dense_view_memory_stays_small():
-    # the pass holds one vertex row (n x n^2) and the n frequency blocks at
-    # a time; Y held whole, n^4 floats, is 28.6 MiB at n = 44
+    # the pass holds one vertex row (n x n^2), its offset-coordinate copy
+    # and the n/2 + 1 frequency blocks at a time: 2.5 MiB at n = 44, where
+    # conjugating each row by the real Fourier basis peaked at 4.1 MiB and
+    # Y held whole, n^4 floats, is 28.6 MiB
     y = assemble(44, 2)
     tracemalloc.start()
     try:
@@ -368,7 +397,39 @@ def test_dense_view_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, peak
+    assert peak < 3 * 2**20, peak
+
+
+@pytest.mark.parametrize("g,n", [(2, 8), (4, 44)])
+def test_dense_view_factors_half_the_frequency_blocks(g, n, monkeypatch):
+    # M_k = M_{n-k}: blocks k = 0..n/2 and the shifted M_0, in one call
+    shapes = []
+    real = certificates.sym_eigs
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return real(stack)
+
+    monkeypatch.setattr(certificates, "sym_eigs", recording)
+    view = dense_view(assemble(n, g), force=True)
+    assert shapes == [(n // 2 + 2, n, n)]
+    assert view.eigenvalues.shape == view.shifted_eigenvalues.shape == (n * n,)
+
+
+def test_dense_view_past_the_default_cap(monkeypatch):
+    # n = 64 is past the n <= 45 of the default cap: the dense spectra and
+    # both verifiers still agree with the closed forms
+    n, g = 64, 4
+    monkeypatch.setenv(DENSE_CAP_ENV_VAR, str(n * n))
+    y = assemble(n, g)
+    view = dense_view(y)
+    closed = multiset(y.spectrum) / (2.0 * n)
+    assert np.abs(view.eigenvalues - closed).max() <= 1e-12
+    shifted = multiset(shifted_spectrum(y.spectrum))
+    assert np.abs(view.shifted_eigenvalues - shifted).max() <= 1e-12
+    report = verify_povh_rendl(y, view)
+    assert report.passed and report.dense_checked
+    assert verify_anstreicher(y, view).passed
 
 
 def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
@@ -387,11 +448,54 @@ def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
     with pytest.raises(ConvergenceError) as exc:
         dense_view(y, force=True)
     # the moved pair has Frobenius mass sqrt(2) delta; at most a 2/n share
-    # of its square lands on the frequency diagonal
+    # of its square lands on the frequency diagonal, and the projection onto
+    # symmetric circulants keeps a 1/2n share: delta/2n at offsets +-1
     assert np.sqrt(2.0 * (1.0 - 2.0 / n)) * delta <= exc.value.residual
+    exact = np.sqrt(2.0 - 1.0 / n) * delta
+    assert exc.value.residual == pytest.approx(exact, rel=1e-9)
     assert exc.value.residual <= np.sqrt(2.0) * delta + 1e-12
     assert exc.value.residual > EIG_TOL * np.abs(tilted).max()
     assert exc.value.dim == n * n
+
+
+def test_dense_view_refuses_a_circulant_block_off_its_mirror(monkeypatch):
+    # Y stays symmetric and every minor block circulant, but block (0, 5)
+    # gains the antisymmetric circulant delta (S - S^T), S the cyclic shift,
+    # and block (5, 0) its transpose: the projection onto symmetric
+    # circulants discards exactly that part, of mass 2n delta^2 per block
+    n, delta = 8, 1e-3
+    y = assemble(n, 2)
+    tilted = stacked(y)
+    shift = np.roll(np.eye(n), 1, axis=1)
+    tilted[0:n, 5 * n : 6 * n] += delta * (shift - shift.T)
+    tilted[5 * n : 6 * n, 0:n] += delta * (shift.T - shift)
+    assert np.array_equal(tilted, tilted.T)
+    monkeypatch.setattr(
+        type(y), "densify", lambda self: iter(tilted.reshape(n, n, n * n))
+    )
+    with pytest.raises(ConvergenceError) as exc:
+        dense_view(y, force=True)
+    assert exc.value.residual == pytest.approx(2.0 * np.sqrt(n) * delta, rel=1e-9)
+
+
+def test_dense_view_counts_the_antisymmetric_mass_per_frequency(monkeypatch):
+    # symmetric circulant blocks with Y^(05) != Y^(50): the discarded mass
+    # is the antisymmetric part of the frequency blocks, counted once at
+    # k = 0 and n/2 and twice for each pair (k, n - k), which is the
+    # antisymmetric part of Y itself
+    n, delta = 8, 1e-3
+    y = assemble(n, 2)
+    tilted = stacked(y)
+    shift = np.roll(np.eye(n), 1, axis=1)
+    tilted[0:n, 5 * n : 6 * n] += delta * (shift + shift.T)
+    monkeypatch.setattr(
+        type(y), "densify", lambda self: iter(tilted.reshape(n, n, n * n))
+    )
+    with pytest.raises(ConvergenceError) as exc:
+        dense_view(y, force=True)
+    anti = 0.5 * np.linalg.norm(tilted - tilted.T)
+    assert anti == pytest.approx(np.sqrt(n) * delta, rel=1e-12)
+    assert exc.value.residual == pytest.approx(anti, rel=1e-9)
 
 
 def test_spectrum_bookkeeping():

@@ -284,6 +284,20 @@ def test_solve_tiny_usage_errors(capsys):
     assert run(capsys, ["solve-tiny", "--large-n", "7"])[0] == 2
 
 
+@pytest.mark.parametrize("per_group", ["2", "3"])
+def test_solve_tiny_refuses_large_n_past_per_group_1(per_group, capsys):
+    # per-group >= 2 quotes the certificate of its own layout, so --large-n
+    # would be ignored there: it is refused instead
+    argv = ["solve-tiny", "--per-group", per_group, "--large-n", "8"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--large-n" in err
+    # at per-group 1 the flag keeps its meaning, 16 when it is left out
+    short = ["solve-tiny", "--max-iters", "1"]
+    assert run(capsys, [*short, "--large-n", "16"]) == run(capsys, short)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -291,6 +305,7 @@ def test_solve_tiny_usage_errors(capsys):
         ["solve-tiny", "--per-group", "0"],
         ["solve-tiny", "--large-n", "7"],
         ["solve-tiny", "--per-group", "2", "--large-n", "5"],
+        ["solve-tiny", "--per-group", "2", "--large-n", "8"],
         ["baseline", "--g", "1", "--per-group", "3"],
         ["baseline", "--g", "20", "--per-group", "4"],
         ["gap", "--z", "0", "--n", "8"],

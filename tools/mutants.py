@@ -3,15 +3,16 @@ exact baselines and the tiny-SDP solver.
 
 Each mutant below is one textual edit of the package: a dropped clause of a
 verifier's ``passed`` expression, a wrong residual formula, a wrong
-contraction or mass sum in the row pass behind ``certificates.dense_view``,
-a wrong shift or block slice in ``dense_view`` itself, a wrong count,
-factor or fixing in ``reduced_sdp``'s bound, a skipped verification in
-``gap_table``, a wrong offset in ``circulant.first_row``, a wrong seed,
-step or return leg in ``instances.held_karp_cycle``, a dropped merge,
-key reset or side in ``subtour_lp.min_cut``, a lost Bland fallback or an
-unclipped ratio test in the subtour LP's simplex, a wrong weak-duality
-bound or trace bound in ``sdp_numeric`` or a non-monotonicity verdict
-that skips the certificate check.  For every mutant the script copies
+contraction, projection or mass sum in the row pass behind
+``certificates.dense_view``, a wrong shift, block slice or count of paired
+frequencies in ``dense_view`` itself, a wrong count, factor or fixing in
+``reduced_sdp``'s bound, a skipped verification in ``gap_table``, a wrong
+offset in ``circulant.first_row``, a wrong seed, step or return leg in
+``instances.held_karp_cycle``, a dropped merge, key reset or side in
+``subtour_lp.min_cut``, a lost Bland fallback or an unclipped ratio test
+in the subtour LP's simplex, a wrong weak-duality bound or trace bound in
+``sdp_numeric`` or a non-monotonicity verdict that skips the certificate
+check.  For every mutant the script copies
 ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read its layouts)
 and ``pyproject.toml`` into a fresh temporary directory, applies the edit
 there (the working tree is never written) and runs the certificate,
@@ -141,8 +142,27 @@ MUTANTS = [
         "abs(2.0 * n * tr_diag_block - 2.0 * n)",
         "abs(2.0 * n * tr_diag_block - n)",
     ),
-    # the one pass over Y's vertex rows
-    ("pass-drops-discarded-mass", CERT, "        off += float(np.vdot(z, z))\n", ""),
+    # the one pass over Y's vertex rows and its projection
+    ("pass-drops-discarded-mass", CERT, "        off += float(np.vdot(w, w))\n", ""),
+    ("pass-h-without-mirror", CERT, "(d + d[:, -pos % n]) / (2.0 * n)", "d / n"),
+    (
+        "pass-anti-without-pair-weight",
+        CERT,
+        "off + pair @ (anti * anti).sum(axis=(1, 2))",
+        "off + (anti * anti).sum()",
+    ),
+    (
+        "pass-c1-one-offset",
+        CERT,
+        "c1_inner[u] = d[:, 1] + d[:, n - 1]",
+        "c1_inner[u] = 2.0 * d[:, 1]",
+    ),
+    (
+        "pass-traces-offset-1",
+        CERT,
+        "block_traces[u] = d[:, 0]",
+        "block_traces[u] = d[:, 1]",
+    ),
     (
         "pass-min-max-one-row",
         CERT,
@@ -159,8 +179,19 @@ MUTANTS = [
     ("shift-dropped", CERT, "blocks[:1] - 1.0 / n", "blocks[:1]"),
     ("shift-scale", CERT, "blocks[:1] - 1.0 / n", "blocks[:1] - 1.0 / (n * n)"),
     ("shift-wrong-block", CERT, "blocks[:1] - 1.0 / n", "blocks[1:2] - 1.0 / n"),
-    ("slice-eigenvalues", CERT, "np.sort(values[:n], axis=None)", "np.sort(values[1:], axis=None)"),
-    ("slice-shifted", CERT, "np.sort(values[1:], axis=None)", "np.sort(values[:n], axis=None)"),
+    (
+        "slice-eigenvalues",
+        CERT,
+        "np.concatenate([values[:-1], paired])",
+        "np.concatenate([values[1:], paired])",
+    ),
+    (
+        "slice-shifted",
+        CERT,
+        "np.concatenate([values[1:], paired])",
+        "np.concatenate([values[:-1], paired])",
+    ),
+    ("spectra-drop-pairs", CERT, "paired = values[1 : n // 2]", "paired = values[1:1]"),
     (
         "anst-reads-unshifted",
         ANST,
