@@ -4,21 +4,31 @@ Solves min <C, Y> over symmetric Y with <A_i, Y> = b_i, Y PSD and Y >= 0
 by an infeasible-start primal-dual interior-point method on the cone
 PSD x nonnegative orthant: the HKM search direction (Helmberg, Rendl,
 Vanderbei & Wolkowicz, SIAM J. Optim. 6, 1996) with a Mehrotra corrector.
-Entrywise nonnegativity enters as one row Y_e - s_e = 0, s_e >= 0 per
-off-diagonal entry, except where a zero-sum constraint on nonnegative
-entries (the gangster row) already fixes the entry to zero; rows that
-depend on the others are dropped.
+Entrywise nonnegativity enters one orbit at a time.  A problem may declare
+permutations of its index set that map C and the constraint list to
+themselves; the off-diagonal entries fall into orbits under the group they
+generate, and each orbit gives one row: sum_{e in o} Y_e = 0 where a
+zero-sum constraint on nonnegative entries (the gangster row) fixes the
+orbit's entries to zero, else sum_{e in o} Y_e - s_o = 0 with one slack
+s_o >= 0.  With no declared symmetry every orbit is a single entry.  Rows
+that depend on the others are dropped.
 
 Every iterate's dual vector gives a lower bound by weak duality (Jansson,
 Chaykin & Keil, SIAM J. Numer. Anal. 46, 2008): with the nonnegativity
 multipliers clipped to >= 0 and S = C - A^T y, any feasible Y has
 <C, Y> >= b^T y - tau * ||S_-||_F, where S_- is the part of S that
-``project_psd`` clips and tau bounds tr Y (read off the constraints).  The
-bound holds whether or not the solve converged, so ``lower_bound`` is the
-number callers compare against; ``objective_value`` is the last primal
-iterate's value and is trusted only up to its reported residuals.  The
-bound is evaluated in floating point, without directed rounding, so it is
-proven up to the roundoff of b^T y and of the spectrum of S.
+``project_psd`` clips and tau bounds tr Y (read off the constraints).  An
+orbit row's multiplier, given to each of its entries, is a multiplier
+vector of the problem with one row per entry, with the same b^T y and the
+same S, so the bound holds for the original problem whatever the orbits
+are; the symmetry only makes it tight, because the group average of a
+point feasible for the orbit rows is feasible for the entry rows (de Klerk,
+Pasechnik & Schrijver, Math. Prog. 109, 2007).  The bound holds whether or
+not the solve converged, so ``lower_bound`` is the number callers compare
+against; ``objective_value`` is the last primal iterate's value and is
+trusted only up to its reported residuals.  The bound is evaluated in
+floating point, without directed rounding, so it is proven up to the
+roundoff of b^T y and of the spectrum of S.
 
 The reduced problems have no strictly feasible point (their optima sit on
 a face of the cone), so the iterates can stall short of the tolerances;
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,11 +87,18 @@ TRACE_FIT_TOL = 1e-12
 
 @dataclass
 class SdpProblem:
-    """min <C, Y> over symmetric Y with <A_i, Y> = b_i, Y PSD and Y >= 0."""
+    """min <C, Y> over symmetric Y with <A_i, Y> = b_i, Y PSD and Y >= 0.
+
+    Each of ``symmetries`` is a permutation perm of range(dim) with
+    C[perm][:, perm] = C that maps the constraint list onto itself as a
+    multiset; the solver gives one nonnegativity row per orbit of entries
+    under the group they generate.
+    """
 
     dim: int
     objective: np.ndarray = field(repr=False)
     constraints: list[tuple[np.ndarray, float]] = field(repr=False)
+    symmetries: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         m = self.dim
@@ -104,6 +122,23 @@ class SdpProblem:
         if not checked:
             raise ValueError("need at least one equality constraint")
         self.constraints = checked
+        multiset = Counter((b, a.tobytes()) for a, b in checked)
+        perms = []
+        for k, perm in enumerate(self.symmetries):
+            perm = np.asarray(perm)
+            if (
+                perm.dtype.kind not in "iu"
+                or perm.shape != (m,)
+                or not np.array_equal(np.sort(perm), np.arange(m))
+            ):
+                raise ValueError(f"symmetry {k} is not a permutation of range({m})")
+            moved = np.ix_(perm, perm)
+            if not np.array_equal(self.objective[moved], self.objective):
+                raise ValueError(f"symmetry {k} moves the objective")
+            if Counter((b, a[moved].tobytes()) for a, b in checked) != multiset:
+                raise ValueError(f"symmetry {k} moves the constraint set")
+            perms.append(perm)
+        self.symmetries = tuple(perms)
 
 
 @dataclass
@@ -145,6 +180,14 @@ def encode_reduced(inst: SimplicialInstance) -> SdpProblem:
     sums, the forbidden-pattern sum and the total sum, 2n + 2 in all.  The
     objective matrix is D[beta] (x) (1/2)C1[alpha] plus the fixing's linear
     costs on the diagonal.  Built through ``kron``, so the dense cap applies.
+
+    Row i n + j of Y pairs index i of D[beta] (outer) with index j of
+    C1[alpha] (inner).  The declared symmetries are the transpositions of
+    two consecutive outer indices of one group, which fix D[beta] and the
+    linear costs, and the reversal of the inner indices, the reflection of
+    the cycle through the fixed vertex, which fixes C1[alpha] and the
+    linear costs.  Both permute the per-vertex or per-position sums among
+    themselves and fix the other constraints.
     """
     n = inst.n_total - 1
     if n > MAX_ENCODE_N:
@@ -166,13 +209,45 @@ def encode_reduced(inst: SimplicialInstance) -> SdpProblem:
         constraints.append((kron(e_uu, eye), 1.0))
     constraints.append((kron(eye, jj - eye) + kron(jj - eye, eye), 0.0))
     constraints.append((np.ones((m, m)), float(n * n)))
-    return SdpProblem(dim=m, objective=c, constraints=constraints)
+
+    ar = np.arange(n)
+    symmetries = [np.add.outer(ar * n, ar[::-1]).reshape(-1)]
+    # group labels are sorted, so members of one group are consecutive
+    labels = inst.group_labels()[red.beta]
+    for i in np.flatnonzero(labels[:-1] == labels[1:]):
+        outer = ar.copy()
+        outer[[i, i + 1]] = i + 1, i
+        symmetries.append(np.add.outer(outer * n, ar).reshape(-1))
+    return SdpProblem(
+        dim=m, objective=c, constraints=constraints, symmetries=tuple(symmetries)
+    )
 
 
-def _entry_rows(m: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Flattened (e_i e_j^T + e_j e_i^T) / 2 per pair: each row reads Y_ij."""
-    rows = np.zeros((len(i), m * m))
-    k = np.arange(len(i))
+def _pair_orbits(m: int, symmetries: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Orbit label of each entry (i, j) under the group the permutations generate.
+
+    The label is the least pair number min(i, j) m + max(i, j) in the
+    orbit of the unordered pair {i, j}, found by taking the least label
+    over each generator's image until none moves; the group itself is
+    never listed.
+    """
+    i, j = np.indices((m, m))
+    labels = np.minimum(i, j) * m + np.maximum(i, j)
+    while True:
+        spread = labels
+        for perm in symmetries:
+            spread = np.minimum(spread, spread[np.ix_(perm, perm)])
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
+
+
+def _orbit_rows(m: int, mask: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+    """Flattened sum of (e_i e_j^T + e_j e_i^T) / 2 over the pairs i <= j of
+    mask in each orbit: each row reads the orbit's sum of Y_ij."""
+    i, j = np.nonzero(mask)
+    labels, k = np.unique(orbits[i, j], return_inverse=True)
+    rows = np.zeros((len(labels), m * m))
     rows[k, i * m + j] += 0.5
     rows[k, j * m + i] += 0.5
     return rows
@@ -182,11 +257,16 @@ def _cone_rows(p: SdpProblem) -> tuple[np.ndarray, np.ndarray, int]:
     """Equality rows (flattened), right-hand sides and slack count.
 
     A constraint with b = 0 and nonnegative A fixes every entry it touches
-    to zero, because Y >= 0; each such entry becomes its own row.  The other
-    rows are kept if independent of those kept before them (tested with the
-    fixed entries projected out), so the Schur complement stays nonsingular.
-    The last rows are Y_e - s_e = 0 for the off-diagonal entries not fixed,
-    one slack s_e >= 0 each; the diagonal is nonnegative by PSD.
+    to zero, because Y >= 0.  The other rows are kept if independent of
+    those kept before them (tested with the fixed entries projected out),
+    so the Schur complement stays nonsingular.  Then come one row per orbit
+    of fixed entries, sum_{e in o} Y_e = 0, and one per orbit of the other
+    off-diagonal entries, sum_{e in o} Y_e - s_o = 0 with one slack
+    s_o >= 0 each; the diagonal is nonnegative by PSD.  The orbits are
+    those of p.symmetries, which map the fixed set to itself.  Each orbit
+    row is the sum of its entries' rows, so a dual vector of these rows,
+    repeated over each orbit, is a dual vector of the rows one per entry
+    with the same weak-duality bound.
     """
     m = p.dim
     fixed = np.zeros((m, m), dtype=bool)
@@ -204,13 +284,12 @@ def _cone_rows(p: SdpProblem) -> tuple[np.ndarray, np.ndarray, int]:
         if np.linalg.matrix_rank(trial) == len(trial):
             kept.append(a.reshape(-1))
             rhs.append(b)
-    fi, fj = np.nonzero(np.triu(fixed))
-    si, sj = np.nonzero(np.triu(~fixed, 1))
-    rows = np.vstack(
-        [np.array(kept).reshape(-1, m * m), _entry_rows(m, fi, fj), _entry_rows(m, si, sj)]
-    )
-    b = np.concatenate([rhs, np.zeros(len(fi) + len(si))])
-    return rows, b, len(si)
+    orbits = _pair_orbits(m, p.symmetries)
+    fixed_rows = _orbit_rows(m, np.triu(fixed), orbits)
+    slack_rows = _orbit_rows(m, np.triu(~fixed, 1), orbits)
+    rows = np.vstack([np.array(kept).reshape(-1, m * m), fixed_rows, slack_rows])
+    b = np.concatenate([rhs, np.zeros(len(fixed_rows) + len(slack_rows))])
+    return rows, b, len(slack_rows)
 
 
 def _trace_bound(p: SdpProblem) -> float:

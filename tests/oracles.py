@@ -317,3 +317,21 @@ def min_cut_delete(weights: np.ndarray) -> tuple[float, frozenset[int]]:
         groups[s].extend(groups[t])
         del groups[t]
     return best_val, best_set
+
+
+def generated_group(generators) -> list[tuple[int, ...]]:
+    """Every element of the permutation group the generators generate, by
+    closing the identity under composition with them."""
+    identity = tuple(range(len(generators[0])))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for elem in frontier:
+            for gen in generators:
+                image = tuple(np.asarray(elem)[gen].tolist())
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return sorted(seen)

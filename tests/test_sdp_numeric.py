@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -20,7 +21,7 @@ from simplicial_gap.sdp_numeric import (
 )
 from simplicial_gap.serialize import record_json
 
-from oracles import stacked
+from oracles import generated_group, stacked
 
 TINY_BOUND_16 = 1.5709035061653493
 
@@ -114,16 +115,111 @@ def test_vanishing_steps_report_stalled(monkeypatch):
 
 
 def test_cone_rows_replace_the_gangster_sum_and_drop_a_dependent_row():
-    # n = 4: 2n + 2 constraints, one assignment row dependent, the gangster
-    # sum split into its 48 entries, 120 - 48 off-diagonal slacks
-    rows, b, n_slack = sdp_numeric._cone_rows(encode_reduced(make_one_extra(2, 2)))
-    assert rows.shape == (8 + 48 + 72, 256)
-    assert n_slack == 72
-    # independent once each slack row carries its -s_e column
-    slack_columns = np.vstack([np.zeros((56, 72)), -np.eye(72)])
-    assert np.linalg.matrix_rank(np.hstack([rows, slack_columns])) == len(rows)
-    assert b[:8].tolist() == [1.0] * 7 + [16.0]
-    assert not b[8:].any()
+    # n = 4: 2n + 2 constraints, one assignment row dependent.  With no
+    # symmetry the gangster sum splits into its 48 entries and 120 - 48
+    # off-diagonal entries get a slack each; with the declared group of
+    # order 8 they fall into 14 fixed and 14 slack orbits
+    p = encode_reduced(make_one_extra(2, 2))
+    for q, n_fixed, n_free in ((dataclasses.replace(p, symmetries=()), 48, 72), (p, 14, 14)):
+        rows, b, n_slack = sdp_numeric._cone_rows(q)
+        assert rows.shape == (8 + n_fixed + n_free, 256)
+        assert n_slack == n_free
+        # independent once each slack row carries its -s_e column
+        slack_columns = np.vstack([np.zeros((8 + n_fixed, n_free)), -np.eye(n_free)])
+        assert np.linalg.matrix_rank(np.hstack([rows, slack_columns])) == len(rows)
+        assert b[:8].tolist() == [1.0] * 7 + [16.0]
+        assert not b[8:].any()
+
+
+def moves(perm: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    return mat[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("per_group, order", [(1, 2), (2, 8), (3, 72)])
+def test_declared_symmetries_fix_the_problem(per_group, order):
+    p = encode_reduced(make_one_extra(2, per_group))
+    keys = sorted((b, a.tolist()) for a, b in p.constraints)
+    for perm in p.symmetries:
+        assert sorted(perm.tolist()) == list(range(p.dim))
+        assert np.array_equal(moves(perm, p.objective), p.objective)
+        assert sorted((b, moves(perm, a).tolist()) for a, b in p.constraints) == keys
+    assert len(generated_group(p.symmetries)) == order
+
+
+def test_problem_rejects_a_false_symmetry():
+    p = encode_reduced(make_one_extra(2, 2))
+    n = 4
+    # swap the outer indices 0 and 2, which lie in different groups
+    outer = np.array([2, 1, 0, 3])
+    across = (outer[:, None] * n + np.arange(n)[None, :]).reshape(-1)
+    with pytest.raises(ValueError, match="moves the objective"):
+        dataclasses.replace(p, symmetries=(across,))
+    # the swap fixes I but maps the constraint diag(1, 0) to diag(0, 1)
+    with pytest.raises(ValueError, match="moves the constraint set"):
+        SdpProblem(
+            dim=2,
+            objective=np.eye(2),
+            constraints=[(np.diag([1.0, 0.0]), 1.0)],
+            symmetries=(np.array([1, 0]),),
+        )
+    for bad in ([0, 0], [0.0, 1.0], [0, 1, 2], [[0, 1]], [1, 2]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            SdpProblem(
+                dim=2,
+                objective=np.eye(2),
+                constraints=[(np.ones((2, 2)), 2.0)],
+                symmetries=(np.array(bad),),
+            )
+
+
+def orbit_membership(p: SdpProblem):
+    """The cone rows of p with and without its symmetries, the count of
+    general rows, and the 0/1 matrix that puts each entry row in the orbit
+    row that covers it."""
+    reduced = sdp_numeric._cone_rows(p)
+    unreduced = sdp_numeric._cone_rows(dataclasses.replace(p, symmetries=()))
+    general = len(unreduced[1]) - math.comb(p.dim, 2)  # one row per off-diagonal pair
+    overlap = np.abs(reduced[0][general:]) @ np.abs(unreduced[0][general:]).T
+    return reduced, unreduced, general, (overlap > 0).astype(float)
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_orbit_rows_sum_the_entry_rows_of_their_orbit(per_group):
+    p = encode_reduced(make_one_extra(2, per_group))
+    (rows, _, n_slack), (full, _, n_free), general, member = orbit_membership(p)
+    assert np.array_equal(rows[:general], full[:general])
+    # every entry lies in exactly one orbit, and an orbit row is the sum of
+    # its entries' rows
+    assert (member.sum(axis=0) == 1).all()
+    assert np.array_equal(member @ full[general:], rows[general:])
+    # fixed orbits hold fixed entries only, slack orbits free entries only
+    n_orbits, n_entries = member.shape
+    assert not member[: n_orbits - n_slack, n_entries - n_free :].any()
+    assert not member[n_orbits - n_slack :, : n_entries - n_free].any()
+    # each orbit is the set of images of one of its pairs under the group
+    group = np.array(generated_group(p.symmetries))
+    for row in rows[general:]:
+        pairs = {tuple(sorted(divmod(int(e), p.dim))) for e in np.flatnonzero(row)}
+        i, j = min(pairs)
+        assert pairs == {tuple(sorted(pair)) for pair in zip(group[:, i], group[:, j])}
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_orbit_multipliers_bound_the_unreduced_problem(per_group):
+    # the same weak-duality bound from the orbit rows and from the entry
+    # rows with each orbit's multiplier repeated over its entries
+    p = encode_reduced(make_one_extra(2, per_group))
+    (rows, b, n_slack), (full, b_full, n_free), general, member = orbit_membership(p)
+    tau = sdp_numeric._trace_bound(p)
+    rng = np.random.default_rng(per_group)
+    for _ in range(5):
+        y = rng.normal(size=len(rows))
+        y_full = np.concatenate([y[:general], member.T @ y[general:]])
+        reduced = sdp_numeric._lower_bound(p.objective, rows, b, y, len(b) - n_slack, tau)
+        unreduced = sdp_numeric._lower_bound(
+            p.objective, full, b_full, y_full, len(b_full) - n_free, tau
+        )
+        assert reduced == pytest.approx(unreduced, abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,8 +11,9 @@ offset in ``circulant.first_row``, a wrong seed, step or return leg in
 ``instances.held_karp_cycle``, a dropped merge, key reset or side in
 ``subtour_lp.min_cut``, a lost Bland fallback or an unclipped ratio test
 in the subtour LP's simplex, a wrong weak-duality bound or trace bound in
-``sdp_numeric`` or a non-monotonicity verdict that skips the certificate
-check.  For every mutant the script copies
+``sdp_numeric``, a skipped symmetry check, a lost generator, a wrong orbit
+or orbit row in its symmetry reduction, or a non-monotonicity verdict that
+skips the certificate check.  For every mutant the script copies
 ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read its layouts)
 and ``pyproject.toml`` into a fresh temporary directory, applies the edit
 there (the working tree is never written) and runs the certificate,
@@ -299,6 +300,52 @@ MUTANTS = [
         SDP,
         "conclusive = verified and (",
         "conclusive = (",
+    ),
+    # the symmetry reduction: the generator check, the declared generators
+    # and the orbit rows
+    (
+        "sdp-symmetry-not-a-permutation",
+        SDP,
+        "                or not np.array_equal(np.sort(perm), np.arange(m))\n",
+        "",
+    ),
+    (
+        "sdp-symmetry-objective-unchecked",
+        SDP,
+        "if not np.array_equal(self.objective[moved], self.objective):",
+        "if False:",
+    ),
+    (
+        "sdp-symmetry-constraints-unchecked",
+        SDP,
+        "if Counter((b, a[moved].tobytes()) for a, b in checked) != multiset:",
+        "if False:",
+    ),
+    (
+        "sdp-no-reversal",
+        SDP,
+        "symmetries = [np.add.outer(ar * n, ar[::-1]).reshape(-1)]",
+        "symmetries = []",
+    ),
+    (
+        "sdp-orbits-one-round",
+        SDP,
+        "if np.array_equal(spread, labels):",
+        "if True:",
+    ),
+    (
+        "sdp-orbit-row-drops-member",
+        SDP,
+        "    rows[k, i * m + j] += 0.5\n    rows[k, j * m + i] += 0.5\n",
+        "    rows[k[1:], i[1:] * m + j[1:]] += 0.5\n    rows[k[1:], j[1:] * m + i[1:]] += 0.5\n",
+    ),
+    (
+        "sdp-fixed-and-slack-orbits-merged",
+        SDP,
+        "    fixed_rows = _orbit_rows(m, np.triu(fixed), orbits)\n"
+        "    slack_rows = _orbit_rows(m, np.triu(~fixed, 1), orbits)\n",
+        "    fixed_rows = np.zeros((0, m * m))\n"
+        "    slack_rows = _orbit_rows(m, np.triu(np.ones_like(fixed), 1), orbits)\n",
     ),
 ]
 
