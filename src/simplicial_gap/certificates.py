@@ -17,11 +17,12 @@ cannot go stale.  This module also evaluates the certificate's objective
 and verifies feasibility.  The closed forms always run; below the dense cap
 the dense oracle joins in.  ``dense_view`` is the one place that chooses
 the mode: in dense mode it densifies Y once, one vertex row (n x n^2) at a
-time, and reads each row once.  The row's wrapped-diagonal sums give every
-contraction the dense checks read and the row's share of Y's projection
-onto symmetric circulant minor blocks, whose frequency blocks M_k of side
-n need k = 0..n/2 only.  It then factors those blocks, with the
-frequency-0 block shifted by -J_n/n for Y - J/n^2, in one batched call.
+time in offset coordinates, and reads each row once.  The row's
+wrapped-diagonal sums give every contraction the dense checks read and the
+row's share of Y's projection onto symmetric circulant minor blocks, whose
+frequency blocks M_k of side n need k = 0..n/2 only.  It then factors
+those blocks, with the frequency-0 block shifted by -J_n/n for Y - J/n^2,
+in one batched call.
 The oracle holds O(n^3) numbers at once and never Y whole; both
 relaxations' verifiers (this module's and ``anstreicher_sdp``'s) read the
 resulting ``DenseView``: those contractions and the two spectra.
@@ -128,15 +129,18 @@ class CertificateY:
         return closed_form_spectrum(self)
 
     def densify(self) -> Iterator[np.ndarray]:
-        """Y's n vertex rows, one at a time; SizeLimitError beyond the dense cap.
+        """Y's n vertex rows in offset coordinates, one at a time.
 
-        Row u is the n x n^2 slab Y[(u, s), (v, t)], s down and (v, t)
-        across; Y is never held whole.  The cap is checked at the call,
-        before the first row.  Minor block (u, v) is circulant kind(u, v):
-        kind 0 (u = v) is 2I/2n, kind 1 (same group) A/2n and kind 2
-        (across groups) B/2n, so Y[(u, s), (v, t)] = circ[s, kind(u, v), t]
-        with circ[s, kind, t] the first row of that circulant read at
-        offset t - s.  Each row is one lookup of n kinds into circ.
+        Row u is the n x n^2 slab w[s, (v, o)] = Y[(u, s), (v, (s + o)
+        mod n)], s down and (v, o) across: column o of minor block (u, v)
+        holds its o-th wrapped diagonal.  Y is never held whole.  The cap
+        is checked at the call, before the first row; SizeLimitError beyond
+        it.  Minor block (u, v) is circulant kind(u, v): kind 0 (u = v) is
+        2I/2n, kind 1 (same group) A/2n and kind 2 (across groups) B/2n, so
+        Y[(u, s), (v, t)] = circ[s, kind(u, v), t] with circ[s, kind, t]
+        the first row of that circulant read at offset t - s.  The skew
+        skew[s, kind, o] = circ[s, kind, (s + o) mod n] is built once, and
+        each row is one lookup of n kinds into it.
         """
         n, g, p = self.n, self.g, self.per_group
         cap = dense_cap()
@@ -149,9 +153,11 @@ class CertificateY:
         ) / (2.0 * n)
         same_group = kron(np.eye(g), np.ones((p, p))).astype(int)
         kind = 2 - same_group - np.eye(n, dtype=int)
-        offset = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        circ = np.ascontiguousarray(row[:, offset].transpose(1, 0, 2))
-        return (np.take(circ, kind[u], axis=1).reshape(n, n * n) for u in range(n))
+        pos = np.arange(n)
+        circ = row[:, (pos[None, :] - pos[:, None]) % n].transpose(1, 0, 2)
+        wrap = (pos[:, None] + pos[None, :]) % n  # [s, o] -> t
+        skew = np.take_along_axis(circ, wrap[:, None, :], axis=2)
+        return (np.take(skew, kind[u], axis=1).reshape(n, n * n) for u in range(n))
 
 
 def assemble(n: int, g: int) -> CertificateY:
@@ -281,8 +287,8 @@ class DenseView:
     ``diagonal[u, s]`` = Y[(u, s), (u, s)], ``block_traces[u, v]`` =
     tr Y^(uv), ``diagonal_block_sum`` = sum_u Y^(uu) and
     ``c1_inner[u, v]`` = <C1, Y^(uv)>.  ``entry_sum`` is the sum of Y's
-    entries, pairwise within each vertex row, and ``min_entry``/
-    ``max_entry`` bound them.
+    entries, added up from each vertex row's wrapped-diagonal sums, and
+    ``min_entry``/``max_entry`` bound them.
     ``eigenvalues`` is Y's ascending spectrum and ``shifted_eigenvalues``
     that of Y - J/n^2, all n^2 values each, from one batched ``sym_eigs``
     call over the n/2 + 2 frequency blocks (see ``dense_view``).  Y itself
@@ -323,48 +329,50 @@ def _row_pass(
 ) -> tuple[dict[str, np.ndarray | float], np.ndarray, float]:
     """One pass over Y's n vertex rows (each n x n^2): contractions and blocks.
 
-    Row u is reindexed to offset coordinates, w[s, v, o] = Y[(u, s), (v,
-    (s + o) mod n)], and summed over s: d[v, o] is the o-th wrapped-diagonal
-    sum of minor block Y^(uv).  Its nearest symmetric circulant has first
-    row h[v, o] = (d[v, o] + d[v, -o]) / 2n and eigenvalue M_k[u, v] =
-    sum_o h[v, o] cos(2 pi k o / n) at frequency k, kept for k = 0..n/2
-    (M_{n-k} = M_k).  The discarded mass, the mass of w - h entry by entry
-    plus the blocks' antisymmetric part (twice for each paired frequency),
-    is the Frobenius distance from Y to the symmetric matrix with symmetric
-    circulant minor blocks whose spectrum the blocks give.  The pass also
-    collects the ``DenseView`` contractions; it returns them by field name,
-    the symmetrised blocks (n/2 + 1, n, n) and the discarded mass.  Nothing
-    here assumes circulant structure, so it reads the rows of any matrix.
+    Each row comes in offset coordinates, w[s, v, o] = Y[(u, s), (v,
+    (s + o) mod n)] (see ``CertificateY.densify``), and is summed over s:
+    d[v, o] is the o-th wrapped-diagonal sum of minor block Y^(uv).  Its
+    nearest symmetric circulant has first row h[v, o] = (d[v, o] + d[v,
+    -o]) / 2n and eigenvalue M_k[u, v] = sum_o h[v, o] cos(2 pi k o / n)
+    at frequency k, kept for k = 0..n/2 (M_{n-k} = M_k).  The discarded
+    mass, the mass of w - h entry by entry plus the blocks' antisymmetric
+    part (twice for each paired frequency), is the Frobenius distance from
+    Y to the symmetric matrix with symmetric circulant minor blocks whose
+    spectrum the blocks give.  The pass also collects the ``DenseView``
+    contractions; it returns them by field name, the symmetrised blocks
+    (n/2 + 1, n, n) and the discarded mass.  ``diagonal_block_sum`` adds
+    up the rows' own blocks w[s, u, o] and is scattered back to (s, t)
+    once, at t = (s + o) mod n.  Nothing here assumes circulant structure,
+    so it reads the rows of any matrix given in offset coordinates.
     """
     pos = np.arange(n)
     freq = np.arange(n // 2 + 1)
     cosines = np.cos((2.0 * np.pi / n) * (np.outer(pos, freq) % n))  # [o, k]
-    w = np.empty((n, n, n))
+    residual = np.empty((n, n, n))
     blocks = np.empty((n // 2 + 1, n, n))
     diagonal = np.empty((n, n))
     block_traces = np.empty((n, n))
-    diagonal_block_sum = np.zeros((n, n))
+    own_blocks = np.zeros((n, n))  # [s, o]
     c1_inner = np.empty((n, n))
     total, off, low, high = 0.0, 0.0, np.inf, -np.inf
     for u, row in enumerate(rows):
-        y3 = row.reshape(n, n, n)  # [s, v, t]
-        for s in range(n):  # w[s, v, o] = y3[s, v, (s + o) mod n]
-            w[s, :, : n - s] = y3[s, :, s:]
-            w[s, :, n - s :] = y3[s, :, :s]
+        w = row.reshape(n, n, n)  # [s, v, o]
         d = w.sum(axis=0)
         diagonal[u] = w[:, u, 0]
         block_traces[u] = d[:, 0]
-        diagonal_block_sum += y3[:, u, :]
+        own_blocks += w[:, u, :]
         c1_inner[u] = d[:, 1] + d[:, n - 1]
-        total += float(row.sum())
+        total += float(d.sum())
         low, high = min(low, float(row.min())), max(high, float(row.max()))
         h = (d + d[:, -pos % n]) / (2.0 * n)
         blocks[:, u, :] = (h @ cosines).T
-        w -= h
-        off += float(np.vdot(w, w))
+        np.subtract(w, h, out=residual)
+        off += float(np.vdot(residual, residual))
     anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
     pair = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0)
     discarded = float(np.sqrt(off + pair @ (anti * anti).sum(axis=(1, 2))))
+    diagonal_block_sum = np.empty((n, n))
+    diagonal_block_sum[pos[:, None], (pos[:, None] + pos[None, :]) % n] = own_blocks
     sums = {
         "diagonal": diagonal,
         "block_traces": block_traces,
@@ -384,11 +392,12 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     (closed forms and blockwise residuals only) past it; ``force`` insists
     on the dense oracle and raises SizeLimitError past the cap.  Callers
     that want the structured checks below the cap pass view None directly.
-    Y is densified once, one vertex row at a time, and read in one pass
-    (``_row_pass``) that projects every minor block onto the symmetric
-    circulants and keeps the frequency blocks M_k of side n for k =
-    0..n/2 (M_{n-k} = M_k) and every contraction the checks read, so at
-    most O(n^3) numbers are held at once and never the n^2 x n^2 matrix.
+    Y is densified once, one vertex row at a time in offset coordinates,
+    and read in one pass (``_row_pass``) that projects every minor block
+    onto the symmetric circulants and keeps the frequency blocks M_k of
+    side n for k = 0..n/2 (M_{n-k} = M_k) and every contraction the checks
+    read, so at most O(n^3) numbers are held at once and never the
+    n^2 x n^2 matrix.
     By Weyl's inequality every eigenvalue of Y lies within the Frobenius
     mass the projection discards of the block spectrum; more than
     ``EIG_TOL * max|Y|`` of it raises ConvergenceError carrying that mass.

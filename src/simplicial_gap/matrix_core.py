@@ -14,8 +14,9 @@ environment variable ``SIMPLICIAL_GAP_MAX_DENSE`` if set, else
 ``DEFAULT_DENSE_CAP``.  It bounds the side length of every matrix that
 ``kron`` builds and ``sym_eigs`` factors (for a stack, the side of each
 block), and that of the certificate Y whose vertex rows
-``CertificateY.densify`` yields: checked at the call, although the dense
-oracle holds only O(n^3) numbers of Y at a time, never all n^4.
+``CertificateY.densify`` yields in offset coordinates: checked at the
+call, although the dense oracle holds only O(n^3) numbers of Y at a time,
+never all n^4.
 """
 
 from __future__ import annotations

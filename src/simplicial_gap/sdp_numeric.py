@@ -326,9 +326,14 @@ def _lower_bound(
     return float(b @ y) - (tau * neg if neg > 0.0 else 0.0)
 
 
-def _max_step(mat: np.ndarray, dmat: np.ndarray, vec: np.ndarray, dvec: np.ndarray) -> float:
-    """Longest a with mat + a dmat PSD and vec + a dvec >= 0 (inf if none binds)."""
-    l_inv = np.linalg.inv(np.linalg.cholesky(mat))
+def _max_step(
+    l_inv: np.ndarray, dmat: np.ndarray, vec: np.ndarray, dvec: np.ndarray
+) -> float:
+    """Longest a with mat + a dmat PSD and vec + a dvec >= 0 (inf if none binds).
+
+    l_inv is the inverse of mat's Cholesky factor, so mat + a dmat is PSD
+    while I + a l_inv dmat l_inv^T is.
+    """
     worst = float(np.linalg.eigvalsh(l_inv @ dmat @ l_inv.T)[0])
     if len(vec):
         worst = min(worst, float((dvec / vec).min()))
@@ -388,9 +393,13 @@ def solve(p: SdpProblem, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
             status = "iteration-limit"
             break
         try:
-            dx, dsl, dy, ds, dz = _hkm_step(c, rows, b, first, x, sl, y, s_mat, z, nu)
-            alpha_p = min(1.0, STEP_FRACTION * _max_step(x, dx, sl, dsl))
-            alpha_d = min(1.0, STEP_FRACTION * _max_step(s_mat, ds, z, dz))
+            lx_inv = np.linalg.inv(np.linalg.cholesky(x))
+            ls_inv = np.linalg.inv(np.linalg.cholesky(s_mat))
+            dx, dsl, dy, ds, dz = _hkm_step(
+                c, rows, b, first, x, sl, y, s_mat, z, nu, lx_inv, ls_inv
+            )
+            alpha_p = min(1.0, STEP_FRACTION * _max_step(lx_inv, dx, sl, dsl))
+            alpha_d = min(1.0, STEP_FRACTION * _max_step(ls_inv, ds, z, dz))
         except np.linalg.LinAlgError:
             status = "stalled"
             break
@@ -414,14 +423,15 @@ def solve(p: SdpProblem, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     )
 
 
-def _hkm_step(c, rows, b, first, x, sl, y, s_mat, z, nu):
+def _hkm_step(c, rows, b, first, x, sl, y, s_mat, z, nu, lx_inv, ls_inv):
     """Predictor-corrector HKM direction (dX, ds, dy, dS, dz).
 
     Residuals of A vec(X) - [0; s] = b, C - A^T y - S = 0 and
     y[first:] - z = 0; X S = sigma mu I is linearised as
     dX = (R - X dS) S^-1, symmetrised, and likewise s z = sigma mu.
-    Raises LinAlgError when S or the Schur complement is not positive
-    definite.
+    lx_inv and ls_inv are the inverses of the Cholesky factors of X and
+    S, factored once per Newton step by the caller.  Raises LinAlgError
+    when the Schur complement is not positive definite.
     """
     m = x.shape[0]
     rp = b - rows @ x.reshape(-1)
@@ -430,7 +440,6 @@ def _hkm_step(c, rows, b, first, x, sl, y, s_mat, z, nu):
     rz = y[first:] - z
     mu = (float(np.sum(x * s_mat)) + float(sl @ z)) / nu
 
-    ls_inv = np.linalg.inv(np.linalg.cholesky(s_mat))
     s_inv = ls_inv.T @ ls_inv
     # row i of A kron(X, S^-1) is vec(X A_i S^-1)
     schur = (x @ rows.reshape(-1, m, m) @ s_inv).reshape(len(rows), -1) @ rows.T
@@ -448,8 +457,8 @@ def _hkm_step(c, rows, b, first, x, sl, y, s_mat, z, nu):
 
     xs = x @ s_mat
     dx, dsl, _, ds, dz = direction(-xs, -sl * z)
-    alpha_p = min(1.0, _max_step(x, dx, sl, dsl))
-    alpha_d = min(1.0, _max_step(s_mat, ds, z, dz))
+    alpha_p = min(1.0, _max_step(lx_inv, dx, sl, dsl))
+    alpha_d = min(1.0, _max_step(ls_inv, ds, z, dz))
     mu_aff = (
         float(np.sum((x + alpha_p * dx) * (s_mat + alpha_d * ds)))
         + float((sl + alpha_p * dsl) @ (z + alpha_d * dz))
@@ -467,17 +476,26 @@ def lift_upper_bound(p: SdpProblem) -> float:
     p must have dim n^2 with n <= MAX_ENCODE_N.  Each v v^T is a 0/1 PSD
     matrix, so a lift that meets every constraint exactly is a feasible
     point and its value bounds the optimum from above; inf if none does.
+    All n! lifts are the rows of one 0/1 matrix V, and v^T A v for every
+    lift at once is the row sum of (V A) * V.  The encoded matrices hold
+    halves and integers, so these sums are exact in any order.
     """
     n = math.isqrt(p.dim)
     if n * n != p.dim or n > MAX_ENCODE_N:
         raise ValueError(f"lifts need dim n^2 with n <= {MAX_ENCODE_N}, got {p.dim}")
-    best = math.inf
-    for perm in itertools.permutations(range(n)):
-        v = np.zeros(p.dim)
-        v[np.arange(n) * n + np.array(perm)] = 1.0
-        if all(v @ a @ v == b for a, b in p.constraints):
-            best = min(best, float(v @ p.objective @ v))
-    return best
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int)
+    lifts = np.zeros((len(perms), p.dim))
+    np.put_along_axis(lifts, np.arange(n) * n + perms, 1.0, axis=1)
+
+    def values(a: np.ndarray) -> np.ndarray:
+        return ((lifts @ a) * lifts).sum(axis=1)
+
+    feasible = np.ones(len(perms), dtype=bool)
+    for a, b in p.constraints:
+        feasible &= values(a) == b
+    if not feasible.any():
+        return math.inf
+    return float(values(p.objective)[feasible].min())
 
 
 @dataclass

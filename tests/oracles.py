@@ -4,11 +4,16 @@ Nothing in ``simplicial_gap`` reads these.  Each one restates a fact the
 package computes another way (a literal matrix, a brute-force loop, an
 expanded multiset) so that a test can hold the two side by side.  The
 methods of package classes appear here as functions of the instance.
-``stacked`` and ``row_view`` are adapters: they hold Y whole from its
-streamed rows, or feed any matrix's rows through the package's row pass.
+``offset_rows`` and ``natural_matrix`` move a matrix into and out of the
+offset coordinates that ``CertificateY.densify`` yields and the row pass
+reads.  ``stacked`` and ``row_view`` are adapters: they hold Y whole from
+its streamed rows, or feed any matrix's rows through the package's row pass.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -18,6 +23,7 @@ from simplicial_gap.circulant import cosine_profile
 from simplicial_gap.instances import SimplicialInstance
 from simplicial_gap.matrix_core import SizeLimitError, dense_cap, kron
 from simplicial_gap.reduced_sdp import ReducedObjective, Reduction
+from simplicial_gap.sdp_numeric import SdpProblem
 from simplicial_gap.subtour_lp import WEIGHT_TOL, LpEdgeSolution, _components, _weights
 
 
@@ -73,20 +79,49 @@ def densify_kron(y: CertificateY) -> np.ndarray:
     return out / (2.0 * n)
 
 
+def offset_rows(y_dense: np.ndarray) -> np.ndarray:
+    """The n vertex rows of any n^2-side matrix in offset coordinates.
+
+    Row u comes back as the n x n^2 slab w[s, (v, o)] = Y[(u, s), (v,
+    (s + o) mod n)], by two slice copies per position s: the layout that
+    ``CertificateY.densify`` yields, here by a loop instead of its table.
+    """
+    n = round(y_dense.shape[0] ** 0.5)
+    y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
+    w = np.empty_like(y4)  # [u, s, v, o]
+    for s in range(n):  # w[:, s, v, o] = y4[:, s, v, (s + o) mod n]
+        w[:, s, :, : n - s] = y4[:, s, :, s:]
+        w[:, s, :, n - s :] = y4[:, s, :, :s]
+    return w.reshape(n, n, n * n)
+
+
+def natural_matrix(rows) -> np.ndarray:
+    """The n^2-side matrix whose ``offset_rows`` are ``rows``: Y whole."""
+    w = np.stack(list(rows))
+    n = w.shape[0]
+    w = w.reshape(n, n, n, n)  # [u, s, v, o]
+    y4 = np.empty_like(w)  # [u, s, v, t]
+    for s in range(n):  # y4[:, s, v, t] = w[:, s, v, (t - s) mod n]
+        y4[:, s, :, s:] = w[:, s, :, : n - s]
+        y4[:, s, :, :s] = w[:, s, :, n - s :]
+    return y4.reshape(n * n, n * n)
+
+
 def stacked(y: CertificateY) -> np.ndarray:
     """Y whole, n^2 x n^2: the vertex rows of ``y.densify()`` stacked."""
-    return np.concatenate(list(y.densify()))
+    return natural_matrix(y.densify())
 
 
 def row_view(y_dense: np.ndarray) -> DenseView:
     """The dense view's contractions of any n^2-side matrix, spectra empty.
 
-    Feeds the matrix's n vertex rows through the same one-pass reader that
-    ``dense_view`` runs on a certificate, so residual and objective tests
-    on a random Y check the contractions the verifiers read.
+    Feeds the matrix's n vertex rows, in offset coordinates, through the
+    same one-pass reader that ``dense_view`` runs on a certificate, so
+    residual and objective tests on a random Y check the contractions the
+    verifiers read.
     """
     n = round(y_dense.shape[0] ** 0.5)
-    sums, _, _ = certificates._row_pass(y_dense.reshape(n, n, n * n), n)
+    sums, _, _ = certificates._row_pass(offset_rows(y_dense), n)
     return DenseView(**sums, eigenvalues=np.empty(0), shifted_eigenvalues=np.empty(0))
 
 
@@ -335,3 +370,20 @@ def generated_group(generators) -> list[tuple[int, ...]]:
                     new.append(image)
         frontier = new
     return sorted(seen)
+
+
+def lift_upper_bound_loop(p: SdpProblem) -> float:
+    """Least <C, v v^T> over the feasible permutation lifts, one lift at a time.
+
+    The reference for ``sdp_numeric.lift_upper_bound``: v = vec(P) for
+    each permutation in turn, v^T A v per constraint; inf if none is
+    feasible.
+    """
+    n = math.isqrt(p.dim)
+    best = math.inf
+    for perm in itertools.permutations(range(n)):
+        v = np.zeros(p.dim)
+        v[np.arange(n) * n + np.array(perm)] = 1.0
+        if all(v @ a @ v == b for a, b in p.constraints):
+            best = min(best, float(v @ p.objective @ v))
+    return best

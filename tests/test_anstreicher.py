@@ -13,7 +13,14 @@ from simplicial_gap.certificates import (
 from simplicial_gap.matrix_core import DENSE_CAP_ENV_VAR
 from simplicial_gap.serialize import record_json
 
-from oracles import densify_kron, multiset, row_column_map, row_view, stacked
+from oracles import (
+    densify_kron,
+    multiset,
+    offset_rows,
+    row_column_map,
+    row_view,
+    stacked,
+)
 
 
 def test_row_column_map_layout():
@@ -207,7 +214,7 @@ def test_shifted_spectrum_holds_without_equal_row_sums(monkeypatch):
     tilted[0:n, n : 2 * n] *= 3.0
     tilted[n : 2 * n, 0:n] *= 3.0
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(tilted.reshape(n, n, n * n))
+        type(y), "densify", lambda self: iter(offset_rows(tilted))
     )
     want = np.linalg.eigvalsh(tilted - 1.0 / (n * n))
 

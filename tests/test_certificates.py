@@ -34,6 +34,7 @@ from oracles import (
     frequency_blocks_whole,
     lower_bound_akk,
     multiset,
+    offset_rows,
     profile_identity_residuals,
     row_view,
     stacked,
@@ -144,7 +145,8 @@ def test_densify_follows_a_raised_cap(monkeypatch):
     assert len(rows) == n
     for u, row in enumerate(rows):
         assert row.shape == (n, n * n)
-        assert np.all(row.reshape(n, n, n)[:, u, :].diagonal() == 1.0 / n)
+        # offset 0 of the row's own block is Y's diagonal
+        assert np.all(row.reshape(n, n, n)[:, u, 0] == 1.0 / n)
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (2, 16), (4, 16)])
@@ -341,6 +343,19 @@ def test_densify_matches_the_kronecker_oracle(g, n):
 
 
 @pytest.mark.parametrize("g,n", BLOCK_GRID)
+def test_densify_yields_rows_in_offset_coordinates(g, n):
+    # the skew table against the slice-by-slice reindex of the Kronecker
+    # sum, row by row: row u holds Y[(u, s), (v, (s + o) mod n)] at [s, v, o]
+    y = assemble(n, g)
+    want = offset_rows(densify_kron(y))
+    rows = list(y.densify())
+    assert len(rows) == n
+    for u, row in enumerate(rows):
+        assert row.shape == (n, n * n)
+        assert np.array_equal(row, want[u])
+
+
+@pytest.mark.parametrize("g,n", BLOCK_GRID)
 def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shifted):
     # the oracle of the oracle: dense_view's streamed row pass against Y
     # held whole.  Each contraction equals the same contraction of the
@@ -386,8 +401,8 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shift
 
 
 def test_dense_view_memory_stays_small():
-    # the pass holds one vertex row (n x n^2), its offset-coordinate copy
-    # and the n/2 + 1 frequency blocks at a time: 2.5 MiB at n = 44, where
+    # the pass holds one vertex row (n x n^2), its residual buffer and
+    # the n/2 + 1 frequency blocks at a time: 2.5 MiB at n = 44, where
     # conjugating each row by the real Fourier basis peaked at 4.1 MiB and
     # Y held whole, n^4 floats, is 28.6 MiB
     y = assemble(44, 2)
@@ -443,7 +458,7 @@ def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
     tilted[i, j] += delta
     tilted[j, i] += delta
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(tilted.reshape(n, n, n * n))
+        type(y), "densify", lambda self: iter(offset_rows(tilted))
     )
     with pytest.raises(ConvergenceError) as exc:
         dense_view(y, force=True)
@@ -471,7 +486,7 @@ def test_dense_view_refuses_a_circulant_block_off_its_mirror(monkeypatch):
     tilted[5 * n : 6 * n, 0:n] += delta * (shift.T - shift)
     assert np.array_equal(tilted, tilted.T)
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(tilted.reshape(n, n, n * n))
+        type(y), "densify", lambda self: iter(offset_rows(tilted))
     )
     with pytest.raises(ConvergenceError) as exc:
         dense_view(y, force=True)
@@ -489,7 +504,7 @@ def test_dense_view_counts_the_antisymmetric_mass_per_frequency(monkeypatch):
     shift = np.roll(np.eye(n), 1, axis=1)
     tilted[0:n, 5 * n : 6 * n] += delta * (shift + shift.T)
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(tilted.reshape(n, n, n * n))
+        type(y), "densify", lambda self: iter(offset_rows(tilted))
     )
     with pytest.raises(ConvergenceError) as exc:
         dense_view(y, force=True)

@@ -21,7 +21,7 @@ from simplicial_gap.sdp_numeric import (
 )
 from simplicial_gap.serialize import record_json
 
-from oracles import generated_group, stacked
+from oracles import generated_group, lift_upper_bound_loop, stacked
 
 TINY_BOUND_16 = 1.5709035061653493
 
@@ -358,6 +358,29 @@ def test_lower_bound_is_below_convex_combinations_of_lifts(brackets, weights):
     w = np.array(weights) / sum(weights)
     yy = sum(wk * lift for wk, lift in zip(w, feasible))
     assert sol.lower_bound <= float(np.sum(p.objective * yy)) + 1e-12
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_lift_upper_bound_matches_the_loop_over_lifts(per_group):
+    # all n! lifts at once against one lift at a time, bit for bit: on the
+    # encoded problem, where every lift costs 2; under an integer tilt of
+    # the objective that tells the lifts apart, with and without one more
+    # constraint that keeps the lifts with vertex 0 at position 0; and
+    # with a total sum no lift meets
+    p = encode_reduced(make_one_extra(2, per_group))
+    n = math.isqrt(p.dim)
+    tilt = np.random.default_rng(per_group).integers(0, 4, (p.dim, p.dim))
+    tilted = dataclasses.replace(p, objective=p.objective + tilt + tilt.T, symmetries=())
+    e00 = np.zeros((p.dim, p.dim))
+    e00[0, 0] = 1.0
+    pinned = dataclasses.replace(tilted, constraints=[*p.constraints, (e00, 1.0)])
+    *rest, (ones, _) = p.constraints
+    unmet = dataclasses.replace(tilted, constraints=[*rest, (ones, n * n + 1.0)])
+    assert lift_upper_bound(p) == lift_upper_bound_loop(p) == 2.0
+    assert lift_upper_bound(tilted) == lift_upper_bound_loop(tilted) > 2.0
+    assert lift_upper_bound(pinned) == lift_upper_bound_loop(pinned)
+    assert lift_upper_bound(pinned) >= lift_upper_bound(tilted)
+    assert lift_upper_bound(unmet) == lift_upper_bound_loop(unmet) == math.inf
 
 
 def test_lift_upper_bound_needs_a_square_dim():

@@ -2,18 +2,20 @@
 exact baselines and the tiny-SDP solver.
 
 Each mutant below is one textual edit of the package: a dropped clause of a
-verifier's ``passed`` expression, a wrong residual formula, a wrong
-contraction, projection or mass sum in the row pass behind
-``certificates.dense_view``, a wrong shift, block slice or count of paired
-frequencies in ``dense_view`` itself, a wrong count, factor or fixing in
-``reduced_sdp``'s bound, a skipped verification in ``gap_table``, a wrong
-offset in ``circulant.first_row``, a wrong seed, step or return leg in
-``instances.held_karp_cycle``, a dropped merge, key reset or side in
-``subtour_lp.min_cut``, a lost Bland fallback or an unclipped ratio test
-in the subtour LP's simplex, a wrong weak-duality bound or trace bound in
-``sdp_numeric``, a skipped symmetry check, a lost generator, a wrong orbit
-or orbit row in its symmetry reduction, or a non-monotonicity verdict that
-skips the certificate check.  For every mutant the script copies
+verifier's ``passed`` expression, a wrong residual formula, a wrong offset
+table in ``CertificateY.densify`` or in the row pass's scatter of the
+diagonal-block sum, a wrong contraction, projection or mass sum in the row
+pass behind ``certificates.dense_view``, a wrong shift, block slice or
+count of paired frequencies in ``dense_view`` itself, a wrong count,
+factor or fixing in ``reduced_sdp``'s bound, a skipped verification in
+``gap_table``, a wrong offset in ``circulant.first_row``, a wrong seed,
+step or return leg in ``instances.held_karp_cycle``, a dropped merge, key
+reset or side in ``subtour_lp.min_cut``, a lost Bland fallback or an
+unclipped ratio test in the subtour LP's simplex, a wrong weak-duality
+bound, trace bound, lift bound or step length in ``sdp_numeric``, a
+skipped symmetry check, a lost generator, a wrong orbit or orbit row in its
+symmetry reduction, or a non-monotonicity verdict that skips the
+certificate check.  For every mutant the script copies
 ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read its layouts)
 and ``pyproject.toml`` into a fresh temporary directory, applies the edit
 there (the working tree is never written) and runs the certificate,
@@ -128,8 +130,8 @@ MUTANTS = [
     (
         "anst-dense-block-sum-all-blocks",
         CERT,
-        "diagonal_block_sum += y3[:, u, :]",
-        "diagonal_block_sum += y3.sum(axis=1)",
+        "own_blocks += w[:, u, :]",
+        "own_blocks += w.sum(axis=1)",
     ),
     (
         "anst-dense-trace-pattern-block-sum",
@@ -143,8 +145,32 @@ MUTANTS = [
         "abs(2.0 * n * tr_diag_block - 2.0 * n)",
         "abs(2.0 * n * tr_diag_block - n)",
     ),
+    # densify's offset coordinates: the skew table reads offset o at t = o
+    (
+        "densify-skew-ignores-s",
+        CERT,
+        "wrap = (pos[:, None] + pos[None, :]) % n",
+        "wrap = (0 * pos[:, None] + pos[None, :]) % n",
+    ),
     # the one pass over Y's vertex rows and its projection
-    ("pass-drops-discarded-mass", CERT, "        off += float(np.vdot(w, w))\n", ""),
+    (
+        "pass-drops-discarded-mass",
+        CERT,
+        "        off += float(np.vdot(residual, residual))\n",
+        "",
+    ),
+    (
+        "pass-block-sum-wrong-scatter",
+        CERT,
+        "diagonal_block_sum[pos[:, None], (pos[:, None] + pos[None, :]) % n]",
+        "diagonal_block_sum[pos[:, None], (pos[None, :] - pos[:, None]) % n]",
+    ),
+    (
+        "pass-entry-sum-offset-0",
+        CERT,
+        "total += float(d.sum())",
+        "total += float(d[:, 0].sum())",
+    ),
     ("pass-h-without-mirror", CERT, "(d + d[:, -pos % n]) / (2.0 * n)", "d / n"),
     (
         "pass-anti-without-pair-weight",
@@ -173,8 +199,8 @@ MUTANTS = [
     (
         "pass-diagonal-block-wrong-column",
         CERT,
-        "diagonal_block_sum += y3[:, u, :]",
-        "diagonal_block_sum += y3[:, (u + 1) % n, :]",
+        "own_blocks += w[:, u, :]",
+        "own_blocks += w[:, (u + 1) % n, :]",
     ),
     # the -J_n/n shift and the block slicing in dense_view
     ("shift-dropped", CERT, "blocks[:1] - 1.0 / n", "blocks[:1]"),
@@ -294,6 +320,18 @@ MUTANTS = [
         SDP,
         "[math.inf] + [rhs for a, rhs in p.constraints if (a == 1.0).all()]",
         "[math.inf]",
+    ),
+    (
+        "sdp-lift-ignores-constraints",
+        SDP,
+        "feasible &= values(a) == b",
+        "feasible &= values(a) == values(a)",
+    ),
+    (
+        "sdp-step-length-wrong-factor",
+        SDP,
+        "STEP_FRACTION * _max_step(lx_inv, dx, sl, dsl)",
+        "STEP_FRACTION * _max_step(ls_inv, dx, sl, dsl)",
     ),
     (
         "sdp-conclusive-unverified",
