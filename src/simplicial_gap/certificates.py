@@ -288,7 +288,7 @@ class DenseView:
     tr Y^(uv), ``diagonal_block_sum`` = sum_u Y^(uu) and
     ``c1_inner[u, v]`` = <C1, Y^(uv)>.  ``entry_sum`` is the sum of Y's
     entries, added up from each vertex row's wrapped-diagonal sums, and
-    ``min_entry``/``max_entry`` bound them.
+    ``min_entry``/``max_entry`` bound them (both NaN if any entry is).
     ``eigenvalues`` is Y's ascending spectrum and ``shifted_eigenvalues``
     that of Y - J/n^2, all n^2 values each, from one batched ``sym_eigs``
     call over the n/2 + 2 frequency blocks (see ``dense_view``).  Y itself
@@ -344,11 +344,16 @@ def _row_pass(
     up the rows' own blocks w[s, u, o] and is scattered back to (s, t)
     once, at t = (s + o) mod n.  Nothing here assumes circulant structure,
     so it reads the rows of any matrix given in offset coordinates.
+
+    The pass consumes its rows: once every contraction has read a row, the
+    row is overwritten by its own residual w - h, so no second n^3 buffer
+    is held.  A NaN entry propagates into ``min_entry``/``max_entry`` and
+    into the discarded mass.
     """
     pos = np.arange(n)
+    mirror = -pos % n
     freq = np.arange(n // 2 + 1)
     cosines = np.cos((2.0 * np.pi / n) * (np.outer(pos, freq) % n))  # [o, k]
-    residual = np.empty((n, n, n))
     blocks = np.empty((n // 2 + 1, n, n))
     diagonal = np.empty((n, n))
     block_traces = np.empty((n, n))
@@ -363,11 +368,11 @@ def _row_pass(
         own_blocks += w[:, u, :]
         c1_inner[u] = d[:, 1] + d[:, n - 1]
         total += float(d.sum())
-        low, high = min(low, float(row.min())), max(high, float(row.max()))
-        h = (d + d[:, -pos % n]) / (2.0 * n)
+        low, high = np.minimum(low, w.min()), np.maximum(high, w.max())
+        h = (d + d[:, mirror]) / (2.0 * n)
         blocks[:, u, :] = (h @ cosines).T
-        np.subtract(w, h, out=residual)
-        off += float(np.vdot(residual, residual))
+        np.subtract(w, h, out=w)  # the row is its own residual from here on
+        off += float(np.vdot(w, w))
     anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
     pair = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0)
     discarded = float(np.sqrt(off + pair @ (anti * anti).sum(axis=(1, 2))))
@@ -379,8 +384,8 @@ def _row_pass(
         "diagonal_block_sum": diagonal_block_sum,
         "c1_inner": c1_inner,
         "entry_sum": total,
-        "min_entry": low,
-        "max_entry": high,
+        "min_entry": float(low),
+        "max_entry": float(high),
     }
     return sums, 0.5 * (blocks + blocks.transpose(0, 2, 1)), discarded
 
@@ -396,11 +401,14 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     and read in one pass (``_row_pass``) that projects every minor block
     onto the symmetric circulants and keeps the frequency blocks M_k of
     side n for k = 0..n/2 (M_{n-k} = M_k) and every contraction the checks
-    read, so at most O(n^3) numbers are held at once and never the
-    n^2 x n^2 matrix.
+    read.  The pass overwrites each row with its own residual and keeps no
+    row-sized buffer of its own, so O(n^3) numbers are held at once (the
+    row being read, the next one as ``densify`` makes it, and the blocks),
+    never the n^2 x n^2 matrix.
     By Weyl's inequality every eigenvalue of Y lies within the Frobenius
     mass the projection discards of the block spectrum; more than
-    ``EIG_TOL * max|Y|`` of it raises ConvergenceError carrying that mass.
+    ``EIG_TOL * max|Y|`` of it, or a NaN mass (a non-finite entry of Y),
+    raises ConvergenceError carrying that mass.
     J/n^2 is block-circulant too, with symbol J_n/n at frequency 0 and
     zero elsewhere, so Y - J/n^2 has the blocks of Y with M_0 replaced by
     M_0 - J_n/n.  One batched ``sym_eigs`` call factors the n/2 + 1 blocks
@@ -411,7 +419,7 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     n = y.n
     sums, blocks, discarded = _row_pass(y.densify(), n)
     scale = max(sums["max_entry"], -sums["min_entry"])
-    if discarded > EIG_TOL * scale:
+    if not discarded <= EIG_TOL * scale:  # NaN mass fails too
         raise ConvergenceError(
             f"Y's minor blocks are not symmetric circulants: discarded mass "
             f"{discarded:.3e} exceeds {EIG_TOL:.1e} * {scale:.3e}",

@@ -400,19 +400,33 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shift
     assert np.abs(view.shifted_eigenvalues - dense_shifted(g, n)).max() <= 1e-12
 
 
-def test_dense_view_memory_stays_small():
-    # the pass holds one vertex row (n x n^2), its residual buffer and
-    # the n/2 + 1 frequency blocks at a time: 2.5 MiB at n = 44, where
-    # conjugating each row by the real Fourier basis peaked at 4.1 MiB and
-    # Y held whole, n^4 floats, is 28.6 MiB
-    y = assemble(44, 2)
+def _dense_view_peak(y: CertificateY) -> int:
     tracemalloc.start()
     try:
         dense_view(y, force=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20, peak
+
+
+def test_dense_view_memory_stays_small():
+    # the pass holds the vertex row it reads (n x n^2), which becomes its
+    # own residual, the next row as densify makes it, and the n/2 + 1
+    # frequency blocks: 1.9 MiB at n = 44, where a separate residual
+    # buffer peaked at 2.5 MiB, conjugating each row by the real Fourier
+    # basis at 4.1 MiB, and Y held whole, n^4 floats, is 28.6 MiB
+    peak = _dense_view_peak(assemble(44, 2))
+    assert peak < 2.25 * 2**20, peak
+
+
+def test_dense_view_memory_past_the_default_cap(monkeypatch):
+    # at n = 64 one row is 2 MiB and the blocks 1 MiB: the pass peaks at
+    # 5.5 MiB (two rows and the blocks), where a separate residual buffer
+    # peaked at 7.4 MiB and Y whole is 128 MiB
+    n = 64
+    monkeypatch.setenv(DENSE_CAP_ENV_VAR, str(n * n))
+    peak = _dense_view_peak(assemble(n, 4))
+    assert peak < 6.5 * 2**20, peak
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (4, 44)])
@@ -511,6 +525,31 @@ def test_dense_view_counts_the_antisymmetric_mass_per_frequency(monkeypatch):
     anti = 0.5 * np.linalg.norm(tilted - tilted.T)
     assert anti == pytest.approx(np.sqrt(n) * delta, rel=1e-12)
     assert exc.value.residual == pytest.approx(anti, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_view_refuses_a_non_finite_entry(bad, monkeypatch):
+    # Y stays symmetric, but where the row meets its projection the pass
+    # reads NaN - h or inf - inf, so the discarded mass is NaN: the Weyl
+    # check refuses it before any block reaches sym_eigs
+    n = 8
+    y = assemble(n, 2)
+    tilted = stacked(y)
+    i, j = 0 * n + 1, 5 * n + 2
+    tilted[i, j] = tilted[j, i] = bad
+    with np.errstate(invalid="ignore"):
+        sums, _, discarded = certificates._row_pass(offset_rows(tilted), n)
+    assert np.isnan(discarded)
+    if np.isnan(bad):
+        assert np.isnan(sums["min_entry"]) and np.isnan(sums["max_entry"])
+    else:
+        assert sums["max_entry"] == np.inf
+    monkeypatch.setattr(
+        type(y), "densify", lambda self: iter(offset_rows(tilted))
+    )
+    with pytest.raises(ConvergenceError) as exc, np.errstate(invalid="ignore"):
+        dense_view(y, force=True)
+    assert np.isnan(exc.value.residual)
 
 
 def test_spectrum_bookkeeping():

@@ -5,8 +5,10 @@ Each mutant below is one textual edit of the package: a dropped clause of a
 verifier's ``passed`` expression, a wrong residual formula, a wrong offset
 table in ``CertificateY.densify`` or in the row pass's scatter of the
 diagonal-block sum, a wrong contraction, projection or mass sum in the row
-pass behind ``certificates.dense_view``, a wrong shift, block slice or
-count of paired frequencies in ``dense_view`` itself, a wrong count,
+pass behind ``certificates.dense_view`` (among them a min/max scan moved
+below the in-place residual), a wrong shift, block slice or count of
+paired frequencies in ``dense_view`` itself, a Weyl check that lets a NaN
+mass through, a wrong count,
 factor or fixing in ``reduced_sdp``'s bound, a skipped verification in
 ``gap_table``, a wrong offset in ``circulant.first_row``, a wrong seed,
 step or return leg in ``instances.held_karp_cycle``, a dropped merge, key
@@ -156,8 +158,22 @@ MUTANTS = [
     (
         "pass-drops-discarded-mass",
         CERT,
-        "        off += float(np.vdot(residual, residual))\n",
+        "        off += float(np.vdot(w, w))\n",
         "",
+    ),
+    # the row becomes its own residual: a scan moved below the subtract
+    # reads w - h in place of Y's entries
+    (
+        "pass-scan-after-residual",
+        CERT,
+        "        low, high = np.minimum(low, w.min()), np.maximum(high, w.max())\n"
+        "        h = (d + d[:, mirror]) / (2.0 * n)\n"
+        "        blocks[:, u, :] = (h @ cosines).T\n"
+        "        np.subtract(w, h, out=w)  # the row is its own residual from here on\n",
+        "        h = (d + d[:, mirror]) / (2.0 * n)\n"
+        "        blocks[:, u, :] = (h @ cosines).T\n"
+        "        np.subtract(w, h, out=w)  # the row is its own residual from here on\n"
+        "        low, high = np.minimum(low, w.min()), np.maximum(high, w.max())\n",
     ),
     (
         "pass-block-sum-wrong-scatter",
@@ -171,7 +187,7 @@ MUTANTS = [
         "total += float(d.sum())",
         "total += float(d[:, 0].sum())",
     ),
-    ("pass-h-without-mirror", CERT, "(d + d[:, -pos % n]) / (2.0 * n)", "d / n"),
+    ("pass-h-without-mirror", CERT, "(d + d[:, mirror]) / (2.0 * n)", "d / n"),
     (
         "pass-anti-without-pair-weight",
         CERT,
@@ -193,14 +209,21 @@ MUTANTS = [
     (
         "pass-min-max-one-row",
         CERT,
-        "low, high = min(low, float(row.min())), max(high, float(row.max()))",
-        "low, high = float(row.min()), float(row.max())",
+        "low, high = np.minimum(low, w.min()), np.maximum(high, w.max())",
+        "low, high = w.min(), w.max()",
     ),
     (
         "pass-diagonal-block-wrong-column",
         CERT,
         "own_blocks += w[:, u, :]",
         "own_blocks += w[:, (u + 1) % n, :]",
+    ),
+    # the Weyl check in dense_view lets a NaN discarded mass through
+    (
+        "dense-weyl-nan-passes",
+        CERT,
+        "if not discarded <= EIG_TOL * scale:",
+        "if discarded > EIG_TOL * scale:",
     ),
     # the -J_n/n shift and the block slicing in dense_view
     ("shift-dropped", CERT, "blocks[:1] - 1.0 / n", "blocks[:1]"),
