@@ -15,8 +15,9 @@ vertex rows, with the objective's <C1, Y^(uv)>.
 
 The certificates satisfy all of this exactly: their diagonal blocks are
 I/n and their off-diagonal blocks circulants with zero diagonal (hence
-traceless).  Both relaxations share the same objective matrix, so the bound
-value carries over unchanged.
+traceless), so the structured checks report the three residuals as 0 by
+construction and only the dense oracle measures them.  Both relaxations
+share the same objective matrix, so the bound value carries over unchanged.
 
 The shifted spectrum needs no factorization of its own.  The closed form
 (``shifted_spectrum``) drops the coupled k = 0 value of the unit-scale
@@ -89,18 +90,6 @@ class AnstreicherReport:
     passed: bool
 
 
-def _structured_residuals(y: CertificateY) -> tuple[float, float, float]:
-    n = y.n
-    # diagonal blocks are I/n and off-diagonal blocks traceless circulants,
-    # so both matrix constraints reduce to n * (1/n) on the diagonal
-    tr_diag_block = n * (1.0 / n)
-    dev = abs(tr_diag_block - 1.0)
-    # trace(Y (J (x) I)) and trace(Y (I (x) J)) each sum the diagonal-block
-    # traces resp. entry sums, and both come to n * tr_diag_block
-    residual_f = abs(2.0 * n * tr_diag_block - 2.0 * n)
-    return dev, dev, residual_f
-
-
 def _dense_residuals(view: DenseView, n: int) -> tuple[float, float, float]:
     eye = np.eye(n)
     block_sum = view.diagonal_block_sum
@@ -124,19 +113,22 @@ def verify_anstreicher(
     """Check the trace-pattern relaxation's constraints on the certificate.
 
     With ``view`` None (structured mode, see ``certificates.dense_view``)
-    the checks use the blockwise closed forms.  With a dense view the
-    residuals, the shifted spectrum and the objective all come from the
-    view's contractions and spectra of the dense Y, so that equality of
-    the two relaxations' bound values is checked on actual matrices, not
-    just by construction.  The dense objective runs on the certificate's
-    own equal layout.
+    the residuals are 0 by construction and the shifted spectrum comes in
+    closed form.  With a dense view the residuals, the shifted spectrum
+    and the objective all come from the view's contractions and spectra of
+    the dense Y, so that equality of the two relaxations' bound values is
+    checked on actual matrices, not just by construction.  The dense
+    objective runs on the certificate's own equal layout.
     """
     n = y.n
     min_shifted = shifted_spectrum(y.spectrum).min_value()
     objective_closed = objective_povh_rendl(y)
 
     if view is None:
-        block_sum, trace_pattern, residual_f = _structured_residuals(y)
+        # for any a, b the form makes Y^(uu) = I/n and every other block
+        # traceless, so both matrix constraints and trace(Y F^T F) = 2n hold
+        # exactly: zero by construction, not measured
+        block_sum, trace_pattern, residual_f = 0.0, 0.0, 0.0
         min_numeric = None
         objective_dense = None
     else:

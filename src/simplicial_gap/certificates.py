@@ -14,18 +14,19 @@ so every diagonal entry of Y is exactly 1/n.  ``assemble(n, g)`` computes
 a and b (one closed form for every even g) and returns them as a frozen
 ``CertificateY`` whose vectors are read-only, so the spectrum it caches
 cannot go stale.  This module also evaluates the certificate's objective
-and verifies feasibility.  The closed forms always run; below the dense cap
-the dense oracle joins in.  ``dense_view`` is the one place that chooses
-the mode: in dense mode it densifies Y once, one vertex row (n x n^2) at a
-time in offset coordinates, and reads each row once.  The row's
-wrapped-diagonal sums give every contraction the dense checks read and the
-row's share of Y's projection onto symmetric circulant minor blocks, whose
-frequency blocks M_k of side n need k = 0..n/2 only.  It then factors
-those blocks, with the frequency-0 block shifted by -J_n/n for Y - J/n^2,
-in one batched call.
-The oracle holds O(n^3) numbers at once and never Y whole; both
-relaxations' verifiers (this module's and ``anstreicher_sdp``'s) read the
-resulting ``DenseView``: those contractions and the two spectra.
+and verifies feasibility.  The closed forms always run; of the residuals
+they measure the total sum and smallest entry, the rest are 0 by
+construction.  Below the dense cap the dense oracle joins in and measures
+every constraint.  ``dense_view`` is the one place that chooses the mode:
+in dense mode it densifies Y once, one vertex row (n x n^2) at a time in
+offset coordinates, and reads each row once.  The row's wrapped-diagonal
+sums give every contraction the dense checks read and the row's share of
+Y's projection onto symmetric circulant minor blocks, whose frequency
+blocks M_k of side n need k = 0..n/2 only.  It then factors those blocks,
+with the frequency-0 block shifted by -J_n/n for Y - J/n^2, in one batched
+call.  The oracle holds O(n^3) numbers at once and never Y whole; both
+relaxations' verifiers read the resulting ``DenseView``, each constraint
+from one contraction.
 
 The spectrum of 2nY comes in three closed-form families per frequency k:
 
@@ -116,13 +117,6 @@ class CertificateY:
     def per_group(self) -> int:
         return self.n // self.g
 
-    def a_profile(self) -> np.ndarray:
-        """Frequency profile of a: value at k is half the circulant eigenvalue."""
-        return cosine_profile(self.a, self.n)
-
-    def b_profile(self) -> np.ndarray:
-        return cosine_profile(self.b, self.n)
-
     @cached_property
     def spectrum(self) -> CertSpectrum:
         """The closed-form spectrum of 2nY, computed on first use only."""
@@ -136,11 +130,11 @@ class CertificateY:
         holds its o-th wrapped diagonal.  Y is never held whole.  The cap
         is checked at the call, before the first row; SizeLimitError beyond
         it.  Minor block (u, v) is circulant kind(u, v): kind 0 (u = v) is
-        2I/2n, kind 1 (same group) A/2n and kind 2 (across groups) B/2n, so
-        Y[(u, s), (v, t)] = circ[s, kind(u, v), t] with circ[s, kind, t]
-        the first row of that circulant read at offset t - s.  The skew
-        skew[s, kind, o] = circ[s, kind, (s + o) mod n] is built once, and
-        each row is one lookup of n kinds into it.
+        2I/2n, kind 1 (same group) A/2n and kind 2 (across groups) B/2n.
+        Every row of a circulant read in offset coordinates is its first
+        row, so w[s, v, :] = row[kind(u, v)] for every s: vertex row u is
+        the n x n slab row[kind(u)] repeated n times, a fresh writable
+        array each time.
         """
         n, g, p = self.n, self.g, self.per_group
         cap = dense_cap()
@@ -153,11 +147,7 @@ class CertificateY:
         ) / (2.0 * n)
         same_group = kron(np.eye(g), np.ones((p, p))).astype(int)
         kind = 2 - same_group - np.eye(n, dtype=int)
-        pos = np.arange(n)
-        circ = row[:, (pos[None, :] - pos[:, None]) % n].transpose(1, 0, 2)
-        wrap = (pos[:, None] + pos[None, :]) % n  # [s, o] -> t
-        skew = np.take_along_axis(circ, wrap[:, None, :], axis=2)
-        return (np.take(skew, kind[u], axis=1).reshape(n, n * n) for u in range(n))
+        return (np.tile(row[kind[u]].reshape(-1), (n, 1)) for u in range(n))
 
 
 def assemble(n: int, g: int) -> CertificateY:
@@ -220,8 +210,8 @@ def closed_form_spectrum(y: CertificateY) -> CertSpectrum:
     the linear coupling of the two profiles.
     """
     n, g, p = y.n, y.g, y.per_group
-    ap = y.a_profile()
-    bp = y.b_profile()
+    ap = cosine_profile(y.a, n)
+    bp = cosine_profile(y.b, n)
     plain = 2.0 - 2.0 * ap
     return CertSpectrum(
         n=n,
@@ -253,19 +243,9 @@ class FeasibilityReport:
 
 
 def _structured_residuals(y: CertificateY) -> tuple[float, float, float, float, float]:
-    """Constraint residuals computed blockwise from the coefficients."""
-    n, g = y.n, y.g
-    p = y.per_group
+    """Structured residuals: total sum and smallest entry from a and b."""
+    n, p = y.n, y.per_group
     a, b = y.a, y.b
-    inv_n = 1.0 / n
-
-    # both assignment families hit only diagonal entries, all exactly 1/n
-    row_assign = abs(n * inv_n - 1.0)
-    col_assign = abs(n * inv_n - 1.0)
-
-    # forbidden entries: off-diagonals of the I/n blocks (zero) plus the
-    # diagonals of the A- and B-blocks (zero offset never carries weight)
-    gangster = 0.0
 
     # an A-block of Y is A/2n whose entries sum to (2n sum(a))/2n = sum(a)
     sum_a = float(a.sum())
@@ -276,7 +256,10 @@ def _structured_residuals(y: CertificateY) -> tuple[float, float, float, float, 
     total_sum = abs(total - float(n * n))
 
     min_entry = min(0.0, float(a.min()) / (2.0 * n), float(b.min()) / (2.0 * n))
-    return row_assign, col_assign, gangster, total_sum, min_entry
+    # for any a, b the form makes Y^(uu) = I/n and gives every A- and
+    # B-block a zero diagonal, so row and column assignment and the
+    # gangster constraint hold exactly: zero by construction, not measured
+    return 0.0, 0.0, 0.0, total_sum, min_entry
 
 
 @dataclass
@@ -284,9 +267,9 @@ class DenseView:
     """Every contraction of Y the dense checks read, and Y's two spectra.
 
     All (n, n) arrays, indexed by vertices u, v or positions s, t:
-    ``diagonal[u, s]`` = Y[(u, s), (u, s)], ``block_traces[u, v]`` =
-    tr Y^(uv), ``diagonal_block_sum`` = sum_u Y^(uu) and
-    ``c1_inner[u, v]`` = <C1, Y^(uv)>.  ``entry_sum`` is the sum of Y's
+    ``block_traces[u, v]`` = tr Y^(uv), ``diagonal_block_sum`` = sum_u
+    Y^(uu) and ``c1_inner[u, v]`` = <C1, Y^(uv)>; Y's diagonal is read
+    off the diagonals of the first two.  ``entry_sum`` is the sum of Y's
     entries, added up from each vertex row's wrapped-diagonal sums, and
     ``min_entry``/``max_entry`` bound them (both NaN if any entry is).
     ``eigenvalues`` is Y's ascending spectrum and ``shifted_eigenvalues``
@@ -295,7 +278,6 @@ class DenseView:
     is not kept: the view holds O(n^2) numbers.
     """
 
-    diagonal: np.ndarray = field(repr=False)
     block_traces: np.ndarray = field(repr=False)
     diagonal_block_sum: np.ndarray = field(repr=False)
     c1_inner: np.ndarray = field(repr=False)
@@ -309,10 +291,11 @@ class DenseView:
 def _dense_residuals(
     view: DenseView, n: int
 ) -> tuple[float, float, float, float, float]:
-    """Brute-force constraint residuals from the dense view's contractions."""
-    diag = view.diagonal  # (vertex u, position s)
-    row_assign = float(np.abs(diag.sum(axis=0) - 1.0).max())
-    col_assign = float(np.abs(diag.sum(axis=1) - 1.0).max())
+    """Constraint residuals read off the view, each from one contraction."""
+    # sum_u Y[(u, s), (u, s)] is entry (s, s) of the diagonal-block sum,
+    # and sum_s Y[(u, s), (u, s)] = tr Y^(uu) entry (u, u) of the traces
+    row_assign = float(np.abs(np.diagonal(view.diagonal_block_sum) - 1.0).max())
+    col_assign = float(np.abs(np.diagonal(view.block_traces) - 1.0).max())
 
     # the forbidden entries: sum_u Y^(uu) and the block traces off their diagonal
     off = ~np.eye(n, dtype=bool)
@@ -355,7 +338,6 @@ def _row_pass(
     freq = np.arange(n // 2 + 1)
     cosines = np.cos((2.0 * np.pi / n) * (np.outer(pos, freq) % n))  # [o, k]
     blocks = np.empty((n // 2 + 1, n, n))
-    diagonal = np.empty((n, n))
     block_traces = np.empty((n, n))
     own_blocks = np.zeros((n, n))  # [s, o]
     c1_inner = np.empty((n, n))
@@ -363,7 +345,6 @@ def _row_pass(
     for u, row in enumerate(rows):
         w = row.reshape(n, n, n)  # [s, v, o]
         d = w.sum(axis=0)
-        diagonal[u] = w[:, u, 0]
         block_traces[u] = d[:, 0]
         own_blocks += w[:, u, :]
         c1_inner[u] = d[:, 1] + d[:, n - 1]
@@ -379,7 +360,6 @@ def _row_pass(
     diagonal_block_sum = np.empty((n, n))
     diagonal_block_sum[pos[:, None], (pos[:, None] + pos[None, :]) % n] = own_blocks
     sums = {
-        "diagonal": diagonal,
         "block_traces": block_traces,
         "diagonal_block_sum": diagonal_block_sum,
         "c1_inner": c1_inner,
@@ -444,11 +424,11 @@ def verify_povh_rendl(
     """Check every relaxation constraint on the certificate.
 
     The closed-form PSD check always runs.  With ``view`` None (structured
-    mode, see ``dense_view``) the residuals come blockwise from the
-    coefficients; with a dense view they are read off the view's
-    contractions of the dense Y and its smallest eigenvalue joins the PSD
-    check.  Tolerance violations yield a failing report, never an
-    exception.
+    mode, see ``dense_view``) the total sum and smallest entry come from
+    the coefficients and the other residuals are 0 by construction; with a
+    dense view all are read off the view's contractions of the dense Y and
+    its smallest eigenvalue joins the PSD check.  Tolerance violations
+    yield a failing report, never an exception.
     """
     n = y.n
     min_eig_closed = y.spectrum.min_value() / (2.0 * n)

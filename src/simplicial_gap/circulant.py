@@ -14,9 +14,8 @@ memory; this is what the structured certify/gap path runs on at any size.
 ``first_row`` lays the coefficients out as the circulant's first row, by
 slicing, behind the same input check as ``cosine_profile``, so the
 half-offset layout is known in this module alone.  The dense oracle
-(``CertificateY.densify``) reads every row of a circulant off its first row
-by a cyclic shift, and yields the certificate one vertex row at a time in
-offset coordinates, where every row of a circulant is its first row.
+(``CertificateY.densify``) yields the certificate one vertex row at a time
+in offset coordinates, where every row of a circulant is its first row.
 
 ``identity_suite`` evaluates, numerically and against their closed forms, the
 handful of trigonometric identities that the certificate analysis rests on,

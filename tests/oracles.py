@@ -84,7 +84,7 @@ def offset_rows(y_dense: np.ndarray) -> np.ndarray:
 
     Row u comes back as the n x n^2 slab w[s, (v, o)] = Y[(u, s), (v,
     (s + o) mod n)], by two slice copies per position s: the layout that
-    ``CertificateY.densify`` yields, here by a loop instead of its table.
+    ``CertificateY.densify`` yields, here from any matrix by a loop.
     """
     n = round(y_dense.shape[0] ** 0.5)
     y4 = y_dense.reshape(n, n, n, n)  # [u, s, v, t]
@@ -234,7 +234,7 @@ def lower_bound_akk(y: CertificateY) -> float:
     violated beyond roundoff, which would mean broken coefficients.
     """
     n, g = y.n, y.g
-    prof = y.a_profile()[1:]
+    prof = cosine_profile(y.a, n)[1:]
     mn = float(prof.min())
     mx = float(prof.max())
     floor = -g / (n - g)
@@ -257,8 +257,8 @@ def profile_identity_residuals(y: CertificateY) -> dict[str, float]:
     """
     n, g = y.n, y.g
     d = n // 2
-    ap = y.a_profile()
-    bp = y.b_profile()
+    ap = cosine_profile(y.a, n)
+    bp = cosine_profile(y.b, n)
     out: dict[str, float] = {}
     out["coefficient_sum_a"] = abs(float(y.a.sum()) - 1.0)
     out["coefficient_sum_b"] = abs(float(y.b.sum()) - 1.0)

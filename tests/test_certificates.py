@@ -16,7 +16,7 @@ from simplicial_gap.certificates import (
     objective_povh_rendl,
     verify_povh_rendl,
 )
-from simplicial_gap.circulant import ring_adjacency
+from simplicial_gap.circulant import cosine_profile, ring_adjacency
 from simplicial_gap.instances import SimplicialInstance, make_equal
 from simplicial_gap.matrix_core import (
     DENSE_CAP_ENV_VAR,
@@ -214,6 +214,24 @@ def test_negative_coefficient_sets_min_entry_in_both_modes(name):
         assert verify_povh_rendl(y, view).min_entry == pytest.approx(-0.1 / 16, abs=1e-15)
 
 
+@pytest.mark.parametrize("g,n", [(2, 98), (2, 196), (4, 196), (6, 474)])
+def test_structured_residuals_by_construction_are_zero(g, n):
+    # n * (1/n) != 1 in floating point at these n; the residuals that the
+    # certificate's form fixes are not computed from it, so they read 0.0
+    y = assemble(n, g)
+    povh = verify_povh_rendl(y, None)
+    trace = verify_anstreicher(y, None)
+    assert (
+        povh.residual_row_assign,
+        povh.residual_col_assign,
+        povh.residual_gangster,
+        trace.residual_block_sum,
+        trace.residual_trace_pattern,
+        trace.residual_f,
+    ) == (0.0,) * 6
+    assert povh.passed and trace.passed
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_dense_residuals_read_the_literal_constraints(n):
     # a random symmetric Y with no circulant structure: every residual is
@@ -311,7 +329,6 @@ def test_row_pass_contractions_on_a_random_matrix(n):
     view = row_view(y)
     y4 = y.reshape(n, n, n, n)  # [u, s, v, t]
     tol = 1e-12 * float(np.abs(y).max())
-    assert np.array_equal(view.diagonal, np.diag(y).reshape(n, n))
     assert np.abs(view.block_traces - np.einsum("usvs->uv", y4)).max() <= tol
     c1_inner = np.einsum("usvt,st->uv", y4, ring_adjacency(n))
     assert np.abs(view.c1_inner - c1_inner).max() <= tol
@@ -344,8 +361,9 @@ def test_densify_matches_the_kronecker_oracle(g, n):
 
 @pytest.mark.parametrize("g,n", BLOCK_GRID)
 def test_densify_yields_rows_in_offset_coordinates(g, n):
-    # the skew table against the slice-by-slice reindex of the Kronecker
-    # sum, row by row: row u holds Y[(u, s), (v, (s + o) mod n)] at [s, v, o]
+    # the repeated first rows against the slice-by-slice reindex of the
+    # Kronecker sum, row by row: row u holds Y[(u, s), (v, (s + o) mod n)]
+    # at [s, v, o]
     y = assemble(n, g)
     want = offset_rows(densify_kron(y))
     rows = list(y.densify())
@@ -367,7 +385,6 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shift
     view = dense_view(y, force=True)
     yd = densify_kron(y)
     y4 = yd.reshape(n, n, n, n)  # [u, s, v, t]
-    assert np.array_equal(view.diagonal, np.diag(yd).reshape(n, n))
     assert np.array_equal(view.block_traces, np.einsum("usvs->uv", y4))
     assert np.array_equal(view.diagonal_block_sum, np.einsum("usut->st", y4))
     c1_inner = np.einsum("usvt,st->uv", y4, ring_adjacency(n))
@@ -636,7 +653,7 @@ def test_profile_checks_at_a_million(n, g):
 def test_a_profile_against_50_digit_sum():
     n = 2**16
     y = assemble(n, 2)
-    prof = y.a_profile()
+    prof = cosine_profile(y.a, n)
     with mpmath.workdps(50):
         for k in (1, 2, n // 2):
             exact = mpmath.fsum(

@@ -55,6 +55,26 @@ def test_certify_json_round_trip(capsys):
     assert float(entry["spectrum_min"]) >= -1e-12
 
 
+@pytest.mark.parametrize("g,n", [(2, 44), (4, 44), (6, 36)])
+def test_certify_dense_reports_one_number_per_constraint(capsys, g, n):
+    # tr Y^(uu) = 1 and the diagonal of sum_u Y^(uu) = I are read off the
+    # same two contractions by both relaxations, so each pair agrees bit for
+    # bit
+    code, out, _ = run(capsys, ["certify", "--g", str(g), "--n", str(n), "--dense"])
+    assert code == 0
+    [entry] = json.loads(out)
+    povh, trace = entry["povh_rendl"], entry["anstreicher"]
+    assert povh["residual_col_assign"] == trace["residual_trace_pattern"]
+    assert povh["residual_row_assign"] == trace["residual_block_sum"]
+
+
+def test_certify_structured_passes_at_zero_equality_tolerance(capsys):
+    # 98 * (1/98) != 1 in floating point, but the certificate's form meets
+    # the assignment and trace constraints exactly
+    code, _, _ = run(capsys, ["certify", "--g", "2", "--n", "98", "--tol-eq", "0"])
+    assert code == 0
+
+
 def test_certify_dense_densifies_and_factors_once(capsys, monkeypatch):
     calls = {"densify": 0, "sym_eigs": 0, "eigh": 0, "kron": 0}
 

@@ -2,20 +2,19 @@
 exact baselines and the tiny-SDP solver.
 
 Each mutant below is one textual edit of the package: a dropped clause of a
-verifier's ``passed`` expression, a wrong residual formula, a wrong offset
-table in ``CertificateY.densify`` or in the row pass's scatter of the
-diagonal-block sum, a wrong contraction, projection or mass sum in the row
-pass behind ``certificates.dense_view`` (among them a min/max scan moved
-below the in-place residual), a wrong shift, block slice or count of
-paired frequencies in ``dense_view`` itself, a Weyl check that lets a NaN
-mass through, a wrong count,
-factor or fixing in ``reduced_sdp``'s bound, a skipped verification in
-``gap_table``, a wrong offset in ``circulant.first_row``, a wrong seed,
-step or return leg in ``instances.held_karp_cycle``, a dropped merge, key
-reset or side in ``subtour_lp.min_cut``, a lost Bland fallback or an
-unclipped ratio test in the subtour LP's simplex, a wrong weak-duality
-bound, trace bound, lift bound or step length in ``sdp_numeric``, a
-skipped symmetry check, a lost generator, a wrong orbit or orbit row in its
+verifier's ``passed`` expression, a wrong residual formula, a wrong kind
+lookup in ``CertificateY.densify``, a wrong offset table in the row pass's
+scatter of the diagonal-block sum, a wrong contraction, projection or mass
+sum in the row pass behind ``certificates.dense_view`` (among them a
+min/max scan moved below the in-place residual), a wrong shift, block slice
+or count of paired frequencies in ``dense_view`` itself, a Weyl check that
+lets a NaN mass through, a wrong count, factor or fixing in
+``reduced_sdp``'s bound, a skipped verification in ``gap_table``, a wrong
+offset in ``circulant.first_row``, a wrong seed, step or return leg in
+``instances.held_karp_cycle``, a dropped merge, key reset or side in
+``subtour_lp.min_cut``, a lost Bland fallback or an unclipped ratio test in
+the subtour LP's simplex, a wrong weak-duality bound, trace bound, lift
+bound or step length in ``sdp_numeric``, a skipped symmetry check, a lost generator, a wrong orbit or orbit row in its
 symmetry reduction, or a non-monotonicity verdict that skips the
 certificate check.  For every mutant the script copies
 ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read its layouts)
@@ -92,7 +91,12 @@ MUTANTS = [
         "",
     ),
     # residual formulas
-    ("povh-dense-row-axis", CERT, "diag.sum(axis=0) - 1.0", "diag.sum(axis=1) - 1.0"),
+    (
+        "povh-dense-row-reads-traces",
+        CERT,
+        "np.diagonal(view.diagonal_block_sum) - 1.0",
+        "np.diagonal(view.block_traces) - 1.0",
+    ),
     (
         "povh-dense-total",
         CERT,
@@ -141,19 +145,8 @@ MUTANTS = [
         "trace_pattern = view.block_traces",
         "trace_pattern = view.diagonal_block_sum",
     ),
-    (
-        "anst-structured-f",
-        ANST,
-        "abs(2.0 * n * tr_diag_block - 2.0 * n)",
-        "abs(2.0 * n * tr_diag_block - n)",
-    ),
-    # densify's offset coordinates: the skew table reads offset o at t = o
-    (
-        "densify-skew-ignores-s",
-        CERT,
-        "wrap = (pos[:, None] + pos[None, :]) % n",
-        "wrap = (0 * pos[:, None] + pos[None, :]) % n",
-    ),
+    # densify's vertex rows: every row u reads the kinds of vertex 0
+    ("densify-every-row-vertex-0", CERT, "row[kind[u]]", "row[kind[0]]"),
     # the one pass over Y's vertex rows and its projection
     (
         "pass-drops-discarded-mass",

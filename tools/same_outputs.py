@@ -2,10 +2,11 @@
 
 Extracts ``src`` of the revision with ``git archive`` into a temporary
 directory, then runs every argv that ``perfbench/workloads.all_items()``
-lists, once in JSON and once in CSV (``solve-tiny`` in JSON only), through
-that tree and through the working tree's ``src``.  Each run is a fresh
-process with OPENBLAS_NUM_THREADS=1.  Every argv whose exit code or stdout
-bytes differ is printed, then the count.  Run from the repository root:
+lists, and the fixed ``EXTRA`` argvs, once in JSON and once in CSV
+(``solve-tiny`` in JSON only), through that tree and through the working
+tree's ``src``.  Each run is a fresh process with OPENBLAS_NUM_THREADS=1.
+Every argv whose exit code or stdout bytes differ is printed, then the
+count.  Run from the repository root:
 
     python3 tools/same_outputs.py REV
 
@@ -27,6 +28,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# argvs the benchmark does not run: the grids of tests/test_golden.py, and a
+# structured certify at n where n * (1/n) != 1 in floating point
+EXTRA = (
+    ["certify", "--g", "2", "--n", "8,16", "--dense"],
+    ["certify", "--g", "2", "--n", "46,64"],
+    ["gap", "--z", "1", "--n", "8,16,32"],
+    ["gap", "--z", "3", "--n", "36,48"],
+    ["baseline", "--g", "3", "--per-group", "4"],
+    ["baseline", "--g", "4", "--per-group", "5"],
+    ["identities", "--g", "6", "--n", "12,24"],
+    ["solve-tiny", "--max-iters", "50"],
+    ["certify", "--g", "2", "--n", "98,196,206"],
+)
+
 
 def _argvs() -> list[list[str]]:
     sys.dont_write_bytecode = True  # leave perfbench/ as is
@@ -34,7 +49,7 @@ def _argvs() -> list[list[str]]:
     import workloads
 
     out = []
-    for argv in workloads.all_items():
+    for argv in [*workloads.all_items(), *EXTRA]:
         out.append(argv)
         if argv[0] != "solve-tiny":
             out.append([*argv, "--format", "csv"])
