@@ -10,8 +10,8 @@ relaxation value.  Exact-TSP and subtour-LP baselines sit alongside for
 contrast.
 """
 
-from .anstreicher_sdp import AnstreicherReport, shifted_spectrum, verify_anstreicher
 from .certificates import (
+    AnstreicherReport,
     CertificateY,
     CertSpectrum,
     FeasibilityReport,
@@ -20,6 +20,8 @@ from .certificates import (
     dense_view,
     objective_dense_trace,
     objective_povh_rendl,
+    shifted_spectrum,
+    verify_anstreicher,
     verify_povh_rendl,
 )
 from .circulant import cosine_profile, identity_suite

@@ -1,4 +1,4 @@
-"""Feasible points for the assignment-lifted SDP relaxation of the TSP.
+"""Feasible points for two SDP relaxations of the TSP, and their checks.
 
 On a simplicial instance with g equal groups of n/g vertices the relaxation
 (over n^2 x n^2 matrices Y, doubly-assignment constraints, a forbidden-entry
@@ -13,8 +13,17 @@ is one of three circulants:
 so every diagonal entry of Y is exactly 1/n.  ``assemble(n, g)`` computes
 a and b (one closed form for every even g) and returns them as a frozen
 ``CertificateY`` whose vectors are read-only, so the spectrum it caches
-cannot go stale.  This module also evaluates the certificate's objective
-and verifies feasibility.  The closed forms always run; of the residuals
+cannot go stale.
+
+The trace-pattern relaxation replaces the total sum by two matrix-valued
+constraints on the blocks (sum_u Y^(uu) = I and tr Y^(uv) = delta_uv) and
+trace(Y F^T F) = 2n, where F stacks the row- and column-sum maps so that
+F^T F = J (x) I + I (x) J, and demands Y - J/n^2 PSD rather than Y.  With
+the same objective matrix, the certificate's bound carries over.
+
+This module also evaluates the objective and verifies both relaxations:
+one reader per mode gives the eight residuals of the two, and one verdict
+decides both reports.  The closed forms always run; of the residuals
 they measure the total sum and smallest entry, the rest are 0 by
 construction.  Below the dense cap the dense oracle joins in and measures
 every constraint.  ``dense_view`` is the one place that chooses the mode:
@@ -25,8 +34,8 @@ Y's projection onto symmetric circulant minor blocks, whose frequency
 blocks M_k of side n need k = 0..n/2 only.  It then factors those blocks,
 with the frequency-0 block shifted by -J_n/n for Y - J/n^2, in one batched
 call.  The oracle holds O(n^3) numbers at once and never Y whole; both
-relaxations' verifiers read the resulting ``DenseView``, each constraint
-from one contraction.
+verifiers read the resulting ``DenseView``, each constraint from one
+contraction.
 
 The spectrum of 2nY comes in three closed-form families per frequency k:
 
@@ -41,13 +50,14 @@ Only even g is supported here; odd group counts never carry certificates.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .circulant import cosine_profile, first_row
-from .instances import SimplicialInstance
+from .instances import SimplicialInstance, make_equal
 from .matrix_core import (
     EIG_TOL,
     ConvergenceError,
@@ -58,6 +68,7 @@ from .matrix_core import (
 )
 
 __all__ = [
+    "AnstreicherReport",
     "CertSpectrum",
     "CertificateY",
     "DenseView",
@@ -67,6 +78,8 @@ __all__ = [
     "dense_view",
     "objective_dense_trace",
     "objective_povh_rendl",
+    "shifted_spectrum",
+    "verify_anstreicher",
     "verify_povh_rendl",
 ]
 
@@ -222,9 +235,24 @@ def closed_form_spectrum(y: CertificateY) -> CertSpectrum:
     )
 
 
+def shifted_spectrum(base: CertSpectrum) -> CertSpectrum:
+    """Closed-form eigenvalues of Y - J/n^2 (unit scale) from those of 2nY.
+
+    The shift removes exactly the all-ones eigendirection: the k = 0 entry
+    of the coupled family drops from 1 to 0 and every other eigenvalue just
+    rescales by 1/2n.
+    """
+    scale = 1.0 / (2.0 * base.n)
+    coupled = base.coupled * scale
+    coupled[0] = 0.0
+    return replace(
+        base, coupled=coupled, middle=base.middle * scale, plain=base.plain * scale
+    )
+
+
 @dataclass
 class FeasibilityReport:
-    """Outcome of the relaxation's constraint checks on a certificate."""
+    """Outcome of the assignment-lifted relaxation's checks on a certificate."""
 
     n: int
     g: int
@@ -242,24 +270,56 @@ class FeasibilityReport:
     passed: bool
 
 
-def _structured_residuals(y: CertificateY) -> tuple[float, float, float, float, float]:
-    """Structured residuals: total sum and smallest entry from a and b."""
-    n, p = y.n, y.per_group
-    a, b = y.a, y.b
+@dataclass
+class AnstreicherReport:
+    """Outcome of the trace-pattern relaxation's checks on a certificate."""
 
+    n: int
+    g: int
+    residual_block_sum: float
+    residual_trace_pattern: float
+    residual_f: float
+    min_shifted_eigenvalue: float
+    min_shifted_numeric: float | None
+    objective_closed_form: float
+    objective_dense: float | None
+    eq_tol: float
+    psd_tol: float
+    dense_checked: bool
+    passed: bool
+
+
+class _Residuals(NamedTuple):
+    """The eight residuals of both relaxations; unmeasured ones stay 0.0."""
+
+    row_assign: float = 0.0
+    col_assign: float = 0.0
+    gangster: float = 0.0
+    total_sum: float = 0.0
+    min_entry: float = 0.0
+    block_sum: float = 0.0
+    trace_pattern: float = 0.0
+    f: float = 0.0
+
+
+def _structured_residuals(y: CertificateY) -> _Residuals:
+    """Structured residuals: total sum and smallest entry from a and b.
+
+    For any a, b the form makes Y^(uu) = I/n and gives every other minor
+    block a zero diagonal, so row and column assignment, the gangster
+    constraint, both matrix constraints and trace(Y F^T F) = 2n hold
+    exactly: they stay 0.0 by construction, not measured.
+    """
+    n, p = y.n, y.per_group
     # an A-block of Y is A/2n whose entries sum to (2n sum(a))/2n = sum(a)
-    sum_a = float(a.sum())
-    sum_b = float(b.sum())
+    sum_a = float(y.a.sum())
+    sum_b = float(y.b.sum())
     count_within = n * (p - 1)
     count_across = n * n - n - count_within
     total = n * 1.0 + count_within * sum_a + count_across * sum_b
-    total_sum = abs(total - float(n * n))
-
-    min_entry = min(0.0, float(a.min()) / (2.0 * n), float(b.min()) / (2.0 * n))
-    # for any a, b the form makes Y^(uu) = I/n and gives every A- and
-    # B-block a zero diagonal, so row and column assignment and the
-    # gangster constraint hold exactly: zero by construction, not measured
-    return 0.0, 0.0, 0.0, total_sum, min_entry
+    # np.min keeps a NaN that Python's min drops; 0.0 last wins a tie with -0.0
+    low = np.min([y.a.min() / (2.0 * n), y.b.min() / (2.0 * n), 0.0])
+    return _Residuals(total_sum=abs(total - float(n * n)), min_entry=float(low))
 
 
 @dataclass
@@ -288,23 +348,27 @@ class DenseView:
     shifted_eigenvalues: np.ndarray = field(repr=False)
 
 
-def _dense_residuals(
-    view: DenseView, n: int
-) -> tuple[float, float, float, float, float]:
-    """Constraint residuals read off the view, each from one contraction."""
-    # sum_u Y[(u, s), (u, s)] is entry (s, s) of the diagonal-block sum,
-    # and sum_s Y[(u, s), (u, s)] = tr Y^(uu) entry (u, u) of the traces
-    row_assign = float(np.abs(np.diagonal(view.diagonal_block_sum) - 1.0).max())
-    col_assign = float(np.abs(np.diagonal(view.block_traces) - 1.0).max())
-
-    # the forbidden entries: sum_u Y^(uu) and the block traces off their diagonal
+def _dense_residuals(view: DenseView, n: int) -> _Residuals:
+    """Every residual read off the view, each from one contraction."""
+    block_sum, traces = view.diagonal_block_sum, view.block_traces
+    eye = np.eye(n)
     off = ~np.eye(n, dtype=bool)
-    gangster = abs(
-        float(view.diagonal_block_sum[off].sum() + view.block_traces[off].sum())
+    return _Residuals(
+        # sum_u Y[(u, s), (u, s)] is entry (s, s) of the diagonal-block sum,
+        # and sum_s Y[(u, s), (u, s)] = tr Y^(uu) entry (u, u) of the traces
+        row_assign=float(np.abs(np.diagonal(block_sum) - 1.0).max()),
+        col_assign=float(np.abs(np.diagonal(traces) - 1.0).max()),
+        # the forbidden entries: both contractions off their diagonal
+        gangster=abs(float(block_sum[off].sum() + traces[off].sum())),
+        total_sum=abs(view.entry_sum - float(n * n)),
+        min_entry=view.min_entry,
+        block_sum=float(np.abs(block_sum - eye).max()),
+        trace_pattern=float(np.abs(traces - eye).max()),
+        # trace(Y F^T F) = trace(Y (I (x) J)) + trace(Y (J (x) I)): the entry
+        # sum of the diagonal blocks plus the sum of the block traces, so no
+        # F is built
+        f=abs(float(block_sum.sum() + traces.sum()) - 2.0 * n),
     )
-
-    total_sum = abs(view.entry_sum - float(n * n))
-    return row_assign, col_assign, gangster, total_sum, view.min_entry
 
 
 def _row_pass(
@@ -330,8 +394,8 @@ def _row_pass(
 
     The pass consumes its rows: once every contraction has read a row, the
     row is overwritten by its own residual w - h, so no second n^3 buffer
-    is held.  A NaN entry propagates into ``min_entry``/``max_entry`` and
-    into the discarded mass.
+    is held; it is dropped before the next row is pulled.  A NaN entry
+    propagates into ``min_entry``/``max_entry`` and into the discarded mass.
     """
     pos = np.arange(n)
     mirror = -pos % n
@@ -342,8 +406,9 @@ def _row_pass(
     own_blocks = np.zeros((n, n))  # [s, o]
     c1_inner = np.empty((n, n))
     total, off, low, high = 0.0, 0.0, np.inf, -np.inf
-    for u, row in enumerate(rows):
-        w = row.reshape(n, n, n)  # [s, v, o]
+    rows = iter(rows)
+    for u in range(n):
+        w = next(rows).reshape(n, n, n)  # [s, v, o]
         d = w.sum(axis=0)
         block_traces[u] = d[:, 0]
         own_blocks += w[:, u, :]
@@ -354,6 +419,7 @@ def _row_pass(
         blocks[:, u, :] = (h @ cosines).T
         np.subtract(w, h, out=w)  # the row is its own residual from here on
         off += float(np.vdot(w, w))
+        del w  # drop this row before the next one is made
     anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
     pair = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0)
     discarded = float(np.sqrt(off + pair @ (anti * anti).sum(axis=(1, 2))))
@@ -383,8 +449,8 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     side n for k = 0..n/2 (M_{n-k} = M_k) and every contraction the checks
     read.  The pass overwrites each row with its own residual and keeps no
     row-sized buffer of its own, so O(n^3) numbers are held at once (the
-    row being read, the next one as ``densify`` makes it, and the blocks),
-    never the n^2 x n^2 matrix.
+    row being read, which is dropped before ``densify`` makes the next, and
+    the blocks), never the n^2 x n^2 matrix.
     By Weyl's inequality every eigenvalue of Y lies within the Frobenius
     mass the projection discards of the block spectrum; more than
     ``EIG_TOL * max|Y|`` of it, or a NaN mass (a non-finite entry of Y),
@@ -415,13 +481,23 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     )
 
 
+def _verdict(residuals: tuple, eigs: tuple, eq_tol: float, psd_tol: float) -> bool:
+    """Every residual <= eq_tol, every measured least eigenvalue >= -psd_tol.
+
+    None stands for an eigenvalue the mode does not measure.  No comparison
+    with NaN holds, so a NaN residual or eigenvalue fails the verdict.
+    """
+    eigs_ok = all(e >= -psd_tol for e in eigs if e is not None)
+    return all(r <= eq_tol for r in residuals) and eigs_ok
+
+
 def verify_povh_rendl(
     y: CertificateY,
     view: DenseView | None,
     eq_tol: float = EQ_TOL,
     psd_tol: float = PSD_TOL,
 ) -> FeasibilityReport:
-    """Check every relaxation constraint on the certificate.
+    """Check every assignment-lifted constraint on the certificate.
 
     The closed-form PSD check always runs.  With ``view`` None (structured
     mode, see ``dense_view``) the total sum and smallest entry come from
@@ -431,37 +507,64 @@ def verify_povh_rendl(
     yield a failing report, never an exception.
     """
     n = y.n
+    r = _structured_residuals(y) if view is None else _dense_residuals(view, n)
     min_eig_closed = y.spectrum.min_value() / (2.0 * n)
-
-    if view is None:
-        row, col, gang, total, min_entry = _structured_residuals(y)
-        min_eig_numeric = None
-    else:
-        row, col, gang, total, min_entry = _dense_residuals(view, n)
-        min_eig_numeric = float(view.eigenvalues[0])
-
-    passed = (
-        row <= eq_tol
-        and col <= eq_tol
-        and gang <= eq_tol
-        and total <= eq_tol
-        and min_entry >= -NN_TOL
-        and min_eig_closed >= -psd_tol
-        and (min_eig_numeric is None or min_eig_numeric >= -psd_tol)
-    )
+    min_eig_numeric = None if view is None else float(view.eigenvalues[0])
+    residuals = (r.row_assign, r.col_assign, r.gangster, r.total_sum)
+    least_eigs = (min_eig_closed, min_eig_numeric)
+    passed = r.min_entry >= -NN_TOL and _verdict(residuals, least_eigs, eq_tol, psd_tol)
     return FeasibilityReport(
         n=n,
         g=y.g,
-        residual_row_assign=row,
-        residual_col_assign=col,
-        residual_gangster=gang,
-        residual_total_sum=total,
-        min_entry=min_entry,
+        residual_row_assign=r.row_assign,
+        residual_col_assign=r.col_assign,
+        residual_gangster=r.gangster,
+        residual_total_sum=r.total_sum,
+        min_entry=r.min_entry,
         min_eig_closed_form=min_eig_closed,
         min_eig_numeric=min_eig_numeric,
         eq_tol=eq_tol,
         psd_tol=psd_tol,
         nn_tol=NN_TOL,
+        dense_checked=view is not None,
+        passed=passed,
+    )
+
+
+def verify_anstreicher(
+    y: CertificateY,
+    view: DenseView | None,
+    eq_tol: float = EQ_TOL,
+    psd_tol: float = PSD_TOL,
+) -> AnstreicherReport:
+    """Check the trace-pattern relaxation's constraints on the certificate.
+
+    As ``verify_povh_rendl``, with the shifted spectrum in place of Y's.  A
+    dense view also prices the certificate's own equal layout, so that
+    the two relaxations' equal bound values are checked on actual
+    matrices, not just by construction.
+    """
+    n = y.n
+    r = _structured_residuals(y) if view is None else _dense_residuals(view, n)
+    min_shifted = shifted_spectrum(y.spectrum).min_value()
+    min_numeric = objective_dense = None
+    if view is not None:
+        min_numeric = float(view.shifted_eigenvalues[0])
+        objective_dense = objective_dense_trace(make_equal(y.g, y.per_group), view)
+    residuals = (r.block_sum, r.trace_pattern, r.f)
+    passed = _verdict(residuals, (min_shifted, min_numeric), eq_tol, psd_tol)
+    return AnstreicherReport(
+        n=n,
+        g=y.g,
+        residual_block_sum=r.block_sum,
+        residual_trace_pattern=r.trace_pattern,
+        residual_f=r.f,
+        min_shifted_eigenvalue=min_shifted,
+        min_shifted_numeric=min_numeric,
+        objective_closed_form=objective_povh_rendl(y),
+        objective_dense=objective_dense,
+        eq_tol=eq_tol,
+        psd_tol=psd_tol,
         dense_checked=view is not None,
         passed=passed,
     )

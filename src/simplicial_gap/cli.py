@@ -19,12 +19,12 @@ import argparse
 import math
 import sys
 
-from .anstreicher_sdp import verify_anstreicher
 from .certificates import (
     EQ_TOL,
     PSD_TOL,
     assemble,
     dense_view,
+    verify_anstreicher,
     verify_povh_rendl,
 )
 from .circulant import identity_suite

@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 
-from simplicial_gap.anstreicher_sdp import verify_anstreicher
 from simplicial_gap.certificates import (
     assemble,
     closed_form_spectrum,
     dense_view,
     objective_povh_rendl,
+    verify_anstreicher,
 )
 from simplicial_gap.circulant import identity_suite
 from simplicial_gap.cli import main

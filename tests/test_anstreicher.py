@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simplicial_gap import anstreicher_sdp
-from simplicial_gap.anstreicher_sdp import shifted_spectrum, verify_anstreicher
+from simplicial_gap import certificates
 from simplicial_gap.certificates import (
     assemble,
     dense_view,
     objective_povh_rendl,
+    shifted_spectrum,
+    verify_anstreicher,
 )
 from simplicial_gap.matrix_core import DENSE_CAP_ENV_VAR
 from simplicial_gap.serialize import record_json
@@ -51,7 +52,7 @@ def test_dense_residual_f_is_the_literal_gram_trace(n):
     y = m + m.T
     f = row_column_map(n)
     want = abs(float(np.sum((f.T @ f) * y)) - 2.0 * n)
-    _, _, residual_f = anstreicher_sdp._dense_residuals(row_view(y), n)
+    residual_f = certificates._dense_residuals(row_view(y), n).f
     assert abs(residual_f - want) <= 1e-12 * float(np.abs(y).sum())
 
 
@@ -129,23 +130,21 @@ def test_each_check_alone_fails_the_report(check, monkeypatch):
         # only the shifted spectrum drops: Y's own spectrum stays PSD
         view = replace(view, shifted_eigenvalues=view.shifted_eigenvalues - 1.0)
     elif check == "closed_form":
-        real_spectrum = anstreicher_sdp.shifted_spectrum
+        real_spectrum = certificates.shifted_spectrum
 
         def lowered(base):
             spectrum = real_spectrum(base)
             return replace(spectrum, plain=spectrum.plain - 1.0)
 
-        monkeypatch.setattr(anstreicher_sdp, "shifted_spectrum", lowered)
+        monkeypatch.setattr(certificates, "shifted_spectrum", lowered)
     else:
-        real = anstreicher_sdp._dense_residuals
-        i = ["block_sum", "trace_pattern", "residual_f"].index(check)
+        real = certificates._dense_residuals
+        field = "f" if check == "residual_f" else check
 
         def one_failing(*args):
-            values = list(real(*args))
-            values[i] = 1.0
-            return tuple(values)
+            return real(*args)._replace(**{field: 1.0})
 
-        monkeypatch.setattr(anstreicher_sdp, "_dense_residuals", one_failing)
+        monkeypatch.setattr(certificates, "_dense_residuals", one_failing)
     assert not verify_anstreicher(y, view).passed
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from simplicial_gap import certificates
-from simplicial_gap.anstreicher_sdp import shifted_spectrum, verify_anstreicher
 from simplicial_gap.certificates import (
     CertificateY,
     assemble,
@@ -14,6 +13,8 @@ from simplicial_gap.certificates import (
     dense_view,
     objective_dense_trace,
     objective_povh_rendl,
+    shifted_spectrum,
+    verify_anstreicher,
     verify_povh_rendl,
 )
 from simplicial_gap.circulant import cosine_profile, ring_adjacency
@@ -214,6 +215,17 @@ def test_negative_coefficient_sets_min_entry_in_both_modes(name):
         assert verify_povh_rendl(y, view).min_entry == pytest.approx(-0.1 / 16, abs=1e-15)
 
 
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_structured_min_entry_keeps_a_nan(name):
+    # Python's min(0.0, ...) drops a NaN that is not its first argument
+    y = assemble(16, 2)
+    v = getattr(y, name).copy()
+    v[1] = np.nan
+    rep = verify_povh_rendl(replace(y, **{name: v}), None)
+    assert np.isnan(rep.min_entry)
+    assert not rep.passed
+
+
 @pytest.mark.parametrize("g,n", [(2, 98), (2, 196), (4, 196), (6, 474)])
 def test_structured_residuals_by_construction_are_zero(g, n):
     # n * (1/n) != 1 in floating point at these n; the residuals that the
@@ -249,7 +261,32 @@ def test_dense_residuals_read_the_literal_constraints(n):
         for v, t in pairs
         if (u == v) != (s == t)
     )
-    want = (row, col, abs(forbidden), abs(y_dense.sum() - n * n), y_dense.min())
+    block_sum = max(
+        abs(sum(y_dense[u * n + s, u * n + t] for u in range(n)) - (s == t))
+        for s in range(n)
+        for t in range(n)
+    )
+    trace_pattern = max(
+        abs(sum(y_dense[u * n + s, v * n + s] for s in range(n)) - (u == v))
+        for u in range(n)
+        for v in range(n)
+    )
+    # F^T F = J (x) I + I (x) J has entry [s == t] + [u == v]
+    gram = sum(
+        y_dense[u * n + s, v * n + t] * ((s == t) + (u == v))
+        for u, s in pairs
+        for v, t in pairs
+    )
+    want = (
+        row,
+        col,
+        abs(forbidden),
+        abs(y_dense.sum() - n * n),
+        y_dense.min(),
+        block_sum,
+        trace_pattern,
+        abs(gram - 2.0 * n),
+    )
     got = certificates._dense_residuals(row_view(y_dense), n)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -267,12 +304,11 @@ def test_each_check_alone_fails_the_report(check, monkeypatch):
         view = replace(view, eigenvalues=view.eigenvalues - 1.0)
     else:
         real = certificates._dense_residuals
-        i = ["row", "col", "gangster", "total_sum", "min_entry"].index(check)
+        field = {"row": "row_assign", "col": "col_assign"}.get(check, check)
 
         def one_failing(*args):
-            values = list(real(*args))
-            values[i] = -1.0 if check == "min_entry" else 1.0
-            return tuple(values)
+            value = -1.0 if check == "min_entry" else 1.0
+            return real(*args)._replace(**{field: value})
 
         monkeypatch.setattr(certificates, "_dense_residuals", one_failing)
     assert not verify_povh_rendl(y, view).passed
@@ -417,10 +453,10 @@ def test_block_spectrum_matches_full_factorization(g, n, dense_cert, dense_shift
     assert np.abs(view.shifted_eigenvalues - dense_shifted(g, n)).max() <= 1e-12
 
 
-def _dense_view_peak(y: CertificateY) -> int:
+def _peak(call, *args) -> int:
     tracemalloc.start()
     try:
-        dense_view(y, force=True)
+        call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,22 +464,33 @@ def _dense_view_peak(y: CertificateY) -> int:
 
 def test_dense_view_memory_stays_small():
     # the pass holds the vertex row it reads (n x n^2), which becomes its
-    # own residual, the next row as densify makes it, and the n/2 + 1
-    # frequency blocks: 1.9 MiB at n = 44, where a separate residual
-    # buffer peaked at 2.5 MiB, conjugating each row by the real Fourier
-    # basis at 4.1 MiB, and Y held whole, n^4 floats, is 28.6 MiB
-    peak = _dense_view_peak(assemble(44, 2))
+    # own residual, and the n/2 + 1 frequency blocks: 1.9 MiB at n = 44,
+    # where a separate residual buffer peaked at 2.5 MiB, conjugating each
+    # row by the real Fourier basis at 4.1 MiB, and Y held whole, n^4
+    # floats, is 28.6 MiB
+    peak = _peak(dense_view, assemble(44, 2), True)
     assert peak < 2.25 * 2**20, peak
 
 
 def test_dense_view_memory_past_the_default_cap(monkeypatch):
-    # at n = 64 one row is 2 MiB and the blocks 1 MiB: the pass peaks at
-    # 5.5 MiB (two rows and the blocks), where a separate residual buffer
-    # peaked at 7.4 MiB and Y whole is 128 MiB
+    # at n = 64 one row is 2 MiB and the blocks 1 MiB: the view peaks at
+    # 5.5 MiB, in the eigenpair check of the factored blocks, where a
+    # separate residual buffer peaked at 7.4 MiB and Y whole is 128 MiB
     n = 64
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, str(n * n))
-    peak = _dense_view_peak(assemble(n, 4))
+    peak = _peak(dense_view, assemble(n, 4), True)
     assert peak < 6.5 * 2**20, peak
+
+
+def test_row_pass_holds_one_row_at_a_time(monkeypatch):
+    # at n = 64 one row is 2 MiB: the pass drops each row before it pulls
+    # the next and peaks at 3.4 MiB, where holding the last row while
+    # densify made the next peaked at 5.4 MiB
+    n = 64
+    monkeypatch.setenv(DENSE_CAP_ENV_VAR, str(n * n))
+    y = assemble(n, 4)
+    peak = _peak(certificates._row_pass, y.densify(), n)
+    assert peak < 2 * n**3 * 8, peak
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (4, 44)])

@@ -1,27 +1,33 @@
 """Mutation check of the verifiers, the dense oracle, the reduced bound, the
 exact baselines and the tiny-SDP solver.
 
-Each mutant below is one textual edit of the package: a dropped clause of a
-verifier's ``passed`` expression, a wrong residual formula, a wrong kind
-lookup in ``CertificateY.densify``, a wrong offset table in the row pass's
-scatter of the diagonal-block sum, a wrong contraction, projection or mass
-sum in the row pass behind ``certificates.dense_view`` (among them a
-min/max scan moved below the in-place residual), a wrong shift, block slice
-or count of paired frequencies in ``dense_view`` itself, a Weyl check that
-lets a NaN mass through, a wrong count, factor or fixing in
-``reduced_sdp``'s bound, a skipped verification in ``gap_table``, a wrong
-offset in ``circulant.first_row``, a wrong seed, step or return leg in
+Each mutant below is one textual edit of the package: a check dropped
+from the verdict of either verifier in ``certificates``, a wrong residual
+formula in one of its two residual readers (among them a structured
+smallest entry that drops a NaN), a wrong kind lookup in
+``CertificateY.densify``, a wrong offset table in the row pass's scatter
+of the diagonal-block sum, a wrong contraction, projection or mass sum in
+the row pass behind ``certificates.dense_view`` (among them a min/max scan
+moved below the in-place residual, and a pass that holds the last row
+while ``densify`` makes the next), a wrong shift, block slice or count of
+paired frequencies in ``dense_view`` itself, a Weyl check that lets a NaN
+mass through, a wrong count, factor or fixing in ``reduced_sdp``'s bound,
+a skipped verification in ``gap_table``, a wrong offset in
+``circulant.first_row``, a wrong seed, step or return leg in
 ``instances.held_karp_cycle``, a dropped merge, key reset or side in
 ``subtour_lp.min_cut``, a lost Bland fallback or an unclipped ratio test in
 the subtour LP's simplex, a wrong weak-duality bound, trace bound, lift
-bound or step length in ``sdp_numeric``, a skipped symmetry check, a lost generator, a wrong orbit or orbit row in its
-symmetry reduction, or a non-monotonicity verdict that skips the
-certificate check.  For every mutant the script copies
-``src``, ``tests``, ``perfbench`` (the subtour-LP tests read its layouts)
-and ``pyproject.toml`` into a fresh temporary directory, applies the edit
-there (the working tree is never written) and runs the certificate,
-trace-pattern, CLI, reduced-SDP, instance, subtour-LP and SDP-solver
-tests on the copy.
+bound or step length in ``sdp_numeric``, a skipped symmetry check, a lost
+generator, a wrong orbit or orbit row in its symmetry reduction, or a
+non-monotonicity verdict that skips the certificate check.  The script
+first copies ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read
+its layouts) and ``pyproject.toml`` into a snapshot in a temporary
+directory.  The unmutated copy and every mutant's copy come from that
+snapshot, so one run tests one state of the tree even if the working tree
+changes while it runs.  Each mutant gets a fresh copy, the edit is applied
+there (the working tree is never written), and the certificate,
+trace-pattern, CLI, reduced-SDP, instance, subtour-LP and SDP-solver tests
+run on the copy.
 A mutant that every test still passes is a survivor: a fault those tests
 would not see.  Run from the repository root:
 
@@ -57,7 +63,6 @@ TESTS = (
     "tests/test_sdp_numeric.py",
 )
 CERT = "src/simplicial_gap/certificates.py"
-ANST = "src/simplicial_gap/anstreicher_sdp.py"
 RED = "src/simplicial_gap/reduced_sdp.py"
 CIRC = "src/simplicial_gap/circulant.py"
 INST = "src/simplicial_gap/instances.py"
@@ -66,36 +71,66 @@ SDP = "src/simplicial_gap/sdp_numeric.py"
 
 # (name, file, text, replacement): the text must occur exactly once
 MUTANTS = [
-    # verify_povh_rendl's verdict, one clause at a time
-    ("povh-passed-row", CERT, "        row <= eq_tol\n", "        True\n"),
-    ("povh-passed-col", CERT, "        and col <= eq_tol\n", ""),
-    ("povh-passed-gangster", CERT, "        and gang <= eq_tol\n", ""),
-    ("povh-passed-total", CERT, "        and total <= eq_tol\n", ""),
-    ("povh-passed-min-entry", CERT, "        and min_entry >= -NN_TOL\n", ""),
-    ("povh-passed-closed-psd", CERT, "        and min_eig_closed >= -psd_tol\n", ""),
+    # verify_povh_rendl's verdict, one check at a time
+    ("povh-passed-row", CERT, "(r.row_assign, r.col_assign, ", "(r.col_assign, "),
+    (
+        "povh-passed-col",
+        CERT,
+        "r.row_assign, r.col_assign, r.gangster",
+        "r.row_assign, r.gangster",
+    ),
+    (
+        "povh-passed-gangster",
+        CERT,
+        "r.col_assign, r.gangster, r.total_sum)",
+        "r.col_assign, r.total_sum)",
+    ),
+    ("povh-passed-total", CERT, "r.gangster, r.total_sum)", "r.gangster)"),
+    (
+        "povh-passed-min-entry",
+        CERT,
+        "passed = r.min_entry >= -NN_TOL and ",
+        "passed = ",
+    ),
+    (
+        "povh-passed-closed-psd",
+        CERT,
+        "least_eigs = (min_eig_closed, min_eig_numeric)",
+        "least_eigs = (min_eig_numeric,)",
+    ),
     (
         "povh-passed-numeric-psd",
         CERT,
-        "        and (min_eig_numeric is None or min_eig_numeric >= -psd_tol)\n",
-        "",
+        "least_eigs = (min_eig_closed, min_eig_numeric)",
+        "least_eigs = (min_eig_closed,)",
     ),
     # verify_anstreicher's verdict
-    ("anst-passed-block-sum", ANST, "        block_sum <= eq_tol\n", "        True\n"),
-    ("anst-passed-trace-pattern", ANST, "        and trace_pattern <= eq_tol\n", ""),
-    ("anst-passed-f", ANST, "        and residual_f <= eq_tol\n", ""),
-    ("anst-passed-closed-psd", ANST, "        and min_shifted >= -psd_tol\n", ""),
     (
-        "anst-passed-numeric-psd",
-        ANST,
-        "        and (min_numeric is None or min_numeric >= -psd_tol)\n",
-        "",
+        "anst-passed-block-sum",
+        CERT,
+        "(r.block_sum, r.trace_pattern, r.f)",
+        "(r.trace_pattern, r.f)",
     ),
+    (
+        "anst-passed-trace-pattern",
+        CERT,
+        "(r.block_sum, r.trace_pattern, r.f)",
+        "(r.block_sum, r.f)",
+    ),
+    (
+        "anst-passed-f",
+        CERT,
+        "(r.block_sum, r.trace_pattern, r.f)",
+        "(r.block_sum, r.trace_pattern)",
+    ),
+    ("anst-passed-closed-psd", CERT, "(min_shifted, min_numeric)", "(min_numeric,)"),
+    ("anst-passed-numeric-psd", CERT, "(min_shifted, min_numeric)", "(min_shifted,)"),
     # residual formulas
     (
         "povh-dense-row-reads-traces",
         CERT,
-        "np.diagonal(view.diagonal_block_sum) - 1.0",
-        "np.diagonal(view.block_traces) - 1.0",
+        "np.diagonal(block_sum) - 1.0",
+        "np.diagonal(traces) - 1.0",
     ),
     (
         "povh-dense-total",
@@ -106,8 +141,8 @@ MUTANTS = [
     (
         "povh-dense-gangster-drops-traces",
         CERT,
-        "view.diagonal_block_sum[off].sum() + view.block_traces[off].sum()",
-        "view.diagonal_block_sum[off].sum()",
+        "block_sum[off].sum() + traces[off].sum()",
+        "block_sum[off].sum()",
     ),
     (
         "povh-dense-gangster-allowed-entries",
@@ -124,13 +159,15 @@ MUTANTS = [
     (
         "povh-structured-min-entry",
         CERT,
-        "float(b.min()) / (2.0 * n)",
-        "float(a.min()) / (2.0 * n)",
+        "y.b.min() / (2.0 * n)",
+        "y.a.min() / (2.0 * n)",
     ),
+    # Python's min drops a NaN that np.min keeps
+    ("structured-min-entry-drops-nan", CERT, "np.min([y.a.min()", "min([y.a.min()"),
     (
         "anst-dense-f-doubles-block-sum",
-        ANST,
-        "block_sum.sum() + trace_pattern.sum()",
+        CERT,
+        "block_sum.sum() + traces.sum()",
         "block_sum.sum() + block_sum.sum()",
     ),
     (
@@ -141,13 +178,20 @@ MUTANTS = [
     ),
     (
         "anst-dense-trace-pattern-block-sum",
-        ANST,
-        "trace_pattern = view.block_traces",
-        "trace_pattern = view.diagonal_block_sum",
+        CERT,
+        "trace_pattern=float(np.abs(traces - eye).max())",
+        "trace_pattern=float(np.abs(block_sum - eye).max())",
     ),
     # densify's vertex rows: every row u reads the kinds of vertex 0
     ("densify-every-row-vertex-0", CERT, "row[kind[u]]", "row[kind[0]]"),
-    # the one pass over Y's vertex rows and its projection
+    # the one pass over Y's vertex rows and its projection; the first
+    # holds the last row while densify makes the next
+    (
+        "pass-keeps-the-last-row",
+        CERT,
+        "        del w  # drop this row before the next one is made\n",
+        "",
+    ),
     (
         "pass-drops-discarded-mass",
         CERT,
@@ -237,7 +281,7 @@ MUTANTS = [
     ("spectra-drop-pairs", CERT, "paired = values[1 : n // 2]", "paired = values[1:1]"),
     (
         "anst-reads-unshifted",
-        ANST,
+        CERT,
         "float(view.shifted_eigenvalues[0])",
         "float(view.eigenvalues[0])",
     ),
@@ -404,7 +448,7 @@ MUTANTS = [
 ]
 
 
-def _copy_tree(dest: Path) -> None:
+def _snapshot(dest: Path) -> None:
     for name in COPIED:
         source = ROOT / name
         if source.is_dir():
@@ -442,12 +486,14 @@ def _apply(tree: Path, path: str, text: str, replacement: str) -> bool:
     return True
 
 
-def _try(tmp: Path, mutant: tuple[str, str, str, str]) -> tuple[str | None, float]:
-    """Test one mutant in its own copy: its verdict, None when the edit does
-    not apply, and the seconds it took."""
+def _try(
+    snapshot: Path, mutant: tuple[str, str, str, str]
+) -> tuple[str | None, float]:
+    """Test one mutant in its own copy of the snapshot: its verdict, None
+    when the edit does not apply, and the seconds it took."""
     name, path, text, replacement = mutant
-    tree = tmp / name
-    _copy_tree(tree)
+    tree = snapshot.parent / name
+    shutil.copytree(snapshot, tree)
     start = time.perf_counter()
     if not _apply(tree, path, text, replacement):
         return None, 0.0
@@ -462,15 +508,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        snapshot = Path(tmp) / "snapshot"
+        _snapshot(snapshot)
         base = Path(tmp) / "unmutated"
-        _copy_tree(base)
+        shutil.copytree(snapshot, base)
         if not _run_tests(base):
             print("the unmutated copy fails its tests; no mutant was run")
             return 2
         survivors, stale = [], []
         workers = len(os.sched_getaffinity(0))
         with ThreadPoolExecutor(workers) as pool:
-            results = pool.map(lambda mutant: _try(Path(tmp), mutant), MUTANTS)
+            results = pool.map(lambda mutant: _try(snapshot, mutant), MUTANTS)
             for (name, path, _, _), (verdict, seconds) in zip(MUTANTS, results):
                 if verdict is None:
                     stale.append(name)
