@@ -27,15 +27,16 @@ decides both reports.  The closed forms always run; of the residuals
 they measure the total sum and smallest entry, the rest are 0 by
 construction.  Below the dense cap the dense oracle joins in and measures
 every constraint.  ``dense_view`` is the one place that chooses the mode:
-in dense mode it densifies Y once, one vertex row (n x n^2) at a time in
-offset coordinates, and reads each row once.  The row's wrapped-diagonal
-sums give every contraction the dense checks read and the row's share of
-Y's projection onto symmetric circulant minor blocks, whose frequency
-blocks M_k of side n need k = 0..n/2 only.  It then factors those blocks,
-with the frequency-0 block shifted by -J_n/n for Y - J/n^2, in one batched
-call.  The oracle holds O(n^3) numbers at once and never Y whole; both
-verifiers read the resulting ``DenseView``, each constraint from one
-contraction.
+in dense mode it densifies Y once, one vertex row (n x n^2, a read-only
+view of one n x n slab) at a time in offset coordinates, and reads each
+row once, by three reductions over the positions.  The row's
+wrapped-diagonal sums give every contraction the dense checks read and
+the row's share of Y's projection onto symmetric circulant minor blocks,
+whose frequency blocks M_k of side n need k = 0..n/2 only.  It then
+factors those blocks, with the frequency-0 block shifted by -J_n/n for
+Y - J/n^2, in one batched call.  The oracle holds the O(n^3) numbers of
+those blocks and never Y whole; both verifiers read the resulting
+``DenseView``, each constraint from one contraction.
 
 The spectrum of 2nY comes in three closed-form families per frequency k:
 
@@ -146,8 +147,8 @@ class CertificateY:
         2I/2n, kind 1 (same group) A/2n and kind 2 (across groups) B/2n.
         Every row of a circulant read in offset coordinates is its first
         row, so w[s, v, :] = row[kind(u, v)] for every s: vertex row u is
-        the n x n slab row[kind(u)] repeated n times, a fresh writable
-        array each time.
+        the n x n slab row[kind(u)] broadcast over s, a read-only view of
+        n^2 numbers with no copy.
         """
         n, g, p = self.n, self.g, self.per_group
         cap = dense_cap()
@@ -160,7 +161,9 @@ class CertificateY:
         ) / (2.0 * n)
         same_group = kron(np.eye(g), np.ones((p, p))).astype(int)
         kind = 2 - same_group - np.eye(n, dtype=int)
-        return (np.tile(row[kind[u]].reshape(-1), (n, 1)) for u in range(n))
+        return (
+            np.broadcast_to(row[kind[u]].reshape(-1), (n, n * n)) for u in range(n)
+        )
 
 
 def assemble(n: int, g: int) -> CertificateY:
@@ -371,58 +374,74 @@ def _dense_residuals(view: DenseView, n: int) -> _Residuals:
     )
 
 
+def _row_mass(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: np.ndarray) -> float:
+    """sum_s |w[s] - h|^2 for one vertex row w [s, v, o], lo/hi its min/max over s.
+
+    Where lo and hi agree at every (v, o), every slab w[s] equals lo and the
+    sum is n |lo - h|^2, read from n^2 numbers; a NaN fails that test.  Any
+    other row's residual w - h goes into a fresh array, so the row is never
+    written.
+    """
+    if (lo == hi).all():
+        r = lo - h
+        return len(w) * float(np.vdot(r, r))
+    r = w - h
+    return float(np.vdot(r, r))
+
+
 def _row_pass(
     rows: Iterable[np.ndarray], n: int
 ) -> tuple[dict[str, np.ndarray | float], np.ndarray, float]:
     """One pass over Y's n vertex rows (each n x n^2): contractions and blocks.
 
     Each row comes in offset coordinates, w[s, v, o] = Y[(u, s), (v,
-    (s + o) mod n)] (see ``CertificateY.densify``), and is summed over s:
-    d[v, o] is the o-th wrapped-diagonal sum of minor block Y^(uv).  Its
-    nearest symmetric circulant has first row h[v, o] = (d[v, o] + d[v,
-    -o]) / 2n and eigenvalue M_k[u, v] = sum_o h[v, o] cos(2 pi k o / n)
-    at frequency k, kept for k = 0..n/2 (M_{n-k} = M_k).  The discarded
-    mass, the mass of w - h entry by entry plus the blocks' antisymmetric
+    (s + o) mod n)] (see ``CertificateY.densify``), and is read by three
+    reductions over s: its sum d, its min lo and its max hi.  d[v, o] is
+    the o-th wrapped-diagonal sum of minor block Y^(uv).  Its nearest
+    symmetric circulant has first row h[v, o] = (d[v, o] + d[v, -o]) / 2n
+    and eigenvalue M_k[u, v] = sum_o h[v, o] cos(2 pi k o / n) at frequency
+    k, kept for k = 0..n/2 (M_{n-k} = M_k).  The discarded mass, the mass
+    of w - h entry by entry (``_row_mass``) plus the blocks' antisymmetric
     part (twice for each paired frequency), is the Frobenius distance from
     Y to the symmetric matrix with symmetric circulant minor blocks whose
     spectrum the blocks give.  The pass also collects the ``DenseView``
-    contractions; it returns them by field name, the symmetrised blocks
-    (n/2 + 1, n, n) and the discarded mass.  ``diagonal_block_sum`` adds
-    up the rows' own blocks w[s, u, o] and is scattered back to (s, t)
-    once, at t = (s + o) mod n.  Nothing here assumes circulant structure,
-    so it reads the rows of any matrix given in offset coordinates.
-
-    The pass consumes its rows: once every contraction has read a row, the
-    row is overwritten by its own residual w - h, so no second n^3 buffer
-    is held; it is dropped before the next row is pulled.  A NaN entry
-    propagates into ``min_entry``/``max_entry`` and into the discarded mass.
+    contractions and Y's min and max (from lo and hi); it returns them by
+    field name, one stack (n/2 + 2, n, n) of the symmetrised blocks with
+    M_0 - J_n/n in its last slot (the frequency-0 block of Y - J/n^2), and
+    the discarded mass.  ``diagonal_block_sum`` adds up the rows' own
+    blocks w[s, u, o] and is scattered back to (s, t) once, at t = (s + o)
+    mod n.  Nothing here assumes circulant structure, so it reads the rows
+    of any matrix given in offset coordinates, and it writes none of them.
+    A NaN entry propagates into ``min_entry``/``max_entry`` and into the
+    discarded mass.
     """
     pos = np.arange(n)
     mirror = -pos % n
     freq = np.arange(n // 2 + 1)
     cosines = np.cos((2.0 * np.pi / n) * (np.outer(pos, freq) % n))  # [o, k]
-    blocks = np.empty((n // 2 + 1, n, n))
+    stack = np.empty((n // 2 + 2, n, n))
+    blocks = stack[:-1]
     block_traces = np.empty((n, n))
     own_blocks = np.zeros((n, n))  # [s, o]
     c1_inner = np.empty((n, n))
     total, off, low, high = 0.0, 0.0, np.inf, -np.inf
-    rows = iter(rows)
-    for u in range(n):
-        w = next(rows).reshape(n, n, n)  # [s, v, o]
-        d = w.sum(axis=0)
+    for u, row in enumerate(rows):
+        w = row.reshape(n, n, n)  # [s, v, o]
+        d, lo, hi = w.sum(axis=0), w.min(axis=0), w.max(axis=0)
         block_traces[u] = d[:, 0]
         own_blocks += w[:, u, :]
         c1_inner[u] = d[:, 1] + d[:, n - 1]
         total += float(d.sum())
-        low, high = np.minimum(low, w.min()), np.maximum(high, w.max())
+        low, high = np.minimum(low, lo.min()), np.maximum(high, hi.max())
         h = (d + d[:, mirror]) / (2.0 * n)
         blocks[:, u, :] = (h @ cosines).T
-        np.subtract(w, h, out=w)  # the row is its own residual from here on
-        off += float(np.vdot(w, w))
-        del w  # drop this row before the next one is made
+        off += _row_mass(w, lo, hi, h)
     anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
     pair = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0)
     discarded = float(np.sqrt(off + pair @ (anti * anti).sum(axis=(1, 2))))
+    blocks += blocks.transpose(0, 2, 1)  # numpy buffers the overlapping read
+    blocks *= 0.5
+    stack[-1] = stack[0] - 1.0 / n
     diagonal_block_sum = np.empty((n, n))
     diagonal_block_sum[pos[:, None], (pos[:, None] + pos[None, :]) % n] = own_blocks
     sums = {
@@ -433,7 +452,7 @@ def _row_pass(
         "min_entry": float(low),
         "max_entry": float(high),
     }
-    return sums, 0.5 * (blocks + blocks.transpose(0, 2, 1)), discarded
+    return sums, stack, discarded
 
 
 def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
@@ -444,26 +463,28 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     on the dense oracle and raises SizeLimitError past the cap.  Callers
     that want the structured checks below the cap pass view None directly.
     Y is densified once, one vertex row at a time in offset coordinates,
+    each a read-only view of one n x n slab repeated over the n positions,
     and read in one pass (``_row_pass``) that projects every minor block
     onto the symmetric circulants and keeps the frequency blocks M_k of
     side n for k = 0..n/2 (M_{n-k} = M_k) and every contraction the checks
-    read.  The pass overwrites each row with its own residual and keeps no
-    row-sized buffer of its own, so O(n^3) numbers are held at once (the
-    row being read, which is dropped before ``densify`` makes the next, and
-    the blocks), never the n^2 x n^2 matrix.
+    read.  The pass reads each row by three reductions over the positions
+    and holds no n x n^2 array for a certificate's rows, so the O(n^3)
+    numbers held at once are the blocks, never the n^2 x n^2 matrix.
     By Weyl's inequality every eigenvalue of Y lies within the Frobenius
     mass the projection discards of the block spectrum; more than
     ``EIG_TOL * max|Y|`` of it, or a NaN mass (a non-finite entry of Y),
     raises ConvergenceError carrying that mass.
     J/n^2 is block-circulant too, with symbol J_n/n at frequency 0 and
     zero elsewhere, so Y - J/n^2 has the blocks of Y with M_0 replaced by
-    M_0 - J_n/n.  One batched ``sym_eigs`` call factors the n/2 + 1 blocks
-    and that one extra block; each paired frequency counts twice.
+    M_0 - J_n/n.  The pass writes that block into the last slot of the
+    stack it returns, and one batched ``sym_eigs`` call factors the stack
+    as it stands, the n/2 + 1 blocks and that one extra; each paired
+    frequency counts twice.
     """
     if not force and y.n * y.n > dense_cap():
         return None
     n = y.n
-    sums, blocks, discarded = _row_pass(y.densify(), n)
+    sums, stack, discarded = _row_pass(y.densify(), n)
     scale = max(sums["max_entry"], -sums["min_entry"])
     if not discarded <= EIG_TOL * scale:  # NaN mass fails too
         raise ConvergenceError(
@@ -472,7 +493,7 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
             discarded,
             n * n,
         )
-    values = sym_eigs(np.concatenate([blocks, blocks[:1] - 1.0 / n]))
+    values = sym_eigs(stack)
     paired = values[1 : n // 2]  # frequencies k and n - k share a block
     return DenseView(
         **sums,

@@ -15,7 +15,9 @@ memory; this is what the structured certify/gap path runs on at any size.
 slicing, behind the same input check as ``cosine_profile``, so the
 half-offset layout is known in this module alone.  The dense oracle
 (``CertificateY.densify``) yields the certificate one vertex row at a time
-in offset coordinates, where every row of a circulant is its first row.
+in offset coordinates, where every row of a circulant is its first row:
+each vertex row is one slab of ``first_row`` values, a read-only view
+repeated over the tour positions with no copy.
 
 ``identity_suite`` evaluates, numerically and against their closed forms, the
 handful of trigonometric identities that the certificate analysis rests on,

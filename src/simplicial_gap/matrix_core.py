@@ -15,8 +15,8 @@ environment variable ``SIMPLICIAL_GAP_MAX_DENSE`` if set, else
 ``kron`` builds and ``sym_eigs`` factors (for a stack, the side of each
 block), and that of the certificate Y whose vertex rows
 ``CertificateY.densify`` yields in offset coordinates: checked at the
-call, although the dense oracle holds only O(n^3) numbers of Y at a time,
-never all n^4.
+call, although the dense oracle reads Y as n read-only views of one n x n
+slab each, never all n^4 numbers.
 """
 
 from __future__ import annotations

@@ -363,6 +363,7 @@ def test_row_pass_contractions_on_a_random_matrix(n):
     rng = np.random.default_rng(n)
     y = rng.normal(size=(n * n, n * n))
     view = row_view(y)
+    assert (view.min_entry, view.max_entry) == (y.min(), y.max())
     y4 = y.reshape(n, n, n, n)  # [u, s, v, t]
     tol = 1e-12 * float(np.abs(y).max())
     assert np.abs(view.block_traces - np.einsum("usvs->uv", y4)).max() <= tol
@@ -406,7 +407,61 @@ def test_densify_yields_rows_in_offset_coordinates(g, n):
     assert len(rows) == n
     for u, row in enumerate(rows):
         assert row.shape == (n, n * n)
+        assert not row.flags.writeable
         assert np.array_equal(row, want[u])
+
+
+def _slab_sums(w: np.ndarray):
+    """The three reductions over s of a row w [s, v, o] and the pass's h."""
+    n = len(w)
+    d, lo, hi = w.sum(axis=0), w.min(axis=0), w.max(axis=0)
+    return lo, hi, (d + d[:, -np.arange(n) % n]) / (2.0 * n)
+
+
+def _mass_by_slab(w: np.ndarray, h: np.ndarray) -> float:
+    """sum_s |w[s] - h|^2, one slab at a time."""
+    return sum(float(np.sum((slab - h) ** 2)) for slab in w)
+
+
+@pytest.mark.parametrize("g,n", BLOCK_GRID)
+def test_equal_slab_mass_is_the_sum_over_slabs(g, n):
+    # every certificate row repeats one slab over s, so its mass is read
+    # as n |lo - h|^2; both sides add the same n^3 nonnegative squares in
+    # another order, each within (n^2 - 1) eps of the total
+    eps = np.finfo(float).eps
+    for row in assemble(n, g).densify():
+        w = row.reshape(n, n, n)
+        lo, hi, h = _slab_sums(w)
+        assert np.array_equal(lo, hi)
+        want = _mass_by_slab(w, h)
+        got = certificates._row_mass(w, lo, hi, h)
+        assert abs(got - want) <= 2.0 * n * n * eps * want
+
+
+def test_a_slab_one_ulp_off_takes_the_general_branch():
+    # one entry of one slab moves up by one ulp: min and max over s part at
+    # that (v, o) alone, and against h = the unmoved slab the mass is that
+    # ulp squared, where n |lo - h|^2 would read 0
+    n = 8
+    w = np.array(next(assemble(n, 2).densify())).reshape(n, n, n)
+    h = w[0].copy()
+    w[3, 5, 2] = np.nextafter(w[3, 5, 2], np.inf)
+    lo, hi, _ = _slab_sums(w)
+    assert np.count_nonzero(lo != hi) == 1
+    ulp = w[3, 5, 2] - h[5, 2]
+    got = certificates._row_mass(w, lo, hi, h)
+    assert got == _mass_by_slab(w, h) == ulp * ulp > 0.0
+
+
+def test_row_pass_leaves_its_rows_unchanged():
+    # a writable row, not a certificate's: the general branch reads its
+    # residual into a fresh array
+    n = 6
+    y = np.random.default_rng(n).normal(size=(n * n, n * n))
+    rows = offset_rows(y)
+    before = rows.copy()
+    certificates._row_pass(rows, n)
+    assert np.array_equal(rows, before)
 
 
 @pytest.mark.parametrize("g,n", BLOCK_GRID)
@@ -463,29 +518,32 @@ def _peak(call, *args) -> int:
 
 
 def test_dense_view_memory_stays_small():
-    # the pass holds the vertex row it reads (n x n^2), which becomes its
-    # own residual, and the n/2 + 1 frequency blocks: 1.9 MiB at n = 44,
-    # where a separate residual buffer peaked at 2.5 MiB, conjugating each
-    # row by the real Fourier basis at 4.1 MiB, and Y held whole, n^4
-    # floats, is 28.6 MiB
+    # each vertex row is a read-only view of one n x n slab, so the pass
+    # holds no n x n^2 row, only the stack of n/2 + 2 frequency blocks
+    # that sym_eigs factors with no copy: 1.54 MiB at n = 44, where a tiled
+    # row and a concatenated stack peaked at 1.9 MiB, a separate residual
+    # buffer at 2.5 MiB, conjugating each row by the real Fourier basis at
+    # 4.1 MiB, and Y held whole, n^4 floats, is 28.6 MiB
     peak = _peak(dense_view, assemble(44, 2), True)
-    assert peak < 2.25 * 2**20, peak
+    assert peak < 1.75 * 2**20, peak
 
 
 def test_dense_view_memory_past_the_default_cap(monkeypatch):
-    # at n = 64 one row is 2 MiB and the blocks 1 MiB: the view peaks at
-    # 5.5 MiB, in the eigenpair check of the factored blocks, where a
-    # separate residual buffer peaked at 7.4 MiB and Y whole is 128 MiB
+    # at n = 64 the stack of blocks is 1.06 MiB: the view peaks at 4.43 MiB,
+    # in the eigenpair check of the factored stack, where a concatenated
+    # copy of the stack peaked at 5.5 MiB, a separate residual buffer at
+    # 7.4 MiB, and Y whole is 128 MiB
     n = 64
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, str(n * n))
     peak = _peak(dense_view, assemble(n, 4), True)
-    assert peak < 6.5 * 2**20, peak
+    assert peak < 5.0 * 2**20, peak
 
 
 def test_row_pass_holds_one_row_at_a_time(monkeypatch):
-    # at n = 64 one row is 2 MiB: the pass drops each row before it pulls
-    # the next and peaks at 3.4 MiB, where holding the last row while
-    # densify made the next peaked at 5.4 MiB
+    # at n = 64 a tiled row would be 2 MiB: the rows are views of 32 KiB
+    # slabs, and the pass peaks at 3.5 MiB after the last row, in the
+    # blocks' antisymmetric part and their symmetrisation, where holding
+    # the last tiled row while densify made the next peaked at 5.4 MiB
     n = 64
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, str(n * n))
     y = assemble(n, 4)

@@ -7,11 +7,13 @@ formula in one of its two residual readers (among them a structured
 smallest entry that drops a NaN), a wrong kind lookup in
 ``CertificateY.densify``, a wrong offset table in the row pass's scatter
 of the diagonal-block sum, a wrong contraction, projection or mass sum in
-the row pass behind ``certificates.dense_view`` (among them a min/max scan
-moved below the in-place residual, and a pass that holds the last row
-while ``densify`` makes the next), a wrong shift, block slice or count of
-paired frequencies in ``dense_view`` itself, a Weyl check that lets a NaN
-mass through, a wrong count, factor or fixing in ``reduced_sdp``'s bound,
+the row pass behind ``certificates.dense_view`` (among them an equal-slab
+mass without its factor n or taken without its equality test, a dropped
+general-branch mass, a largest entry read from the slab minima, a
+residual written into the row it reads, and a wrong -J_n/n shift in the
+stack it returns), a wrong block slice or count of paired frequencies in
+``dense_view`` itself, a Weyl check that lets a NaN mass through, a wrong
+count, factor or fixing in ``reduced_sdp``'s bound,
 a skipped verification in ``gap_table``, a wrong offset in
 ``circulant.first_row``, a wrong seed, step or return leg in
 ``instances.held_karp_cycle``, a dropped merge, key reset or side in
@@ -184,34 +186,29 @@ MUTANTS = [
     ),
     # densify's vertex rows: every row u reads the kinds of vertex 0
     ("densify-every-row-vertex-0", CERT, "row[kind[u]]", "row[kind[0]]"),
-    # the one pass over Y's vertex rows and its projection; the first
-    # holds the last row while densify makes the next
-    (
-        "pass-keeps-the-last-row",
-        CERT,
-        "        del w  # drop this row before the next one is made\n",
-        "",
-    ),
+    # the one pass over Y's vertex rows and its projection
     (
         "pass-drops-discarded-mass",
         CERT,
-        "        off += float(np.vdot(w, w))\n",
+        "        off += _row_mass(w, lo, hi, h)\n",
         "",
     ),
-    # the row becomes its own residual: a scan moved below the subtract
-    # reads w - h in place of Y's entries
+    # the row's mass: n |lo - h|^2 where every slab equals lo, else w - h
     (
-        "pass-scan-after-residual",
+        "pass-equal-slab-without-n",
         CERT,
-        "        low, high = np.minimum(low, w.min()), np.maximum(high, w.max())\n"
-        "        h = (d + d[:, mirror]) / (2.0 * n)\n"
-        "        blocks[:, u, :] = (h @ cosines).T\n"
-        "        np.subtract(w, h, out=w)  # the row is its own residual from here on\n",
-        "        h = (d + d[:, mirror]) / (2.0 * n)\n"
-        "        blocks[:, u, :] = (h @ cosines).T\n"
-        "        np.subtract(w, h, out=w)  # the row is its own residual from here on\n"
-        "        low, high = np.minimum(low, w.min()), np.maximum(high, w.max())\n",
+        "len(w) * float(np.vdot(r, r))",
+        "float(np.vdot(r, r))",
     ),
+    ("pass-equal-slab-untested", CERT, "if (lo == hi).all():", "if True:"),
+    (
+        "pass-general-mass-dropped",
+        CERT,
+        "    r = w - h\n    return float(np.vdot(r, r))\n",
+        "    return 0.0\n",
+    ),
+    # the general branch writes its residual into the row it reads
+    ("pass-residual-in-place", CERT, "r = w - h", "r = np.subtract(w, h, out=w)"),
     (
         "pass-block-sum-wrong-scatter",
         CERT,
@@ -246,8 +243,14 @@ MUTANTS = [
     (
         "pass-min-max-one-row",
         CERT,
-        "low, high = np.minimum(low, w.min()), np.maximum(high, w.max())",
-        "low, high = w.min(), w.max()",
+        "low, high = np.minimum(low, lo.min()), np.maximum(high, hi.max())",
+        "low, high = lo.min(), hi.max()",
+    ),
+    (
+        "pass-max-from-lo",
+        CERT,
+        "np.maximum(high, hi.max())",
+        "np.maximum(high, lo.max())",
     ),
     (
         "pass-diagonal-block-wrong-column",
@@ -262,10 +265,11 @@ MUTANTS = [
         "if not discarded <= EIG_TOL * scale:",
         "if discarded > EIG_TOL * scale:",
     ),
-    # the -J_n/n shift and the block slicing in dense_view
-    ("shift-dropped", CERT, "blocks[:1] - 1.0 / n", "blocks[:1]"),
-    ("shift-scale", CERT, "blocks[:1] - 1.0 / n", "blocks[:1] - 1.0 / (n * n)"),
-    ("shift-wrong-block", CERT, "blocks[:1] - 1.0 / n", "blocks[1:2] - 1.0 / n"),
+    # the -J_n/n shift in the row pass's stack and the block slicing in
+    # dense_view
+    ("shift-dropped", CERT, "stack[0] - 1.0 / n", "stack[0]"),
+    ("shift-scale", CERT, "stack[0] - 1.0 / n", "stack[0] - 1.0 / (n * n)"),
+    ("shift-wrong-block", CERT, "stack[0] - 1.0 / n", "stack[1] - 1.0 / n"),
     (
         "slice-eigenvalues",
         CERT,
