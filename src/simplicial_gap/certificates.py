@@ -27,12 +27,13 @@ decides both reports.  The closed forms always run; of the residuals
 they measure the total sum and smallest entry, the rest are 0 by
 construction.  Below the dense cap the dense oracle joins in and measures
 every constraint.  ``dense_view`` is the one place that chooses the mode:
-in dense mode it densifies Y once, one vertex row (n x n^2, a read-only
-view of one n x n slab) at a time in offset coordinates, and reads each
-row once, by three reductions over the positions.  The row's
-wrapped-diagonal sums give every contraction the dense checks read and
-the row's share of Y's projection onto symmetric circulant minor blocks,
-whose frequency blocks M_k of side n need k = 0..n/2 only.  It then
+in dense mode it densifies Y once, in blocks of max(1, 4096 // n^2)
+consecutive vertex rows (each row n x n^2, a block a read-only view of
+its rows' n x n slabs) in offset coordinates, and reads each block once,
+by three reductions over the positions for all its rows at once.  The
+rows' wrapped-diagonal sums give every contraction the dense checks read
+and the rows' share of Y's projection onto symmetric circulant minor
+blocks, whose frequency blocks M_k of side n need k = 0..n/2 only.  It then
 factors those blocks, with the frequency-0 block shifted by -J_n/n for
 Y - J/n^2, in one batched call.  The oracle holds the O(n^3) numbers of
 those blocks and never Y whole; both verifiers read the resulting
@@ -137,18 +138,21 @@ class CertificateY:
         return closed_form_spectrum(self)
 
     def densify(self) -> Iterator[np.ndarray]:
-        """Y's n vertex rows in offset coordinates, one at a time.
+        """Y's n vertex rows in offset coordinates, in blocks of k rows.
 
         Row u is the n x n^2 slab w[s, (v, o)] = Y[(u, s), (v, (s + o)
         mod n)], s down and (v, o) across: column o of minor block (u, v)
-        holds its o-th wrapped diagonal.  Y is never held whole.  The cap
-        is checked at the call, before the first row; SizeLimitError beyond
-        it.  Minor block (u, v) is circulant kind(u, v): kind 0 (u = v) is
-        2I/2n, kind 1 (same group) A/2n and kind 2 (across groups) B/2n.
-        Every row of a circulant read in offset coordinates is its first
-        row, so w[s, v, :] = row[kind(u, v)] for every s: vertex row u is
-        the n x n slab row[kind(u)] broadcast over s, a read-only view of
-        n^2 numbers with no copy.
+        holds its o-th wrapped diagonal.  The rows come k at a time, k =
+        ``_block_rows(n)``, as (k, n, n^2) blocks of consecutive vertex
+        rows; the last block holds what is left.  Y is never held whole.
+        The cap is checked at the call, before the first block;
+        SizeLimitError beyond it.  Minor block (u, v) is circulant kind(u,
+        v): kind 0 (u = v) is 2I/2n, kind 1 (same group) A/2n and kind 2
+        (across groups) B/2n.  Every row of a circulant read in offset
+        coordinates is its first row, so w[s, v, :] = row[kind(u, v)] for
+        every s: vertex row u is the n x n slab row[kind(u)] broadcast over
+        s, and a block is a read-only view of its k slabs, k n^2 numbers
+        with no copy.
         """
         n, g, p = self.n, self.g, self.per_group
         cap = dense_cap()
@@ -161,9 +165,22 @@ class CertificateY:
         ) / (2.0 * n)
         same_group = kron(np.eye(g), np.ones((p, p))).astype(int)
         kind = 2 - same_group - np.eye(n, dtype=int)
-        return (
-            np.broadcast_to(row[kind[u]].reshape(-1), (n, n * n)) for u in range(n)
-        )
+        k = _block_rows(n)
+        slabs = (row[kind[u : u + k]].reshape(-1, 1, n * n) for u in range(0, n, k))
+        return (np.broadcast_to(slab, (len(slab), n, n * n)) for slab in slabs)
+
+
+# slab entries per block of vertex rows: k = max(1, _BLOCK_ENTRIES // n^2)
+_BLOCK_ENTRIES = 4096
+
+
+def _block_rows(n: int) -> int:
+    """The k of ``CertificateY.densify``: vertex rows per block at size n.
+
+    A block holds at most ``_BLOCK_ENTRIES`` slab entries, or one row where
+    one slab of n^2 entries is more: k = 1 for every n >= 64.
+    """
+    return max(1, _BLOCK_ENTRIES // (n * n))
 
 
 def assemble(n: int, g: int) -> CertificateY:
@@ -374,42 +391,58 @@ def _dense_residuals(view: DenseView, n: int) -> _Residuals:
     )
 
 
-def _row_mass(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: np.ndarray) -> float:
-    """sum_s |w[s] - h|^2 for one vertex row w [s, v, o], lo/hi its min/max over s.
+def _row_mass(
+    w: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: np.ndarray
+) -> list[float]:
+    """sum_s |w[r, s] - h[r]|^2 for each vertex row r of a block w [r, s, v, o].
 
-    Where lo and hi agree at every (v, o), every slab w[s] equals lo and the
-    sum is n |lo - h|^2, read from n^2 numbers; a NaN fails that test.  Any
-    other row's residual w - h goes into a fresh array, so the row is never
-    written.
+    lo and hi are the block's min and max over s.  Where lo[r] and hi[r]
+    agree at every (v, o), every slab w[r, s] equals lo[r] and the row's
+    sum is n |lo[r] - h[r]|^2, read from n^2 numbers; a NaN fails that
+    test.  The test is made row by row, so one block can mix the two
+    branches.  Any other row's residual w[r] - h[r] goes into a fresh
+    array, so no row is written.
     """
-    if (lo == hi).all():
-        r = lo - h
-        return len(w) * float(np.vdot(r, r))
-    r = w - h
-    return float(np.vdot(r, r))
+    n = w.shape[1]
+    equal = (lo == hi).all(axis=(1, 2))
+    slab = lo - h
+    masses = []
+    for r, same in enumerate(equal):
+        if same:
+            masses.append(n * float(np.vdot(slab[r], slab[r])))
+        else:
+            res = w[r] - h[r]
+            masses.append(float(np.vdot(res, res)))
+    return masses
 
 
 def _row_pass(
-    rows: Iterable[np.ndarray], n: int
+    row_blocks: Iterable[np.ndarray], n: int
 ) -> tuple[dict[str, np.ndarray | float], np.ndarray, float]:
-    """One pass over Y's n vertex rows (each n x n^2): contractions and blocks.
+    """One pass over Y's n vertex rows, a block of rows at a time.
 
-    Each row comes in offset coordinates, w[s, v, o] = Y[(u, s), (v,
-    (s + o) mod n)] (see ``CertificateY.densify``), and is read by three
-    reductions over s: its sum d, its min lo and its max hi.  d[v, o] is
-    the o-th wrapped-diagonal sum of minor block Y^(uv).  Its nearest
-    symmetric circulant has first row h[v, o] = (d[v, o] + d[v, -o]) / 2n
-    and eigenvalue M_k[u, v] = sum_o h[v, o] cos(2 pi k o / n) at frequency
-    k, kept for k = 0..n/2 (M_{n-k} = M_k).  The discarded mass, the mass
-    of w - h entry by entry (``_row_mass``) plus the blocks' antisymmetric
-    part (twice for each paired frequency), is the Frobenius distance from
-    Y to the symmetric matrix with symmetric circulant minor blocks whose
+    A block (m, n, n^2) holds the m vertex rows u..u+m-1 in offset
+    coordinates, w[r, s, v, o] = Y[(u + r, s), (v, (s + o) mod n)] (see
+    ``CertificateY.densify``); m may differ from block to block.  Each
+    block is read by three reductions over s, for all its rows at once:
+    its sum d, its min lo and its max hi.  d[r, v, o] is the o-th
+    wrapped-diagonal sum of minor block Y^(u+r, v).  Its nearest symmetric
+    circulant has first row h[r, v, o] = (d[r, v, o] + d[r, v, -o]) / 2n
+    and eigenvalue M_k[u + r, v] = sum_o h[r, v, o] cos(2 pi k o / n) at
+    frequency k, kept for k = 0..n/2 (M_{n-k} = M_k); the block traces,
+    <C1, Y^(u+r, v)> and the block's columns of every M_k are each filled
+    by one operation per block.  The discarded mass, the mass of w - h
+    entry by entry (``_row_mass``) plus the blocks' antisymmetric part
+    (twice for each paired frequency), is the Frobenius distance from Y to
+    the symmetric matrix with symmetric circulant minor blocks whose
     spectrum the blocks give.  The pass also collects the ``DenseView``
     contractions and Y's min and max (from lo and hi); it returns them by
     field name, one stack (n/2 + 2, n, n) of the symmetrised blocks with
     M_0 - J_n/n in its last slot (the frequency-0 block of Y - J/n^2), and
-    the discarded mass.  ``diagonal_block_sum`` adds up the rows' own
-    blocks w[s, u, o] and is scattered back to (s, t) once, at t = (s + o)
+    the discarded mass.  The entry sum, the mass and ``diagonal_block_sum``
+    are added up one row at a time, in row order, as a pass over single
+    rows adds them.  ``diagonal_block_sum`` adds up the rows' own blocks
+    w[r, s, u + r, o] and is scattered back to (s, t) once, at t = (s + o)
     mod n.  Nothing here assumes circulant structure, so it reads the rows
     of any matrix given in offset coordinates, and it writes none of them.
     A NaN entry propagates into ``min_entry``/``max_entry`` and into the
@@ -425,20 +458,31 @@ def _row_pass(
     own_blocks = np.zeros((n, n))  # [s, o]
     c1_inner = np.empty((n, n))
     total, off, low, high = 0.0, 0.0, np.inf, -np.inf
-    for u, row in enumerate(rows):
-        w = row.reshape(n, n, n)  # [s, v, o]
-        d, lo, hi = w.sum(axis=0), w.min(axis=0), w.max(axis=0)
-        block_traces[u] = d[:, 0]
-        own_blocks += w[:, u, :]
-        c1_inner[u] = d[:, 1] + d[:, n - 1]
-        total += float(d.sum())
+    u = 0
+    for block in row_blocks:
+        w = block.reshape(-1, n, n, n)  # [r, s, v, o], vertex row u + r
+        rows = slice(u, u + len(w))
+        d, lo, hi = w.sum(axis=1), w.min(axis=1), w.max(axis=1)
+        block_traces[rows] = d[:, :, 0]
+        c1_inner[rows] = d[:, :, 1] + d[:, :, n - 1]
+        for r in range(len(w)):
+            own_blocks += w[r, :, u + r, :]
+        for row_sum in d.sum(axis=(1, 2)):
+            total += float(row_sum)
         low, high = np.minimum(low, lo.min()), np.maximum(high, hi.max())
-        h = (d + d[:, mirror]) / (2.0 * n)
-        blocks[:, u, :] = (h @ cosines).T
-        off += _row_mass(w, lo, hi, h)
-    anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
+        h = (d + d[:, :, mirror]) / (2.0 * n)
+        blocks[:, rows, :] = (h @ cosines).transpose(2, 0, 1)
+        for mass in _row_mass(w, lo, hi, h):
+            off += mass
+        u = rows.stop
+    # the antisymmetric part is squared in place and dropped before the
+    # symmetrisation, so one block-sized array at most sits beside the stack
+    anti = blocks - blocks.transpose(0, 2, 1)
+    anti *= 0.5
+    anti *= anti
     pair = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0)
-    discarded = float(np.sqrt(off + pair @ (anti * anti).sum(axis=(1, 2))))
+    discarded = float(np.sqrt(off + pair @ anti.sum(axis=(1, 2))))
+    del anti
     blocks += blocks.transpose(0, 2, 1)  # numpy buffers the overlapping read
     blocks *= 0.5
     stack[-1] = stack[0] - 1.0 / n
@@ -462,14 +506,16 @@ def dense_view(y: CertificateY, force: bool = False) -> DenseView | None:
     (closed forms and blockwise residuals only) past it; ``force`` insists
     on the dense oracle and raises SizeLimitError past the cap.  Callers
     that want the structured checks below the cap pass view None directly.
-    Y is densified once, one vertex row at a time in offset coordinates,
-    each a read-only view of one n x n slab repeated over the n positions,
-    and read in one pass (``_row_pass``) that projects every minor block
-    onto the symmetric circulants and keeps the frequency blocks M_k of
-    side n for k = 0..n/2 (M_{n-k} = M_k) and every contraction the checks
-    read.  The pass reads each row by three reductions over the positions
-    and holds no n x n^2 array for a certificate's rows, so the O(n^3)
-    numbers held at once are the blocks, never the n^2 x n^2 matrix.
+    Y is densified once, in blocks of ``_block_rows(n)`` = max(1, 4096 //
+    n^2) consecutive vertex rows in offset coordinates (all n rows in one
+    block up to n = 16, two rows at n = 44, one row from n = 64 on), each
+    block a read-only view of its n x n slabs repeated over the n
+    positions.  One pass (``_row_pass``) reads each block by three
+    reductions over the positions, projects every minor block onto the
+    symmetric circulants and keeps the frequency blocks M_k of side n for
+    k = 0..n/2 (M_{n-k} = M_k) and every contraction the checks read.  It
+    holds no n x n^2 array for a certificate's rows, so the O(n^3) numbers
+    held at once are the blocks, never the n^2 x n^2 matrix.
     By Weyl's inequality every eigenvalue of Y lies within the Frobenius
     mass the projection discards of the block spectrum; more than
     ``EIG_TOL * max|Y|`` of it, or a NaN mass (a non-finite entry of Y),

@@ -15,8 +15,8 @@ environment variable ``SIMPLICIAL_GAP_MAX_DENSE`` if set, else
 ``kron`` builds and ``sym_eigs`` factors (for a stack, the side of each
 block), and that of the certificate Y whose vertex rows
 ``CertificateY.densify`` yields in offset coordinates: checked at the
-call, although the dense oracle reads Y as n read-only views of one n x n
-slab each, never all n^4 numbers.
+call, although the dense oracle reads Y in blocks of vertex rows, each a
+read-only view of one n x n slab per row, never all n^4 numbers.
 """
 
 from __future__ import annotations
@@ -125,7 +125,12 @@ def sym_eigs(stack: np.ndarray) -> np.ndarray:
         ) from exc
 
     scale = np.abs(stack).max(axis=(1, 2))
-    residual = np.abs(stack @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2))
+    # m v - lambda v formed in the product's own array: only the
+    # eigenvectors, scaled in place, sit beside it and the stack
+    residual = stack @ vecs
+    vecs *= vals[:, None, :]
+    residual -= vecs
+    residual = np.abs(residual, out=residual).max(axis=(1, 2))
     # written so that a NaN residual fails too
     bad = np.flatnonzero(~(residual <= EIG_TOL * scale))
     if bad.size:

@@ -259,7 +259,13 @@ def min_cut(weights: np.ndarray) -> tuple[float, frozenset[int]]:
 
     Exact for symmetric nonnegative finite weights; anything else raises
     ValueError.  A disconnected support returns the zero cut that separates
-    vertex 0's connected component from the rest.
+    vertex 0's connected component from the rest.  An edge in either
+    direction joins its ends, so the contraction reads max(w, w^T).  On
+    such symmetric weights every cut of a connected support has positive
+    weight and some phase cut of a disconnected one is exactly 0, so the
+    components are labelled only when the contraction finds a zero cut: a
+    caller that has labelled a connected support already (the subtour
+    separation) pays for no second labelling.
 
     Each phase grows a maximum adjacency order from vertex 0 and then
     contracts its last vertex t into the one before it, s, in place: row and
@@ -281,11 +287,7 @@ def min_cut(weights: np.ndarray) -> tuple[float, frozenset[int]]:
         raise ValueError("weights must be symmetric")
     if w.min() < -WEIGHT_TOL:
         raise ValueError("weights must be nonnegative")
-    wm = np.maximum(w, 0.0)
-
-    labels = _components(wm > 0)
-    if labels.max() > 0:
-        return 0.0, frozenset(np.flatnonzero(labels == 0).tolist())
+    wm = np.maximum(np.maximum(w, w.T), 0.0)
 
     groups = [[i] for i in range(n)]
     dead = np.zeros(n, dtype=bool)
@@ -310,6 +312,9 @@ def min_cut(weights: np.ndarray) -> tuple[float, frozenset[int]]:
         wm[:, s] += wm[:, t]
         dead[t] = True
         groups[s].extend(groups[t])
+    if best_val == 0.0:  # a disconnected support
+        labels = _components(w > 0)
+        return 0.0, frozenset(np.flatnonzero(labels == 0).tolist())
     return best_val, best_set
 
 

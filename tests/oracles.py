@@ -6,8 +6,11 @@ expanded multiset) so that a test can hold the two side by side.  The
 methods of package classes appear here as functions of the instance.
 ``offset_rows`` and ``natural_matrix`` move a matrix into and out of the
 offset coordinates that ``CertificateY.densify`` yields and the row pass
-reads.  ``stacked`` and ``row_view`` are adapters: they hold Y whole from
-its streamed rows, or feed any matrix's rows through the package's row pass.
+reads, and ``offset_blocks`` cuts those rows into densify's blocks.
+``stacked`` and ``row_view`` are adapters: they hold Y whole from its
+streamed blocks, or feed any matrix's rows through the package's row pass.
+``row_pass_by_row`` is that pass one vertex row at a time, the reference
+for the block pass.
 """
 
 from __future__ import annotations
@@ -95,9 +98,23 @@ def offset_rows(y_dense: np.ndarray) -> np.ndarray:
     return w.reshape(n, n, n * n)
 
 
-def natural_matrix(rows) -> np.ndarray:
-    """The n^2-side matrix whose ``offset_rows`` are ``rows``: Y whole."""
-    w = np.stack(list(rows))
+def offset_blocks(y_dense: np.ndarray, k: int | None = None) -> list[np.ndarray]:
+    """The ``offset_rows`` of any n^2-side matrix, cut into blocks of k rows.
+
+    k defaults to the ``CertificateY.densify`` rule at this n, so a test
+    that swaps densify for this feeds the pass blocks of the same sizes;
+    the last block holds what is left.
+    """
+    rows = offset_rows(y_dense)
+    n = len(rows)
+    k = certificates._block_rows(n) if k is None else k
+    return [rows[u : u + k] for u in range(0, n, k)]
+
+
+def natural_matrix(row_blocks) -> np.ndarray:
+    """The n^2-side matrix whose ``offset_rows`` are the rows of ``row_blocks``
+    (blocks (k, n, n^2) of consecutive vertex rows): Y whole."""
+    w = np.concatenate(list(row_blocks))
     n = w.shape[0]
     w = w.reshape(n, n, n, n)  # [u, s, v, o]
     y4 = np.empty_like(w)  # [u, s, v, t]
@@ -108,7 +125,7 @@ def natural_matrix(rows) -> np.ndarray:
 
 
 def stacked(y: CertificateY) -> np.ndarray:
-    """Y whole, n^2 x n^2: the vertex rows of ``y.densify()`` stacked."""
+    """Y whole, n^2 x n^2: the vertex rows of ``y.densify()``'s blocks stacked."""
     return natural_matrix(y.densify())
 
 
@@ -121,8 +138,61 @@ def row_view(y_dense: np.ndarray) -> DenseView:
     verifiers read.
     """
     n = round(y_dense.shape[0] ** 0.5)
-    sums, _, _ = certificates._row_pass(offset_rows(y_dense), n)
+    sums, _, _ = certificates._row_pass(offset_blocks(y_dense), n)
     return DenseView(**sums, eigenvalues=np.empty(0), shifted_eigenvalues=np.empty(0))
+
+
+def row_pass_by_row(rows, n: int) -> tuple[dict, np.ndarray, float]:
+    """The dense oracle's row pass one vertex row (n x n^2) at a time.
+
+    The reference for ``certificates._row_pass``, which reads its rows in
+    blocks: each row by three reductions over s, its own contractions,
+    projection and mass, and the same returns (contractions by field name,
+    the stack with M_0 - J_n/n last, the discarded mass).
+    """
+    pos = np.arange(n)
+    mirror = -pos % n
+    freq = np.arange(n // 2 + 1)
+    cosines = np.cos((2.0 * np.pi / n) * (np.outer(pos, freq) % n))  # [o, k]
+    stack = np.empty((n // 2 + 2, n, n))
+    blocks = stack[:-1]
+    block_traces = np.empty((n, n))
+    own_blocks = np.zeros((n, n))  # [s, o]
+    c1_inner = np.empty((n, n))
+    total, off, low, high = 0.0, 0.0, np.inf, -np.inf
+    for u, row in enumerate(rows):
+        w = row.reshape(n, n, n)  # [s, v, o]
+        d, lo, hi = w.sum(axis=0), w.min(axis=0), w.max(axis=0)
+        block_traces[u] = d[:, 0]
+        own_blocks += w[:, u, :]
+        c1_inner[u] = d[:, 1] + d[:, n - 1]
+        total += float(d.sum())
+        low, high = np.minimum(low, lo.min()), np.maximum(high, hi.max())
+        h = (d + d[:, mirror]) / (2.0 * n)
+        blocks[:, u, :] = (h @ cosines).T
+        if (lo == hi).all():  # every slab equals lo: n |lo - h|^2
+            r = lo - h
+            off += n * float(np.vdot(r, r))
+        else:
+            r = w - h
+            off += float(np.vdot(r, r))
+    anti = 0.5 * (blocks - blocks.transpose(0, 2, 1))
+    pair = np.where((freq == 0) | (2 * freq == n), 1.0, 2.0)
+    discarded = float(np.sqrt(off + pair @ (anti * anti).sum(axis=(1, 2))))
+    blocks += blocks.transpose(0, 2, 1)
+    blocks *= 0.5
+    stack[-1] = stack[0] - 1.0 / n
+    diagonal_block_sum = np.empty((n, n))
+    diagonal_block_sum[pos[:, None], (pos[:, None] + pos[None, :]) % n] = own_blocks
+    sums = {
+        "block_traces": block_traces,
+        "diagonal_block_sum": diagonal_block_sum,
+        "c1_inner": c1_inner,
+        "entry_sum": total,
+        "min_entry": float(low),
+        "max_entry": float(high),
+    }
+    return sums, stack, discarded
 
 
 def frequency_blocks_whole(y_dense: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from simplicial_gap.serialize import record_json
 from oracles import (
     densify_kron,
     multiset,
-    offset_rows,
+    offset_blocks,
     row_column_map,
     row_view,
     stacked,
@@ -213,7 +213,7 @@ def test_shifted_spectrum_holds_without_equal_row_sums(monkeypatch):
     tilted[0:n, n : 2 * n] *= 3.0
     tilted[n : 2 * n, 0:n] *= 3.0
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(offset_rows(tilted))
+        type(y), "densify", lambda self: iter(offset_blocks(tilted))
     )
     want = np.linalg.eigvalsh(tilted - 1.0 / (n * n))
 

@@ -35,8 +35,10 @@ from oracles import (
     frequency_blocks_whole,
     lower_bound_akk,
     multiset,
+    offset_blocks,
     offset_rows,
     profile_identity_residuals,
+    row_pass_by_row,
     row_view,
     stacked,
 )
@@ -142,7 +144,9 @@ def test_densify_follows_a_raised_cap(monkeypatch):
     # one cap bounds densify and the kron products inside it alike
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, "4096")
     n = 60
-    rows = list(assemble(n, 2).densify())
+    blocks = list(assemble(n, 2).densify())
+    assert [len(block) for block in blocks] == [1] * n
+    rows = [row for block in blocks for row in block]
     assert len(rows) == n
     for u, row in enumerate(rows):
         assert row.shape == (n, n * n)
@@ -385,8 +389,12 @@ def test_spectrum_multiset_matches_dense(g, n, dense_cert):
     assert np.abs(closed / (2.0 * n) - eigs).max() < 1e-8
 
 
+# n = 24 and 28 end on a partial block (k = 7 and 5), n = 44 has two rows
+# a block, n <= 16 one block of all n rows
 BLOCK_GRID = (
-    [(2, n) for n in (4, 8, 16, 32, 44)] + [(4, n) for n in (16, 32, 44)] + [(6, 36)]
+    [(2, n) for n in (4, 8, 16, 24, 32, 44)]
+    + [(4, n) for n in (16, 28, 32, 44)]
+    + [(6, 36)]
 )
 
 
@@ -399,23 +407,78 @@ def test_densify_matches_the_kronecker_oracle(g, n):
 @pytest.mark.parametrize("g,n", BLOCK_GRID)
 def test_densify_yields_rows_in_offset_coordinates(g, n):
     # the repeated first rows against the slice-by-slice reindex of the
-    # Kronecker sum, row by row: row u holds Y[(u, s), (v, (s + o) mod n)]
-    # at [s, v, o]
+    # Kronecker sum, block by block: row u holds Y[(u, s), (v, (s + o) mod
+    # n)] at [s, v, o], k = max(1, 4096 // n^2) consecutive rows a block
+    # and what is left in the last
     y = assemble(n, g)
     want = offset_rows(densify_kron(y))
-    rows = list(y.densify())
-    assert len(rows) == n
-    for u, row in enumerate(rows):
-        assert row.shape == (n, n * n)
-        assert not row.flags.writeable
-        assert np.array_equal(row, want[u])
+    k = max(1, 4096 // (n * n))
+    assert certificates._block_rows(n) == k
+    blocks = list(y.densify())
+    sizes = [min(k, n - u) for u in range(0, n, k)]
+    assert [len(block) for block in blocks] == sizes
+    for u, block in zip(range(0, n, k), blocks):
+        assert block.shape == (len(block), n, n * n)
+        assert not block.flags.writeable
+        assert np.array_equal(block, want[u : u + k])
+
+
+@pytest.mark.parametrize("g,n", BLOCK_GRID)
+def test_block_pass_equals_the_row_by_row_pass(g, n, monkeypatch):
+    # every DenseView field and the factored stack bit for bit against the
+    # pass that reads one vertex row at a time, and so is the discarded mass
+    # (added up row by row in both)
+    y = assemble(n, g)
+    rows = [row for block in y.densify() for row in block]
+    want_sums, want_stack, want_mass = row_pass_by_row(rows, n)
+    _, stack, mass = certificates._row_pass(y.densify(), n)
+    assert np.array_equal(stack, want_stack)
+    assert mass == want_mass
+    factored = []
+    real = certificates.sym_eigs
+
+    def recording(stack):
+        factored.append(stack.copy())
+        return real(stack)
+
+    monkeypatch.setattr(certificates, "sym_eigs", recording)
+    view = dense_view(y, force=True)
+    assert len(factored) == 1 and np.array_equal(factored[0], want_stack)
+    for name, value in want_sums.items():
+        assert np.array_equal(getattr(view, name), value), name
+
+
+def test_block_pass_on_blocks_that_mix_both_mass_branches():
+    # a random non-certificate matrix whose vertex rows 1 and 4 repeat one
+    # slab over s, as a certificate's do, and whose other rows keep random
+    # slabs: blocks of 3 rows then mix the equal-slab and the general
+    # branch, and the last block (row 6) is partial.  Y's smallest and
+    # largest entry sit in the first two blocks
+    n = 7
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=(n * n, n * n))
+    slab = rng.normal(size=n * n)
+    rows = offset_rows(y)
+    rows[[1, 4]] = slab
+    rows[0, 2, 5], rows[3, 4, 6] = -9.0, 9.0
+    blocks = [rows[u : u + 3] for u in range(0, n, 3)]
+    assert [len(block) for block in blocks] == [3, 3, 1]
+    lo, hi, _ = _slab_sums(blocks[0].reshape(3, n, n, n))
+    assert (lo == hi).all(axis=(1, 2)).tolist() == [False, True, False]
+    want_sums, want_stack, want_mass = row_pass_by_row(rows, n)
+    assert (want_sums["min_entry"], want_sums["max_entry"]) == (-9.0, 9.0)
+    sums, stack, mass = certificates._row_pass(blocks, n)
+    for name, value in sums.items():
+        assert np.array_equal(value, want_sums[name]), name
+    assert np.array_equal(stack, want_stack)
+    assert mass == want_mass
 
 
 def _slab_sums(w: np.ndarray):
-    """The three reductions over s of a row w [s, v, o] and the pass's h."""
-    n = len(w)
-    d, lo, hi = w.sum(axis=0), w.min(axis=0), w.max(axis=0)
-    return lo, hi, (d + d[:, -np.arange(n) % n]) / (2.0 * n)
+    """The three reductions over s of a block w [r, s, v, o] and the pass's h."""
+    n = w.shape[1]
+    d, lo, hi = w.sum(axis=1), w.min(axis=1), w.max(axis=1)
+    return lo, hi, (d + d[:, :, -np.arange(n) % n]) / (2.0 * n)
 
 
 def _mass_by_slab(w: np.ndarray, h: np.ndarray) -> float:
@@ -429,28 +492,34 @@ def test_equal_slab_mass_is_the_sum_over_slabs(g, n):
     # as n |lo - h|^2; both sides add the same n^3 nonnegative squares in
     # another order, each within (n^2 - 1) eps of the total
     eps = np.finfo(float).eps
-    for row in assemble(n, g).densify():
-        w = row.reshape(n, n, n)
+    for block in assemble(n, g).densify():
+        w = block.reshape(len(block), n, n, n)
         lo, hi, h = _slab_sums(w)
         assert np.array_equal(lo, hi)
-        want = _mass_by_slab(w, h)
         got = certificates._row_mass(w, lo, hi, h)
-        assert abs(got - want) <= 2.0 * n * n * eps * want
+        assert len(got) == len(block)
+        for r, mass in enumerate(got):
+            want = _mass_by_slab(w[r], h[r])
+            assert abs(mass - want) <= 2.0 * n * n * eps * want
 
 
 def test_a_slab_one_ulp_off_takes_the_general_branch():
-    # one entry of one slab moves up by one ulp: min and max over s part at
-    # that (v, o) alone, and against h = the unmoved slab the mass is that
-    # ulp squared, where n |lo - h|^2 would read 0
+    # one entry of one slab of row 1 moves up by one ulp: min and max over
+    # s part at that (v, o) alone, and against h = the unmoved slab the
+    # row's mass is that ulp squared, where n |lo - h|^2 would read 0; the
+    # other rows of the same block keep the equal-slab branch, mass 0
     n = 8
-    w = np.array(next(assemble(n, 2).densify())).reshape(n, n, n)
-    h = w[0].copy()
-    w[3, 5, 2] = np.nextafter(w[3, 5, 2], np.inf)
+    block = next(assemble(n, 2).densify())
+    assert len(block) == n
+    w = np.array(block).reshape(n, n, n, n)
+    h = w[:, 0].copy()
+    w[1, 3, 5, 2] = np.nextafter(w[1, 3, 5, 2], np.inf)
     lo, hi, _ = _slab_sums(w)
     assert np.count_nonzero(lo != hi) == 1
-    ulp = w[3, 5, 2] - h[5, 2]
+    ulp = w[1, 3, 5, 2] - h[1, 5, 2]
     got = certificates._row_mass(w, lo, hi, h)
-    assert got == _mass_by_slab(w, h) == ulp * ulp > 0.0
+    assert got[1] == _mass_by_slab(w[1], h[1]) == ulp * ulp > 0.0
+    assert got[:1] + got[2:] == [0.0] * (n - 1)
 
 
 def test_row_pass_leaves_its_rows_unchanged():
@@ -460,7 +529,7 @@ def test_row_pass_leaves_its_rows_unchanged():
     y = np.random.default_rng(n).normal(size=(n * n, n * n))
     rows = offset_rows(y)
     before = rows.copy()
-    certificates._row_pass(rows, n)
+    certificates._row_pass([rows[:4], rows[4:]], n)
     assert np.array_equal(rows, before)
 
 
@@ -518,37 +587,44 @@ def _peak(call, *args) -> int:
 
 
 def test_dense_view_memory_stays_small():
-    # each vertex row is a read-only view of one n x n slab, so the pass
-    # holds no n x n^2 row, only the stack of n/2 + 2 frequency blocks
-    # that sym_eigs factors with no copy: 1.54 MiB at n = 44, where a tiled
-    # row and a concatenated stack peaked at 1.9 MiB, a separate residual
-    # buffer at 2.5 MiB, conjugating each row by the real Fourier basis at
-    # 4.1 MiB, and Y held whole, n^4 floats, is 28.6 MiB
+    # each block of vertex rows is a read-only view of its n x n slabs, so
+    # the pass holds no n x n^2 row, only the stack of n/2 + 2 frequency
+    # blocks that sym_eigs factors with no copy: 1.18 MiB at n = 44, where
+    # an eigenpair residual formed out of place peaked at 1.54 MiB, a tiled
+    # row and a concatenated stack at 1.9 MiB, a separate residual buffer
+    # at 2.5 MiB, conjugating each row by the real Fourier basis at 4.1
+    # MiB, and Y held whole, n^4 floats, is 28.6 MiB
     peak = _peak(dense_view, assemble(44, 2), True)
-    assert peak < 1.75 * 2**20, peak
+    assert peak < 1.35 * 2**20, peak
 
 
 def test_dense_view_memory_past_the_default_cap(monkeypatch):
-    # at n = 64 the stack of blocks is 1.06 MiB: the view peaks at 4.43 MiB,
-    # in the eigenpair check of the factored stack, where a concatenated
-    # copy of the stack peaked at 5.5 MiB, a separate residual buffer at
-    # 7.4 MiB, and Y whole is 128 MiB
+    # at n = 64 the stack of blocks is 1.06 MiB: the view peaks at 3.37 MiB,
+    # in the eigenpair check of the factored stack (the stack, its
+    # eigenvectors and the residual formed in place), where a residual
+    # formed out of place peaked at 4.43 MiB, a concatenated copy of the
+    # stack at 5.5 MiB, a separate residual buffer at 7.4 MiB, and Y whole
+    # is 128 MiB
     n = 64
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, str(n * n))
     peak = _peak(dense_view, assemble(n, 4), True)
-    assert peak < 5.0 * 2**20, peak
+    assert peak < 3.6 * 2**20, peak
 
 
 def test_row_pass_holds_one_row_at_a_time(monkeypatch):
-    # at n = 64 a tiled row would be 2 MiB: the rows are views of 32 KiB
-    # slabs, and the pass peaks at 3.5 MiB after the last row, in the
-    # blocks' antisymmetric part and their symmetrisation, where holding
-    # the last tiled row while densify made the next peaked at 5.4 MiB
+    # at n = 64 a block holds one row (k = 1), and a tiled row would be 2
+    # MiB: the rows are views of 32 KiB slabs, and the pass peaks at 2.43
+    # MiB after the last row, with one block-sized array beside the 1.06
+    # MiB stack (the antisymmetric part, then the symmetrisation's buffered
+    # read), where keeping the antisymmetric part through the
+    # symmetrisation peaked at 3.46 MiB and holding the last tiled row
+    # while densify made the next at 5.4 MiB
     n = 64
     monkeypatch.setenv(DENSE_CAP_ENV_VAR, str(n * n))
     y = assemble(n, 4)
+    assert [len(block) for block in y.densify()] == [1] * n
     peak = _peak(certificates._row_pass, y.densify(), n)
-    assert peak < 2 * n**3 * 8, peak
+    assert peak < 2.6 * 2**20, peak
 
 
 @pytest.mark.parametrize("g,n", [(2, 8), (4, 44)])
@@ -594,7 +670,7 @@ def test_dense_view_refuses_a_matrix_off_the_circulant_structure(monkeypatch):
     tilted[i, j] += delta
     tilted[j, i] += delta
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(offset_rows(tilted))
+        type(y), "densify", lambda self: iter(offset_blocks(tilted))
     )
     with pytest.raises(ConvergenceError) as exc:
         dense_view(y, force=True)
@@ -622,7 +698,7 @@ def test_dense_view_refuses_a_circulant_block_off_its_mirror(monkeypatch):
     tilted[5 * n : 6 * n, 0:n] += delta * (shift.T - shift)
     assert np.array_equal(tilted, tilted.T)
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(offset_rows(tilted))
+        type(y), "densify", lambda self: iter(offset_blocks(tilted))
     )
     with pytest.raises(ConvergenceError) as exc:
         dense_view(y, force=True)
@@ -640,7 +716,7 @@ def test_dense_view_counts_the_antisymmetric_mass_per_frequency(monkeypatch):
     shift = np.roll(np.eye(n), 1, axis=1)
     tilted[0:n, 5 * n : 6 * n] += delta * (shift + shift.T)
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(offset_rows(tilted))
+        type(y), "densify", lambda self: iter(offset_blocks(tilted))
     )
     with pytest.raises(ConvergenceError) as exc:
         dense_view(y, force=True)
@@ -660,14 +736,14 @@ def test_dense_view_refuses_a_non_finite_entry(bad, monkeypatch):
     i, j = 0 * n + 1, 5 * n + 2
     tilted[i, j] = tilted[j, i] = bad
     with np.errstate(invalid="ignore"):
-        sums, _, discarded = certificates._row_pass(offset_rows(tilted), n)
+        sums, _, discarded = certificates._row_pass(offset_blocks(tilted), n)
     assert np.isnan(discarded)
     if np.isnan(bad):
         assert np.isnan(sums["min_entry"]) and np.isnan(sums["max_entry"])
     else:
         assert sums["max_entry"] == np.inf
     monkeypatch.setattr(
-        type(y), "densify", lambda self: iter(offset_rows(tilted))
+        type(y), "densify", lambda self: iter(offset_blocks(tilted))
     )
     with pytest.raises(ConvergenceError) as exc, np.errstate(invalid="ignore"):
         dense_view(y, force=True)

@@ -381,6 +381,36 @@ def test_disconnected_support_gets_one_cut_per_component(monkeypatch):
     assert rows[:2] == [9, 12]
 
 
+def test_separation_labels_each_support_once(monkeypatch):
+    # one labelling per separation round: min_cut labels a support only
+    # when its contraction finds a zero cut, and the separation hands it
+    # connected supports alone; the old min_cut labelled them again
+    counts = {"rounds": 0, "labels": 0, "min_cuts": 0}
+    real_cuts = subtour_lp._violated_cuts
+    real_components = subtour_lp._components
+    real_min_cut = subtour_lp.min_cut
+
+    def cuts(n, x):
+        counts["rounds"] += 1
+        return real_cuts(n, x)
+
+    def components(adj):
+        counts["labels"] += 1
+        return real_components(adj)
+
+    def cutting(w):
+        counts["min_cuts"] += 1
+        return real_min_cut(w)
+
+    monkeypatch.setattr(subtour_lp, "_violated_cuts", cuts)
+    monkeypatch.setattr(subtour_lp, "_components", components)
+    monkeypatch.setattr(subtour_lp, "min_cut", cutting)
+    for g, p in [(3, 3), (10, 6), (4, 10)]:
+        assert solve_subtour(SimplicialInstance((p,) * g)).status == "optimal"
+    assert counts["labels"] == counts["rounds"]
+    assert 0 < counts["min_cuts"] < counts["rounds"]
+
+
 def test_cut_rounds_do_not_repivot_the_basis(monkeypatch):
     # rebuilding each round's tableau from its basis list took 2,781 pivots
     # here; the live tableau takes 842

@@ -4,19 +4,22 @@ exact baselines and the tiny-SDP solver.
 Each mutant below is one textual edit of the package: a check dropped
 from the verdict of either verifier in ``certificates``, a wrong residual
 formula in one of its two residual readers (among them a structured
-smallest entry that drops a NaN), a wrong kind lookup in
+smallest entry that drops a NaN), a wrong kind lookup, a block that
+starts one row late or a dropped partial last block in
 ``CertificateY.densify``, a wrong offset table in the row pass's scatter
-of the diagonal-block sum, a wrong contraction, projection or mass sum in
-the row pass behind ``certificates.dense_view`` (among them an equal-slab
-mass without its factor n or taken without its equality test, a dropped
-general-branch mass, a largest entry read from the slab minima, a
-residual written into the row it reads, and a wrong -J_n/n shift in the
-stack it returns), a wrong block slice or count of paired frequencies in
-``dense_view`` itself, a Weyl check that lets a NaN mass through, a wrong
-count, factor or fixing in ``reduced_sdp``'s bound,
+of the diagonal-block sum, a wrong contraction, projection, block
+placement or mass sum in the block pass behind ``certificates.dense_view``
+(among them an equal-slab mass without its factor n, taken without its
+equality test or taken for a whole block that mixes both branches, a
+dropped general-branch mass, a largest entry read from the slab minima,
+a residual written into the row it reads, and a wrong -J_n/n shift in
+the stack it returns), a wrong block slice or count of paired
+frequencies in ``dense_view`` itself, a Weyl check that lets a NaN mass
+through, a wrong count, factor or fixing in ``reduced_sdp``'s bound,
 a skipped verification in ``gap_table``, a wrong offset in
 ``circulant.first_row``, a wrong seed, step or return leg in
-``instances.held_karp_cycle``, a dropped merge, key reset or side in
+``instances.held_karp_cycle``, a dropped merge, key reset or side, a
+one-direction read or an unlabelled zero cut in
 ``subtour_lp.min_cut``, a lost Bland fallback or an unclipped ratio test in
 the subtour LP's simplex, a wrong weak-duality bound, trace bound, lift
 bound or step length in ``sdp_numeric``, a skipped symmetry check, a lost
@@ -175,8 +178,8 @@ MUTANTS = [
     (
         "anst-dense-block-sum-all-blocks",
         CERT,
-        "own_blocks += w[:, u, :]",
-        "own_blocks += w.sum(axis=1)",
+        "own_blocks += w[r, :, u + r, :]",
+        "own_blocks += w[r].sum(axis=1)",
     ),
     (
         "anst-dense-trace-pattern-block-sum",
@@ -184,31 +187,61 @@ MUTANTS = [
         "trace_pattern=float(np.abs(traces - eye).max())",
         "trace_pattern=float(np.abs(block_sum - eye).max())",
     ),
-    # densify's vertex rows: every row u reads the kinds of vertex 0
-    ("densify-every-row-vertex-0", CERT, "row[kind[u]]", "row[kind[0]]"),
-    # the one pass over Y's vertex rows and its projection
+    # densify's blocks of vertex rows: every row reads the kinds of vertex
+    # 0, every block starts one row late, the partial last block is dropped
+    (
+        "densify-every-row-vertex-0",
+        CERT,
+        "row[kind[u : u + k]]",
+        "row[kind[np.zeros(len(kind[u : u + k]), dtype=int)]]",
+    ),
+    ("densify-block-starts-one-row-late", CERT, "range(0, n, k)", "range(1, n, k)"),
+    (
+        "densify-drops-partial-last-block",
+        CERT,
+        "range(0, n, k)",
+        "range(0, n - n % k, k)",
+    ),
+    # the one pass over Y's blocks of vertex rows and its projection
     (
         "pass-drops-discarded-mass",
         CERT,
-        "        off += _row_mass(w, lo, hi, h)\n",
+        "        for mass in _row_mass(w, lo, hi, h):\n            off += mass\n",
         "",
     ),
-    # the row's mass: n |lo - h|^2 where every slab equals lo, else w - h
+    # each row's mass: n |lo - h|^2 where every slab equals lo, else w - h,
+    # tested row by row
     (
         "pass-equal-slab-without-n",
         CERT,
-        "len(w) * float(np.vdot(r, r))",
-        "float(np.vdot(r, r))",
+        "n * float(np.vdot(slab[r], slab[r]))",
+        "float(np.vdot(slab[r], slab[r]))",
     ),
-    ("pass-equal-slab-untested", CERT, "if (lo == hi).all():", "if True:"),
+    (
+        "pass-equal-slab-untested",
+        CERT,
+        "equal = (lo == hi).all(axis=(1, 2))",
+        "equal = np.ones(len(w), dtype=bool)",
+    ),
+    (
+        "pass-mixed-block-takes-equal-slab",
+        CERT,
+        "equal = (lo == hi).all(axis=(1, 2))",
+        "equal = np.full(len(w), (lo == hi).all(axis=(1, 2)).any())",
+    ),
     (
         "pass-general-mass-dropped",
         CERT,
-        "    r = w - h\n    return float(np.vdot(r, r))\n",
-        "    return 0.0\n",
+        "            res = w[r] - h[r]\n            masses.append(float(np.vdot(res, res)))\n",
+        "            masses.append(0.0)\n",
     ),
     # the general branch writes its residual into the row it reads
-    ("pass-residual-in-place", CERT, "r = w - h", "r = np.subtract(w, h, out=w)"),
+    (
+        "pass-residual-in-place",
+        CERT,
+        "res = w[r] - h[r]",
+        "res = np.subtract(w[r], h[r], out=w[r])",
+    ),
     (
         "pass-block-sum-wrong-scatter",
         CERT,
@@ -218,27 +251,27 @@ MUTANTS = [
     (
         "pass-entry-sum-offset-0",
         CERT,
-        "total += float(d.sum())",
-        "total += float(d[:, 0].sum())",
+        "for row_sum in d.sum(axis=(1, 2)):",
+        "for row_sum in d[:, :, 0].sum(axis=1):",
     ),
-    ("pass-h-without-mirror", CERT, "(d + d[:, mirror]) / (2.0 * n)", "d / n"),
+    ("pass-h-without-mirror", CERT, "(d + d[:, :, mirror]) / (2.0 * n)", "d / n"),
     (
         "pass-anti-without-pair-weight",
         CERT,
-        "off + pair @ (anti * anti).sum(axis=(1, 2))",
-        "off + (anti * anti).sum()",
+        "off + pair @ anti.sum(axis=(1, 2))",
+        "off + anti.sum()",
     ),
     (
         "pass-c1-one-offset",
         CERT,
-        "c1_inner[u] = d[:, 1] + d[:, n - 1]",
-        "c1_inner[u] = 2.0 * d[:, 1]",
+        "c1_inner[rows] = d[:, :, 1] + d[:, :, n - 1]",
+        "c1_inner[rows] = 2.0 * d[:, :, 1]",
     ),
     (
         "pass-traces-offset-1",
         CERT,
-        "block_traces[u] = d[:, 0]",
-        "block_traces[u] = d[:, 1]",
+        "block_traces[rows] = d[:, :, 0]",
+        "block_traces[rows] = d[:, :, 1]",
     ),
     (
         "pass-min-max-one-row",
@@ -255,9 +288,18 @@ MUTANTS = [
     (
         "pass-diagonal-block-wrong-column",
         CERT,
-        "own_blocks += w[:, u, :]",
-        "own_blocks += w[:, (u + 1) % n, :]",
+        "own_blocks += w[r, :, u + r, :]",
+        "own_blocks += w[r, :, (u + r + 1) % n, :]",
     ),
+    # the block's rows: every row reads the own block of the block's first
+    # row, and the next block is placed one row late
+    (
+        "pass-own-block-of-the-first-row",
+        CERT,
+        "own_blocks += w[r, :, u + r, :]",
+        "own_blocks += w[r, :, u, :]",
+    ),
+    ("pass-next-block-one-row-late", CERT, "u = rows.stop", "u = rows.stop + 1"),
     # the Weyl check in dense_view lets a NaN discarded mass through
     (
         "dense-weyl-nan-passes",
@@ -343,6 +385,15 @@ MUTANTS = [
     # the in-place Stoer-Wagner contraction
     ("sw-skips-dead-key-reset", LP, "        key[dead] = -np.inf\n", ""),
     ("sw-drops-row-merge", LP, "        wm[s] += wm[t]\n", ""),
+    # the zero cut of a disconnected support: labelled after the contraction,
+    # which reads an edge in either direction
+    ("sw-zero-cut-unlabelled", LP, "if best_val == 0.0:", "if False:"),
+    (
+        "sw-reads-one-direction",
+        LP,
+        "np.maximum(np.maximum(w, w.T), 0.0)",
+        "np.maximum(w, 0.0)",
+    ),
     ("sw-drops-column-merge", LP, "        wm[:, s] += wm[:, t]\n", ""),
     (
         "sw-best-set-from-s",
