@@ -13,28 +13,38 @@ orbit's entries to zero, else sum_{e in o} Y_e - s_o = 0 with one slack
 s_o >= 0.  With no declared symmetry every orbit is a single entry.  Rows
 that depend on the others are dropped.
 
+A problem may also declare a matrix W that exposes a face of the PSD cone
+holding every feasible Y (``SdpProblem`` checks that it does).  The solver
+then runs on Y = V R V^T, V an orthonormal basis of null(W), with each
+row's matrix A mapped to V^T A V and the rows that become dependent there
+dropped; every stopping test reads Y against the original constraints.
+With no W the face is the whole cone and V = I, through the same code.
+
 Every iterate's dual vector gives a lower bound by weak duality (Jansson,
 Chaykin & Keil, SIAM J. Numer. Anal. 46, 2008): with the nonnegativity
-multipliers clipped to >= 0 and S = C - A^T y, any feasible Y has
-<C, Y> >= b^T y - tau * ||S_-||_F, where S_- is the part of S that
-``project_psd`` clips and tau bounds tr Y (read off the constraints).  An
-orbit row's multiplier, given to each of its entries, is a multiplier
-vector of the problem with one row per entry, with the same b^T y and the
-same S, so the bound holds for the original problem whatever the orbits
-are; the symmetry only makes it tight, because the group average of a
-point feasible for the orbit rows is feasible for the entry rows (de Klerk,
-Pasechnik & Schrijver, Math. Prog. 109, 2007).  The bound holds whether or
-not the solve converged, so ``lower_bound`` is the number callers compare
-against; ``objective_value`` is the last primal iterate's value and is
-trusted only up to its reported residuals.  The bound is evaluated in
-floating point, without directed rounding, so it is proven up to the
-roundoff of b^T y and of the spectrum of S.
+multipliers clipped to >= 0 and S = V^T (C - A^T y) V, any feasible Y =
+V R V^T has <C, Y> >= b^T y - tau * ||S_-||_F, where S_- is the part of S
+that ``project_psd`` clips and tau bounds tr R = tr Y (read off the
+constraints).  An orbit row's multiplier, given to each of its entries, is
+a multiplier vector of the problem with one row per entry, with the same
+b^T y and the same S, so the bound holds for the original problem whatever
+the orbits are; the symmetry only makes it tight, because the group
+average of a point feasible for the orbit rows is feasible for the entry
+rows (de Klerk, Pasechnik & Schrijver, Math. Prog. 109, 2007).  The bound
+holds whether or not the solve converged, so ``lower_bound`` is the number
+callers compare against; ``objective_value`` is the last primal iterate's
+value and is trusted only up to its reported residuals.  The bound is
+evaluated in floating point, without directed rounding, so it is proven up
+to the roundoff of b^T y, of V and of the spectrum of S.
 
-The reduced problems have no strictly feasible point (their optima sit on
-a face of the cone), so the iterates can stall short of the tolerances;
-the solve then stops with status "stalled" and the best bound seen.
-``lift_upper_bound`` closes the bracket from above with the cheapest
-permutation lift that meets every constraint exactly.
+The reduced problems have no strictly feasible point in the whole cone,
+but ``encode_reduced`` declares the face spanned by the permutation lifts
+(Zhao, Karisch, Rendl & Wolkowicz, J. Comb. Optim. 2, 1998), on which the
+barycentre of the lifts is strictly feasible.  A solve can still stop
+"stalled" (vanishing steps, or a factorization that fails near the
+optimum), with the best bound seen.  ``lift_upper_bound`` closes the
+bracket from above with the cheapest permutation lift that meets every
+constraint exactly.
 """
 
 from __future__ import annotations
@@ -93,12 +103,24 @@ class SdpProblem:
     C[perm][:, perm] = C that maps the constraint list onto itself as a
     multiset; the solver gives one nonnegativity row per orbit of entries
     under the group they generate.
+
+    ``exposing`` is a matrix W that exposes a face of the PSD cone holding
+    every feasible Y, or None for the whole cone (W = 0).  It is checked
+    here: W must be PSD and equal sum_i c_i A_i + F, with F supported on
+    the entries that zero-sum rows fix, fitted by least squares to within
+    TRACE_FIT_TOL, and sum_i c_i b_i must not exceed TRACE_FIT_TOL.  Every
+    feasible Y then has 0 <= <W, Y> = sum_i c_i b_i, so the sum is 0 (a
+    negative one proves that no Y is feasible), W Y = 0 and range(Y) lies
+    in null(W).  ``face`` is an orthonormal basis of null(W), on which
+    ``solve`` works.
     """
 
     dim: int
     objective: np.ndarray = field(repr=False)
     constraints: list[tuple[np.ndarray, float]] = field(repr=False)
     symmetries: tuple[np.ndarray, ...] = field(default=(), repr=False)
+    exposing: np.ndarray | None = field(default=None, repr=False)
+    face: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.dim
@@ -139,6 +161,11 @@ class SdpProblem:
                 raise ValueError(f"symmetry {k} moves the constraint set")
             perms.append(perm)
         self.symmetries = tuple(perms)
+        w = np.zeros((m, m)) if self.exposing is None else np.asarray(self.exposing, dtype=float)
+        if w.shape != (m, m) or not np.array_equal(w, w.T):
+            raise ValueError(f"exposing matrix must be symmetric of shape ({m},{m})")
+        self.exposing = w
+        self.face = _face_basis(w, checked)
 
 
 @dataclass
@@ -181,6 +208,13 @@ def encode_reduced(inst: SimplicialInstance) -> SdpProblem:
     objective matrix is D[beta] (x) (1/2)C1[alpha] plus the fixing's linear
     costs on the diagonal.  Built through ``kron``, so the dense cap applies.
 
+    The exposing matrix is W = K1^T K1 + K2^T K2 with K1 = I (x) e^T -
+    (1/n) e (e (x) e)^T and K2 = e^T (x) I - (1/n) e (e (x) e)^T: K1 and K2
+    read the row and column sums of the n x n matrix behind vec, less their
+    mean, so a permutation lift gives 0.  W = 2 I - (2/n) J plus entries
+    the forbidden-pattern row fixes, which is the sum of the 2n assignment
+    rows less 2/n times the total sum, with right-hand sides 2n - 2n = 0.
+
     Row i n + j of Y pairs index i of D[beta] (outer) with index j of
     C1[alpha] (inner).  The declared symmetries are the transpositions of
     two consecutive outer indices of one group, which fix D[beta] and the
@@ -218,8 +252,16 @@ def encode_reduced(inst: SimplicialInstance) -> SdpProblem:
         outer = ar.copy()
         outer[[i, i + 1]] = i + 1, i
         symmetries.append(np.add.outer(outer * n, ar).reshape(-1))
+    e = np.ones((1, n))
+    mean = np.full((n, m), 1.0 / n)
+    k1 = kron(eye, e) - mean
+    k2 = kron(e, eye) - mean
     return SdpProblem(
-        dim=m, objective=c, constraints=constraints, symmetries=tuple(symmetries)
+        dim=m,
+        objective=c,
+        constraints=constraints,
+        symmetries=tuple(symmetries),
+        exposing=k1.T @ k1 + k2.T @ k2,
     )
 
 
@@ -253,41 +295,98 @@ def _orbit_rows(m: int, mask: np.ndarray, orbits: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _split_constraints(
+    constraints: list[tuple[np.ndarray, float]],
+) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
+    """Mask of the entries that zero-sum rows fix, and the other rows.
+
+    A constraint with b = 0 and nonnegative A fixes every entry it touches
+    to zero, because Y >= 0.
+    """
+    m = len(constraints[0][0])
+    fixed = np.zeros((m, m), dtype=bool)
+    general = []
+    for a, b in constraints:
+        if b == 0.0 and (a >= 0.0).all():
+            fixed |= a > 0.0
+        else:
+            general.append((a, b))
+    return fixed, general
+
+
+def _face_basis(w: np.ndarray, constraints: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """Orthonormal basis of null(W), once W is checked to expose a face that
+    holds every feasible Y (see ``SdpProblem``).
+
+    The null space is the eigenvectors of W whose eigenvalues lie within
+    numpy's rank tolerance of 0 (largest |eigenvalue| x dim x machine
+    epsilon, as ``np.linalg.matrix_rank`` uses); W = 0 gives the identity.
+    """
+    fixed, general = _split_constraints(constraints)
+    free = ~fixed
+    amat = np.array([a[free] for a, _ in general]).reshape(len(general), free.sum())
+    b = np.array([rhs for _, rhs in general])
+    coef = np.linalg.lstsq(amat.T, w[free], rcond=None)[0]
+    misfit = np.abs(amat.T @ coef - w[free]).max(initial=0.0)
+    if misfit > TRACE_FIT_TOL:
+        raise ValueError("exposing matrix is not a combination of the constraints and fixed entries")
+    if float(coef @ b) > TRACE_FIT_TOL:
+        raise ValueError("exposing matrix has <W, Y> > 0 on the feasible set")
+    vals, vecs = np.linalg.eigh(w)
+    tol = np.abs(vals).max() * len(w) * np.finfo(float).eps
+    if vals[0] < -tol:
+        raise ValueError("exposing matrix is not positive semidefinite")
+    return vecs[:, vals <= tol]
+
+
+def _independent_rows(mat: np.ndarray) -> list[int]:
+    """Indices of the rows of mat that do not depend on the rows kept before
+    them, taken in order.
+
+    Each row is orthogonalised against the kept ones (Gram-Schmidt, twice,
+    so the kept basis stays orthonormal to working precision) and kept if
+    what is left exceeds numpy's rank tolerance for mat: its largest
+    singular value x its larger side x machine epsilon.
+    """
+    if not len(mat):
+        return []
+    tol = np.linalg.norm(mat, 2) * max(mat.shape) * np.finfo(float).eps
+    basis = np.zeros((0, mat.shape[1]))
+    kept = []
+    for i, row in enumerate(mat):
+        for _ in range(2):
+            row = row - (basis @ row) @ basis
+        norm = float(np.linalg.norm(row))
+        if norm > tol:
+            kept.append(i)
+            basis = np.vstack([basis, row / norm])
+    return kept
+
+
 def _cone_rows(p: SdpProblem) -> tuple[np.ndarray, np.ndarray, int]:
     """Equality rows (flattened), right-hand sides and slack count.
 
-    A constraint with b = 0 and nonnegative A fixes every entry it touches
-    to zero, because Y >= 0.  The other rows are kept if independent of
-    those kept before them (tested with the fixed entries projected out),
-    so the Schur complement stays nonsingular.  Then come one row per orbit
-    of fixed entries, sum_{e in o} Y_e = 0, and one per orbit of the other
-    off-diagonal entries, sum_{e in o} Y_e - s_o = 0 with one slack
-    s_o >= 0 each; the diagonal is nonnegative by PSD.  The orbits are
+    Zero-sum rows fix entries (``_split_constraints``).  The other rows are
+    kept if independent of those kept before them (tested with the fixed
+    entries projected out), so the Schur complement stays nonsingular.
+    Then come one row per orbit of fixed entries, sum_{e in o} Y_e = 0,
+    and one per orbit of the other off-diagonal entries,
+    sum_{e in o} Y_e - s_o = 0 with one slack s_o >= 0 each; the
+    diagonal is nonnegative by PSD.  The orbits are
     those of p.symmetries, which map the fixed set to itself.  Each orbit
     row is the sum of its entries' rows, so a dual vector of these rows,
     repeated over each orbit, is a dual vector of the rows one per entry
     with the same weak-duality bound.
     """
     m = p.dim
-    fixed = np.zeros((m, m), dtype=bool)
-    general = []
-    for a, b in p.constraints:
-        if b == 0.0 and (a >= 0.0).all():
-            fixed |= a > 0.0
-        else:
-            general.append((a, b))
-    kept: list[np.ndarray] = []
-    rhs: list[float] = []
-    for a, b in general:
-        trial = np.array(kept + [a.reshape(-1)])
-        trial[:, fixed.reshape(-1)] = 0.0
-        if np.linalg.matrix_rank(trial) == len(trial):
-            kept.append(a.reshape(-1))
-            rhs.append(b)
+    fixed, general = _split_constraints(p.constraints)
+    flat = np.array([a.reshape(-1) for a, _ in general]).reshape(len(general), m * m)
+    kept = _independent_rows(np.where(fixed.reshape(-1), 0.0, flat))
+    rhs = [general[i][1] for i in kept]
     orbits = _pair_orbits(m, p.symmetries)
     fixed_rows = _orbit_rows(m, np.triu(fixed), orbits)
     slack_rows = _orbit_rows(m, np.triu(~fixed, 1), orbits)
-    rows = np.vstack([np.array(kept).reshape(-1, m * m), fixed_rows, slack_rows])
+    rows = np.vstack([flat[kept], fixed_rows, slack_rows])
     b = np.concatenate([rhs, np.zeros(len(fixed_rows) + len(slack_rows))])
     return rows, b, len(slack_rows)
 
@@ -340,22 +439,48 @@ def _max_step(
     return -1.0 / worst if worst < 0.0 else math.inf
 
 
-def _measure(p: SdpProblem, x: np.ndarray) -> tuple[float, float, float, float]:
-    """Objective, worst equality residual, least eigenvalue, least entry."""
-    eq = max(abs(float(np.sum(a * x)) - b) for a, b in p.constraints)
+def _face_rows(
+    rows: np.ndarray, b: np.ndarray, first: int, face: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cone rows on the face Y = V R V^T, V = face, and the new first.
+
+    Each row's matrix A becomes V^T A V, so it reads <A, V R V^T>.  Of the
+    rows before first, those that depend on the rows kept before them on
+    the face are dropped, which keeps the Schur complement nonsingular; a
+    dropped row holds for every R that meets the kept ones.  The slack
+    rows rows[first:] all stay, since each has its own slack.
+    """
+    m, k = face.shape
+    mapped = face.T @ rows.reshape(-1, m, m) @ face
+    mapped = (0.5 * (mapped + mapped.transpose(0, 2, 1))).reshape(len(rows), k * k)
+    keep = _independent_rows(mapped[:first])
+    n_kept = len(keep)
+    keep.extend(range(first, len(rows)))
+    return mapped[keep], b[keep], n_kept
+
+
+def _measure(stack: np.ndarray, b: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Objective, worst equality residual, least eigenvalue, least entry.
+
+    stack holds C and then every A_i, so one reduction reads all of <C, Y>
+    and <A_i, Y>.
+    """
+    values = (stack * y).sum(axis=(1, 2))
     return (
-        float(np.sum(p.objective * x)),
-        eq,
-        float(np.linalg.eigvalsh(x)[0]),
-        float(x.min()),
+        float(values[0]),
+        float(np.abs(values[1:] - b).max()),
+        float(np.linalg.eigvalsh(y)[0]),
+        float(y.min()),
     )
 
 
 def solve(p: SdpProblem, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Run the interior-point method for at most max_iters Newton steps.
 
-    Each step solves one Schur complement system A kron(X, S^-1) A^T,
-    formed row by row, so no m^2 x m^2 matrix is built.  After every step
+    The iterates X and S are k x k, k the width of p.face, with X = R for
+    Y = V R V^T.  Each step solves one Schur complement system
+    A kron(X, S^-1) A^T over the face rows, formed row by row, so no
+    k^2 x k^2 matrix is built.  After every step
     the dual iterate is turned into a proven lower bound, and the best one
     is returned whatever the status.
     """
@@ -364,20 +489,24 @@ def solve(p: SdpProblem, max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
 
-    m = p.dim
-    c = p.objective
+    v = p.face
+    k = v.shape[1]
+    c = v.T @ p.objective @ v
+    c = 0.5 * (c + c.T)
     rows, b, n_slack = _cone_rows(p)
-    first = len(b) - n_slack  # slack rows are rows[first:]
-    tau = _trace_bound(p)
-    nu = m + n_slack  # barrier parameter of the cone
+    rows, b, first = _face_rows(rows, b, len(b) - n_slack, v)  # slack rows are rows[first:]
+    stack = np.array([p.objective, *(a for a, _ in p.constraints)])
+    rhs = np.array([value for _, value in p.constraints])
+    tau = _trace_bound(p)  # bounds tr R = tr Y too, as V has orthonormal columns
+    nu = k + n_slack  # barrier parameter of the cone
 
-    x, s_mat = np.eye(m), np.eye(m)
+    x, s_mat = np.eye(k), np.eye(k)
     sl, z = np.ones(n_slack), np.ones(n_slack)
     y = np.zeros(len(b))
     lower = _lower_bound(c, rows, b, y, first, tau)
     iterations = short = 0
     while True:
-        obj, eq, min_eig, min_entry = _measure(p, x)
+        obj, eq, min_eig, min_entry = _measure(stack, rhs, v @ x @ v.T)
         if (
             eq <= EQ_TOL
             and min_eig >= -PSD_TOL

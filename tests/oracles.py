@@ -457,3 +457,13 @@ def lift_upper_bound_loop(p: SdpProblem) -> float:
         if all(v @ a @ v == b for a, b in p.constraints):
             best = min(best, float(v @ p.objective @ v))
     return best
+
+
+def independent_rows_by_rank(mat: np.ndarray) -> list[int]:
+    """Greedy pick of the rows of mat that raise the rank of those kept
+    before them, one ``matrix_rank`` call per row."""
+    kept: list[int] = []
+    for i in range(len(mat)):
+        if np.linalg.matrix_rank(mat[kept + [i]]) > len(kept):
+            kept.append(i)
+    return kept

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from simplicial_gap.sdp_numeric import (
 )
 from simplicial_gap.serialize import record_json
 
-from oracles import generated_group, lift_upper_bound_loop, stacked
+from oracles import generated_group, independent_rows_by_rank, lift_upper_bound_loop, stacked
 
 TINY_BOUND_16 = 1.5709035061653493
 
@@ -402,3 +403,164 @@ def test_nonmonotonicity_check_frozen():
     assert d["non_monotonic"] is True
     assert isinstance(d["certificate_bound"], str)
 
+
+
+def exact_kron(a, b):
+    """Kronecker product of two object arrays of Fractions."""
+    return np.array(
+        [[a[i, j] * b[k, l] for j in range(a.shape[1]) for l in range(b.shape[1])]
+         for i in range(a.shape[0]) for k in range(b.shape[0])],
+        dtype=object,
+    )
+
+
+def exact_eye(n):
+    return np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
+
+
+def exact_encoding(n):
+    """encode_reduced's constraint list at side n, and W = K1^T K1 + K2^T K2,
+    in Fractions."""
+    eye, ones = exact_eye(n), np.full((n, n), Fraction(1), dtype=object)
+    unit = [exact_eye(n) * 0 for _ in range(n)]
+    for s, e in enumerate(unit):
+        e[s, s] = Fraction(1)
+    constraints = [(exact_kron(eye, e), Fraction(1)) for e in unit]
+    constraints += [(exact_kron(e, eye), Fraction(1)) for e in unit]
+    constraints.append((exact_kron(eye, ones - eye) + exact_kron(ones - eye, eye), Fraction(0)))
+    constraints.append((np.full((n * n, n * n), Fraction(1), dtype=object), Fraction(n * n)))
+    row = np.full((1, n), Fraction(1), dtype=object)
+    mean = np.full((n, n * n), Fraction(1, n), dtype=object)
+    k1 = exact_kron(eye, row) - mean
+    k2 = exact_kron(row, eye) - mean
+    return constraints, k1.T.dot(k1) + k2.T.dot(k2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_exposing_matrix_is_an_exact_combination_of_the_constraints(n):
+    # W = sum of the 2n assignment rows - (2/n) J + F, with F on the entries
+    # the gangster row fixes, and sum c_i b_i = 2n - (2/n) n^2 = 0
+    constraints, w = exact_encoding(n)
+    coef = [Fraction(1)] * (2 * n) + [Fraction(0), Fraction(-2, n)]
+    combination = sum(c * a for c, (a, _) in zip(coef, constraints))
+    fixed = constraints[2 * n][0] != 0
+    assert ((w - combination)[~fixed] == 0).all()
+    assert sum(c * b for c, (_, b) in zip(coef, constraints)) == 0
+    if n % 2 == 0:
+        p = encode_reduced(make_one_extra(2, n // 2))
+        assert len(p.constraints) == len(constraints)
+        for (a, b), (a_exact, b_exact) in zip(p.constraints, constraints):
+            assert (np.vectorize(Fraction)(a) == a_exact).all() and Fraction(b) == b_exact
+        assert np.abs(p.exposing - w.astype(float)).max() <= 4 * np.finfo(float).eps
+
+
+def permutation_lifts(n):
+    return [np.eye(n)[list(perm)].reshape(-1) for perm in itertools.permutations(range(n))]
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_face_holds_every_permutation_lift(per_group):
+    p = encode_reduced(make_one_extra(2, per_group))
+    n = 2 * per_group
+    v = p.face
+    assert v.shape == (n * n, (n - 1) ** 2 + 1)
+    assert np.abs(v.T @ v - np.eye(v.shape[1])).max() <= 1e-14
+    # the smallest nonzero eigenvalue of W is n
+    vals = np.linalg.eigvalsh(p.exposing)
+    assert vals[v.shape[1]] == pytest.approx(n, abs=1e-12)
+    for lift in permutation_lifts(n):
+        assert np.abs(p.exposing @ lift).max() <= 1e-12
+        assert np.abs(v @ (v.T @ lift) - lift).max() <= 1e-12
+
+
+def test_problem_refuses_an_exposing_matrix_that_is_not_one():
+    p = encode_reduced(make_one_extra(2, 2))
+    n, w = 4, p.exposing
+    noise = np.random.default_rng(0).normal(size=w.shape)
+    with pytest.raises(ValueError, match="not a combination"):
+        dataclasses.replace(p, exposing=w + 1e-9 * (noise + noise.T))
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        dataclasses.replace(p, exposing=-w)
+    # K2 without its rank-one term: <W, Y> = n on every feasible Y
+    mean = np.full((n, n * n), 1.0 / n)
+    k1 = np.kron(np.eye(n), np.ones((1, n))) - mean
+    k2_raw = np.kron(np.ones((1, n)), np.eye(n))
+    with pytest.raises(ValueError, match="> 0 on the feasible set"):
+        dataclasses.replace(p, exposing=k1.T @ k1 + k2_raw.T @ k2_raw)
+    for bad in (w[:-1, :-1], w + np.triu(np.ones_like(w), 1)):
+        with pytest.raises(ValueError, match="symmetric of shape"):
+            dataclasses.replace(p, exposing=bad)
+    # K1 alone exposes a valid face, n^2 - n + 1 wide, that holds the minimal
+    # one: the check proves soundness, and the encoder declares both terms
+    half = dataclasses.replace(p, exposing=k1.T @ k1)
+    assert half.face.shape == (n * n, n * n - n + 1)
+    assert np.abs(half.face @ (half.face.T @ p.face) - p.face).max() <= 1e-12
+
+
+def test_problem_without_exposing_matrix_solves_on_the_whole_cone():
+    p = sanity_problem(4)
+    assert np.array_equal(p.exposing, np.zeros((4, 4)))
+    assert np.array_equal(p.face, np.eye(4))
+    # the encoded problem on the whole cone: same constraints, a valid but
+    # looser bound, and the same cone rows
+    tiny = encode_reduced(make_one_extra(2, 2))
+    whole = dataclasses.replace(tiny, exposing=None)
+    rows, b, n_slack = sdp_numeric._cone_rows(whole)
+    first = len(b) - n_slack
+    face_rows, face_b, face_first = sdp_numeric._face_rows(rows, b, first, whole.face)
+    assert np.array_equal(face_rows, rows) and np.array_equal(face_b, b)
+    assert face_first == first
+    sol = solve(whole)
+    assert sol.lower_bound <= solve(tiny).lower_bound <= 2.0
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_face_rows_read_the_constraints_on_the_face(per_group):
+    p = encode_reduced(make_one_extra(2, per_group))
+    m, k = p.face.shape
+    rows, b, n_slack = sdp_numeric._cone_rows(p)
+    first = len(b) - n_slack
+    mapped, b_face, first_face = sdp_numeric._face_rows(rows, b, first, p.face)
+    # the kept rows are independent on the face and every dropped one
+    # depends on them; every slack row stays, in order
+    on_face = (p.face.T @ rows[:first].reshape(-1, m, m) @ p.face).reshape(first, -1)
+    keep = independent_rows_by_rank(on_face)
+    assert first_face == len(keep) == np.linalg.matrix_rank(on_face) < first
+    keep += range(first, len(rows))
+    assert np.array_equal(b_face, b[keep])
+    # each row reads <A, V R V^T> off R
+    r = np.random.default_rng(per_group).normal(size=(k, k))
+    r = r + r.T
+    y = p.face @ r @ p.face.T
+    assert np.abs(mapped @ r.reshape(-1) - rows[keep] @ y.reshape(-1)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3])
+def test_independent_rows_match_the_rank_loop(per_group):
+    # the greedy Gram-Schmidt pick against one matrix_rank call per row, on
+    # the general rows with the fixed entries projected out and on the rows
+    # mapped to the face
+    p = encode_reduced(make_one_extra(2, per_group))
+    m, k = p.face.shape
+    fixed, general = sdp_numeric._split_constraints(p.constraints)
+    flat = np.array([a.reshape(-1) for a, _ in general])
+    flat[:, fixed.reshape(-1)] = 0.0
+    rows, b, n_slack = sdp_numeric._cone_rows(p)
+    first = len(b) - n_slack
+    on_face = (p.face.T @ rows[:first].reshape(-1, m, m) @ p.face).reshape(first, -1)
+    for mat in (flat, on_face):
+        assert sdp_numeric._independent_rows(mat) == independent_rows_by_rank(mat)
+    assert sdp_numeric._independent_rows(np.zeros((0, 4))) == []
+
+
+def test_face_solves_in_few_steps(brackets):
+    # on the face the barycentre of the lifts is strictly feasible, so the
+    # interior-point steps no longer stall at the cone boundary
+    pg1, pg2, pg3 = (brackets[k][1] for k in (1, 2, 3))
+    assert pg1.converged
+    assert pg2.iterations <= 12
+    assert pg2.lower_bound >= 2.0 - 1e-6
+    assert pg2.min_entry >= -1e-8
+    assert pg3.iterations <= 15
+    assert pg3.objective_value - pg3.lower_bound <= 1e-6
+    assert 1.75 - 1e-6 <= pg3.lower_bound <= 1.75

@@ -23,8 +23,11 @@ one-direction read or an unlabelled zero cut in
 ``subtour_lp.min_cut``, a lost Bland fallback or an unclipped ratio test in
 the subtour LP's simplex, a wrong weak-duality bound, trace bound, lift
 bound or step length in ``sdp_numeric``, a skipped symmetry check, a lost
-generator, a wrong orbit or orbit row in its symmetry reduction, or a
-non-monotonicity verdict that skips the certificate check.  The script
+generator, a wrong orbit or orbit row in its symmetry reduction, a skipped
+check of the exposing matrix, a face basis short of a column, rows or an
+objective left unmapped on the face, dependent face rows kept or a
+half-done orthogonalisation in the row pick, or a non-monotonicity
+verdict that skips the certificate check.  The script
 first copies ``src``, ``tests``, ``perfbench`` (the subtour-LP tests read
 its layouts) and ``pyproject.toml`` into a snapshot in a temporary
 directory.  The unmutated copy and every mutant's copy come from that
@@ -499,6 +502,51 @@ MUTANTS = [
         "    slack_rows = _orbit_rows(m, np.triu(~fixed, 1), orbits)\n",
         "    fixed_rows = np.zeros((0, m * m))\n"
         "    slack_rows = _orbit_rows(m, np.triu(np.ones_like(fixed), 1), orbits)\n",
+    ),
+    # the face: the checks of the exposing matrix, its null-space basis and
+    # the rows mapped onto it
+    (
+        "sdp-face-fit-unchecked",
+        SDP,
+        "    if misfit > TRACE_FIT_TOL:\n",
+        "    if False:\n",
+    ),
+    (
+        "sdp-face-rhs-unchecked",
+        SDP,
+        "    if float(coef @ b) > TRACE_FIT_TOL:\n",
+        "    if False:\n",
+    ),
+    (
+        "sdp-face-psd-unchecked",
+        SDP,
+        "    if vals[0] < -tol:\n",
+        "    if False:\n",
+    ),
+    ("sdp-face-drops-a-column", SDP, "return vecs[:, vals <= tol]", "return vecs[:, vals <= tol][:, 1:]"),
+    (
+        "sdp-face-keeps-dependent-rows",
+        SDP,
+        "keep = _independent_rows(mapped[:first])",
+        "keep = list(range(first))",
+    ),
+    (
+        "sdp-face-rows-unmapped",
+        SDP,
+        "mapped = face.T @ rows.reshape(-1, m, m) @ face\n",
+        "mapped = rows.reshape(-1, m, m)[:, :k, :k]\n",
+    ),
+    (
+        "sdp-face-objective-unmapped",
+        SDP,
+        "c = v.T @ p.objective @ v\n",
+        "c = p.objective[:k, :k]\n",
+    ),
+    (
+        "sdp-independent-rows-first-basis-row",
+        SDP,
+        "        for _ in range(2):\n            row = row - (basis @ row) @ basis\n",
+        "        row = row - (basis @ row)[:1] @ basis[:1]\n",
     ),
 ]
 
